@@ -339,12 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         data = json.loads(args.out.read_text())
     if args.set_baseline or "baseline" not in data:
         data["baseline"] = current
-    else:
-        # A scenario added after the baseline was recorded self-baselines
-        # on its first run, so its speedup series starts at 1.0 instead
-        # of staying absent forever.
-        for name, result in current.items():
-            data["baseline"].setdefault(name, result)
+    # A scenario added after the baseline was recorded has no speedup: it
+    # prints "-" until a ``--set-baseline`` run records a real baseline.
     data["current"] = current
     data["sweep"] = sweep
     data["replay_modes"] = replay_modes

@@ -7,7 +7,6 @@ from repro.compute.dataflow import (
     registered_dataflows,
 )
 from repro.compute.systolic import (
-    gemm_on_array,
     is_pass_cycles,
     os_pass_cycles,
     ws_pass_cycles,
@@ -30,7 +29,6 @@ __all__ = [
     "os_pass_cycles",
     "ws_pass_cycles",
     "is_pass_cycles",
-    "gemm_on_array",
     "TileShape",
     "Tile",
     "choose_tile_shape",

@@ -40,10 +40,7 @@ input load over large ``m`` the way WS amortizes weights over large
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-
-from repro.config.arch import ArchConfig
 
 
 def os_pass_cycles(rows: int, cols: int, k: int) -> int:
@@ -74,25 +71,3 @@ def is_pass_cycles(rows: int, cols: int, m: int) -> int:
     if rows <= 0 or cols <= 0 or m <= 0:
         raise ValueError("pass dimensions must be positive")
     return rows + m + rows + cols - 2
-
-
-def gemm_on_array(arch: ArchConfig, m: int, k: int, n: int) -> ComputeEstimate:
-    """Deprecated: cycles/utilization of an ``(m, k, n)`` GEMM on ``arch``.
-
-    This predates the dataflow-engine registry and is kept as a shim for
-    external callers and old scripts; it routes through the engine named
-    by ``arch.dataflow`` and returns exactly what that engine's
-    ``estimate`` does.  New code should resolve the engine itself::
-
-        from repro.compute.dataflow import get_engine
-        get_engine(arch.dataflow).estimate(arch, m, k, n)
-    """
-    warnings.warn(
-        "gemm_on_array is deprecated; use "
-        "repro.compute.dataflow.get_engine(arch.dataflow).estimate(arch, m, k, n)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.compute.dataflow import get_engine
-
-    return get_engine(arch.dataflow).estimate(arch, m, k, n)

@@ -90,8 +90,6 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.compute.requestgen import Run
 from repro.core.dma import DmaEngine
 from repro.dram.channel import Channel, DramRequest
@@ -241,7 +239,10 @@ class TurboDma(DmaEngine):
         self._wakeup_cb = self._wakeup
         self.rstats = ReplayStats()
         # Vectorized decomposition constants (mirror of the controller's
-        # compiled per-core decomposer).
+        # compiled per-core decomposer).  numpy is imported here, not at
+        # module level: the default event mode never builds a TurboDma.
+        import numpy as np
+
         dram = self.dram
         self._allowed = np.asarray(dram.channels_per_core[self.core], dtype=np.int64)
         self._map_order = dram.cfg.mapping.order
@@ -259,6 +260,8 @@ class TurboDma(DmaEngine):
     def _materialize(
         self, runs: tuple[Run, ...], on_complete: Callable[[], None]
     ) -> _VTransfer:
+        import numpy as np
+
         txn = self.transaction_bytes
         # Expand runs without a per-run Python loop (tile streams can
         # carry thousands of short runs): global arange minus each run's

@@ -61,11 +61,10 @@ import time
 import traceback as traceback_module
 from collections import deque
 from contextlib import nullcontext
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.compute import tracecache
 from repro.config import presets
@@ -101,6 +100,9 @@ from repro.experiments.spec import (
 from repro.models import serving as serving_module
 from repro.models import zoo
 from repro.models.serving import ServingParams
+
+if TYPE_CHECKING:  # the pool machinery loads only when a pool is made
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "DEFAULT_MAX_TICKS",
@@ -249,7 +251,7 @@ def _failure_kind(error: BaseException) -> str:
         return "timeout"
     if isinstance(error, SimulationStallError):
         return "stall"
-    if isinstance(error, (TransientWorkerError, BrokenProcessPool)):
+    if isinstance(error, (TransientWorkerError, BrokenExecutor)):
         return "crash"
     return "error"
 
@@ -511,6 +513,10 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
 
     def _make_pool(self, workers: int) -> ProcessPoolExecutor:
+        # Imported here so in-process (``jobs=1``) runs never load
+        # ``concurrent.futures.process`` and ``multiprocessing``.
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_configure_worker_trace_cache,
@@ -1232,7 +1238,7 @@ class ExperimentRunner:
                     fault=self._fault_for(spec),
                     in_pool=True,
                 )
-            except BrokenProcessPool:
+            except BrokenExecutor:
                 origin.appendleft((spec, attempt))
                 return False
             inflight[future] = (spec, attempt, time.monotonic())
@@ -1316,7 +1322,7 @@ class ExperimentRunner:
                     spec, attempt, t0 = inflight.pop(future)
                     try:
                         payload = future.result()
-                    except BrokenProcessPool:
+                    except BrokenExecutor:
                         inflight[future] = (spec, attempt, t0)
                         handle_breakage()
                         break

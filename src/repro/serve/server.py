@@ -37,6 +37,10 @@ daemon.
 
 from __future__ import annotations
 
+# The daemon always runs cold requests on a process pool, and the runner
+# loads the pool machinery only when it makes one.  Load it here, before
+# the daemon reports ready, so the first cold request does not pay for it.
+import concurrent.futures.process  # noqa: F401
 import json
 import logging
 import threading
@@ -545,6 +549,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "mnpusim-serve/1"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out as two writes; with Nagle on, a kept-alive
+    #: client's delayed ACK would hold the body back ~40 ms per request.
+    disable_nagle_algorithm = True
     #: Socket read timeout: a stalled client costs one thread for at most
     #: this long, never forever.
     timeout = 30.0

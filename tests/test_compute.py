@@ -4,7 +4,7 @@ import pytest
 
 from repro.compute.dataflow import get_engine
 from repro.compute.requestgen import RequestGenerator, Run
-from repro.compute.systolic import gemm_on_array, os_pass_cycles
+from repro.compute.systolic import os_pass_cycles
 from repro.compute.tiling import (
     TileShape,
     choose_tile_shape,
@@ -201,28 +201,6 @@ class TestRequestGenerator:
         runs1 = [run for t in gen1.all_tiles() for run in t.reads + t.writes]
         runs2 = [run for t in gen2.all_tiles() for run in t.reads + t.writes]
         assert runs1 == runs2
-
-
-class TestDeprecatedGemmShim:
-    """``gemm_on_array`` stays working but warns and routes via the registry."""
-
-    def test_warns_and_matches_os_engine(self):
-        from repro.compute.dataflow import get_engine
-
-        with pytest.warns(DeprecationWarning, match="gemm_on_array"):
-            est = gemm_on_array(ARCH, 8, 16, 8)
-        assert est == get_engine("os").estimate(ARCH, 8, 16, 8)
-
-    def test_routes_through_arch_dataflow(self):
-        from repro.compute.dataflow import get_engine
-
-        ws_arch = ArchConfig(
-            name="ws", array_rows=8, array_cols=8, spm_bytes=8192,
-            dram_transaction_bytes=64, dataflow="ws",
-        )
-        with pytest.warns(DeprecationWarning):
-            est = gemm_on_array(ws_arch, 8, 16, 100)
-        assert est == get_engine("ws").estimate(ws_arch, 8, 16, 100)
 
 
 class TestWeightStationary:

@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compute.dataflow import get_engine
 from repro.compute.requestgen import RequestGenerator
-from repro.compute.systolic import gemm_on_array
 from repro.compute.tiling import choose_tile_shape, tile_count, tiles_for_gemm
 from repro.config.arch import ArchConfig
 from repro.core.clock import ClockDomain
@@ -22,6 +22,10 @@ small_arch = ArchConfig(
     name="p", array_rows=8, array_cols=8, spm_bytes=8192,
     dram_transaction_bytes=64,
 )
+
+
+def _estimate(m, k, n):
+    return get_engine(small_arch.dataflow).estimate(small_arch, m, k, n)
 
 
 @st.composite
@@ -70,15 +74,15 @@ class TestSystolicProperties:
     @given(gemms())
     @settings(max_examples=60, deadline=None)
     def test_utilization_in_unit_interval(self, gemm):
-        est = gemm_on_array(small_arch, gemm.m, gemm.k, gemm.n)
+        est = _estimate(gemm.m, gemm.k, gemm.n)
         assert 0 < est.pe_utilization <= 1.0
         assert est.cycles > 0
 
     @given(gemms(), st.integers(min_value=2, max_value=4))
     @settings(max_examples=40, deadline=None)
     def test_cycles_monotone_in_k(self, gemm, factor):
-        base = gemm_on_array(small_arch, gemm.m, gemm.k, gemm.n)
-        bigger = gemm_on_array(small_arch, gemm.m, gemm.k * factor, gemm.n)
+        base = _estimate(gemm.m, gemm.k, gemm.n)
+        bigger = _estimate(gemm.m, gemm.k * factor, gemm.n)
         assert bigger.cycles > base.cycles
 
 

@@ -7,7 +7,9 @@ concurrent clients, byte-identical payloads, typed errors on the wire.
 """
 
 import hashlib
+import http.client
 import threading
+import time
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.errors import (
 from repro.experiments import faults
 from repro.experiments.runner import ExperimentRunner
 from repro.models.layers import DenseLayer, Network
+from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.server import CircuitBreaker, ServeDaemon, SweepService
 
@@ -390,6 +393,30 @@ class TestHTTPDaemon:
         digest = hashlib.sha256(results[0].payload).hexdigest()
         cached = daemon.service.runner.cached_payload(spec)
         assert hashlib.sha256(cached).hexdigest() == digest
+
+    def test_keep_alive_memo_requests_do_not_stall(self, daemon):
+        # Headers and body leave as two writes; with Nagle on, every
+        # kept-alive response waits ~40 ms on the client's delayed ACK.
+        spec = daemon.service.runner.plan_solo("a")
+        client = ServeClient(daemon.url, deadline_seconds=60.0)
+        assert client.wait_ready(10.0)
+        client.run(spec)  # warms the memo
+        body = protocol.encode_request(protocol.RunRequest(spec, None))
+        connection = http.client.HTTPConnection(
+            daemon.host, daemon.port, timeout=10
+        )
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("POST", protocol.RUN_PATH, body=body)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                assert response.getheader(protocol.SOURCE_HEADER) == "memo"
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.5, f"20 kept-alive memo requests took {elapsed:.3f}s"
 
     def test_health_ready_stats_endpoints(self, daemon):
         client = ServeClient(daemon.url)
