@@ -274,37 +274,6 @@ def _figure_mixes(args: argparse.Namespace):
     return dual, quad
 
 
-def _figure_producers(runner, dual, quad):
-    """``figure name -> callable`` printing-ready headline reductions."""
-    from repro.experiments import figures
-
-    return {
-        "fig4": lambda: figures.fig4_dual_performance(runner, dual)["overall"],
-        "fig5": lambda: figures.fig5_quad_performance(runner, quad)["overall"],
-        "fig6": lambda: figures.fig6_dual_fairness(runner, dual)["overall"],
-        "fig7": lambda: figures.fig7_quad_fairness(runner, quad)["overall"],
-        "fig8": lambda: figures.fig8_sensitivity(runner, dual)["range"],
-        "fig9": lambda: figures.fig9_bandwidth_partition_performance(runner, dual)[
-            "overall"
-        ],
-        "fig10": lambda: figures.fig10_bandwidth_partition_fairness(runner, dual)[
-            "overall"
-        ],
-        "fig11": lambda: {
-            name: series[-1][1]
-            for name, series in figures.fig11_bandwidth_sweep(runner)["speedup"].items()
-            if series
-        },
-        "fig13": lambda: figures.fig13_ptw_partition_performance(runner, dual)[
-            "overall"
-        ],
-        "fig14": lambda: figures.fig14_ptw_partition_fairness(runner, dual)["overall"],
-        "fig15": lambda: figures.fig15_pagesize_single(runner)["overall"],
-        "dataflow_compare": lambda: figures.dataflow_compare(runner)["overall"],
-        "serving_colocation": lambda: figures.serving_colocation(runner)["overall"],
-    }
-
-
 def _make_runner(args: argparse.Namespace, *, profile: bool = False):
     from repro.experiments.runner import ExperimentRunner
 
@@ -327,57 +296,39 @@ def _make_runner(args: argparse.Namespace, *, profile: bool = False):
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     """Regenerate one paper figure through the cached experiment runner."""
-    from repro.experiments.report import format_mapping
-
-    runner = _make_runner(args)
-    dual, quad = _figure_mixes(args)
-    producers = _figure_producers(runner, dual, quad)
-    if args.name not in producers:
-        raise SystemExit(
-            f"unknown figure {args.name!r}; pick one of {sorted(producers)}"
-        )
-    data = _round4(producers[args.name]())
-    _print_cache_summary(runner, args.quiet)
-    print(format_mapping(f"{args.name} (scale={args.scale})", data))
-    return _report_failures(runner)
+    return _sweep_with(_make_runner(args), args, [args.name])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Regenerate several figures from one deduplicated parallel batch.
+    """Regenerate several figures from one deduplicated parallel batch."""
+    return _sweep_with(_make_runner(args), args, args.names)
 
-    All named figures' spec sets are planned first and executed in a
-    single :meth:`ExperimentRunner.run_many` call, so overlapping specs
-    (the Ideal/Static solos every sharing figure needs, the shared
-    fig4/fig6 and fig9/fig10 sweeps) simulate exactly once.
+
+def _sweep_with(runner, args: argparse.Namespace, names) -> int:
+    """Plan, execute and reduce ``names`` on a caller-built runner.
+
+    Every figure's specs execute in a single
+    :meth:`ExperimentRunner.run_many` call (see
+    :func:`repro.experiments.figures.run_figures`); the figures' headline
+    tables go to stdout.
     """
-    return _sweep_with(_make_runner(args), args)
-
-
-def _sweep_with(runner, args: argparse.Namespace) -> int:
-    """The sweep body, on a caller-built runner (plain or profiled)."""
     from repro.experiments import figures
     from repro.experiments.report import format_mapping
 
-    dual, quad = _figure_mixes(args)
-    producers = _figure_producers(runner, dual, quad)
-    unknown = [name for name in args.names if name not in producers]
+    unknown = [name for name in names if name not in figures.FIGURES]
     if unknown:
         raise SystemExit(
-            f"unknown figures {unknown}; pick from {sorted(producers)}"
+            f"unknown figures {unknown}; pick from {sorted(figures.FIGURES)}"
         )
-    specs = [
-        spec
-        for name in args.names
-        for spec in figures.FIGURE_PLANNERS[name](runner, dual, quad)
-    ]
+    dual, quad = _figure_mixes(args)
     try:
         with _graceful_termination():
-            runner.run_many(specs)
+            reduced = figures.run_figures(runner, names, dual, quad)
     except KeyboardInterrupt:
         return _report_interrupted_sweep(runner)
     _print_cache_summary(runner, args.quiet)
-    for name in args.names:
-        data = _round4(producers[name]())
+    for name in names:
+        data = _round4(figures.FIGURES[name].headline(reduced[name]))
         print(format_mapping(f"{name} (scale={args.scale})", data))
     return _report_failures(runner)
 
@@ -780,7 +731,7 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
 def _cmd_profile_sweep(args: argparse.Namespace) -> int:
     """A figure sweep under the phase profiler; prints the phase table."""
     runner = _make_runner(args, profile=True)
-    code = _sweep_with(runner, args)
+    code = _sweep_with(runner, args, args.names)
     assert runner.profiler is not None
     print(format_profile(runner.profiler.snapshot()))
     return code
@@ -899,7 +850,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     figure.add_argument(
         "name",
-        help="fig4, fig5, ..., fig15, dataflow_compare or serving_colocation",
+        help="fig4, fig5, ..., fig16, dataflow_compare or serving_colocation",
     )
     _add_sweep_options(figure)
     figure.set_defaults(func=_cmd_figure)

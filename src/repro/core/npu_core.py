@@ -104,11 +104,6 @@ class NpuCore:
         """Stop fetching new work; in-flight tiles drain naturally."""
         self._halted = True
 
-    @property
-    def reqgen(self) -> TraceSource:
-        """Backwards-compatible alias for the core's trace source."""
-        return self.trace
-
     def register_counters(self, registry: "CounterRegistry") -> None:
         """Expose this core's progress stats to the registry (pull-based)."""
         stats = self.stats

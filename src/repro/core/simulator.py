@@ -90,11 +90,6 @@ class MixResult:
         """First-iteration local cycle counts, in core order."""
         return tuple(result.cycles for result in self.workloads)
 
-    # Backwards-friendly alias used in docs/examples.
-    @property
-    def cycles_per_core_tuple(self) -> tuple[int, ...]:
-        return self.cycles_per_core()
-
 
 class MultiCoreNPUSim:
     """Execution-driven co-simulation of N workloads on an N-core NPU."""
@@ -209,8 +204,6 @@ class MultiCoreNPUSim:
             core: trace_source(self.networks[core], system.arch[core])
             for core in cores
         }
-        #: Backwards-compatible alias for :attr:`frontends`.
-        self.reqgens = self.frontends
         #: Static per-core batching decisions for the replay kernel
         #: (``misc.replay_mode``); ineligible cores fall back to the
         #: per-event :class:`DmaEngine`, which is byte-identical.

@@ -5,14 +5,20 @@ Every function returns plain dicts/lists ready for printing (see
 an :class:`~repro.experiments.runner.ExperimentRunner`, so repeated calls
 are served from the on-disk cache.
 
-The hot reducers follow the *plan-then-execute* pattern: a ``*_specs``
-planner first collects every :class:`RunSpec` the figure needs, one
-:meth:`ExperimentRunner.run_many` call executes the whole deduplicated
-batch (in parallel when the runner's ``jobs > 1``), and only then does
-the reduction read results — each individual read is a cache hit.  The
-:data:`FIGURE_PLANNERS` registry exposes the planners so callers (the
-``mnpusim sweep`` subcommand) can batch *several* figures' specs into a
-single parallel fan-out.
+Each simulated figure is *plan once, execute once, reduce purely*:
+
+* a ``*_specs`` planner returns a keyed plan — ``{role: RunSpec}``, where
+  a role is a small tuple naming the spec's part in the figure, such as
+  ``("ideal", name)`` or ``("mix", mix, level.label)``;
+* one :meth:`ExperimentRunner.run_many` call executes the plan's
+  deduplicated specs (in parallel when the runner's ``jobs > 1``);
+* a ``reduce_*`` function turns ``{role: results}`` into the figure.  It
+  never sees a runner: a role whose spec failed is simply absent, and
+  the figure shows a missing data point there.
+
+The :data:`FIGURES` registry pairs each figure's planner and reducer, so
+:func:`run_figures` (the ``mnpusim figure``/``sweep`` body) can union
+several figures' plans into a single batch.
 
 Index (paper -> function):
 
@@ -40,8 +46,9 @@ Tab 2  :func:`table2_configuration`
 
 from __future__ import annotations
 
-
-from typing import Any, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.compute.dataflow import registered_dataflows
 from repro.config import presets
@@ -49,7 +56,6 @@ from repro.config.misc import MiscConfig
 from repro.core.metrics import box_stats, cdf_points, fairness, geomean
 from repro.core.sharing import CONTENDED_LEVELS, SWEEP_LEVELS, SharingLevel
 from repro.core.simulator import MultiCoreNPUSim
-from repro.errors import RunFailedError
 from repro.experiments.mixes import all_mixes, mix_label
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.spec import RunSpec
@@ -59,23 +65,26 @@ from repro.models.serving import ServingParams
 #: DRAM-bandwidth ratio splits of section 4.3 (eight channels, dual-core).
 BW_SPLITS = ((1, 7), (2, 6), (4, 4), (6, 2), (7, 1))
 
+#: A spec's part in a figure, e.g. ``("ideal", "ncf")``.
+Role = tuple
+#: A figure's keyed plan.
+Plan = dict[Role, RunSpec]
+#: An executed plan: role -> per-workload result dicts (failed roles absent).
+Results = Mapping[Role, list[dict[str, Any]]]
+#: The mixes a figure covers: equal-size workload tuples.
+Mixes = Sequence[tuple[str, ...]]
+
 
 # --------------------------------------------------------------------- #
 # Shared helpers
 # --------------------------------------------------------------------- #
 
 
-def _maybe(call: Any) -> Any:
-    """Result of a runner call, or ``None`` when its spec failed.
-
-    The degradation primitive: reducers consume partially-failed sweeps
-    by treating every failed run as a missing data point rather than
-    letting :class:`RunFailedError` abort the whole figure.
-    """
-    try:
-        return call()
-    except RunFailedError:
-        return None
+def _mixes(mixes: Mixes | None, num_cores: int) -> list[tuple[str, ...]]:
+    """The caller's mixes as tuples (they key roles), or every mix."""
+    if mixes is None:
+        return all_mixes(num_cores)
+    return [tuple(mix) for mix in mixes]
 
 
 def _safe_geomean(values: Sequence[float]) -> float | None:
@@ -84,105 +93,91 @@ def _safe_geomean(values: Sequence[float]) -> float | None:
     return geomean(present) if present else None
 
 
-def _failure_summaries(runner: ExperimentRunner) -> list[dict[str, Any]]:
-    """JSON digests of the runner's recorded failures (may be empty)."""
-    failures = getattr(runner, "failures", None) or {}
-    return [
-        failure.summary()
-        for failure in failures.values()
-        if hasattr(failure, "summary")
-    ]
+def _fairness_of(speedups: Sequence[float]) -> float:
+    """Equation 1 fairness of a mix, from its per-workload speedups."""
+    return fairness([1.0 / value for value in speedups])
 
 
 def _attach_failures(
     result: dict[str, Any], runner: ExperimentRunner
 ) -> dict[str, Any]:
-    """Append the failure summary to a reducer's output when non-empty.
+    """Append the runner's failure summaries to a figure when non-empty.
 
     Keeps fully-successful outputs byte-identical to the pre-degradation
     format: the ``"failures"`` key only appears when something failed.
     """
-    summaries = _failure_summaries(runner)
+    summaries = [failure.summary() for failure in runner.failures.values()]
     if summaries:
         result["failures"] = summaries
     return result
 
 
-def _ideal_specs(
+def _execute(
+    runner: ExperimentRunner, plans: Sequence[Plan]
+) -> list[dict[Role, list[dict[str, Any]]]]:
+    """Run every plan's specs as one batch; each plan's results by role.
+
+    ``run_many`` deduplicates across plans and keys its results by the
+    planned spec; a spec that failed is absent, and so is its role.
+    """
+    by_spec = runner.run_many(spec for plan in plans for spec in plan.values())
+    executed = []
+    for plan in plans:
+        results = {}
+        for role, spec in plan.items():
+            runs = by_spec.get(runner.plan(spec))
+            if runs is not None:
+                results[role] = runs
+        executed.append(results)
+    return executed
+
+
+def _cycles(
+    results: Results, *prefix: Any, keys: Iterable[Any] | None = None
+) -> dict[Any, int]:
+    """``key -> cycles`` of every present ``(*prefix, key)`` solo role.
+
+    ``keys`` defaults to the model zoo's workload names.
+    """
+    cycles = {}
+    for key in zoo.NAMES if keys is None else keys:
+        runs = results.get((*prefix, key))
+        if runs is not None:
+            cycles[key] = runs[0]["cycles"]
+    return cycles
+
+
+def _speedups(
+    results: Results, role: Role, mix: Sequence[str], ideal: dict[str, int]
+) -> list[float] | None:
+    """Per-workload speedups of a mix run vs Ideal, or ``None`` if missing."""
+    runs = results.get(role)
+    if runs is None or any(name not in ideal for name in mix):
+        return None
+    return [ideal[name] / run["cycles"] for name, run in zip(mix, runs)]
+
+
+def _ideal_plan(
     runner: ExperimentRunner,
     num_cores: int,
     *,
     page_bytes: int = 4096,
     translation: bool = True,
-) -> list[RunSpec]:
-    return [
-        runner.plan_ideal(
+) -> Plan:
+    return {
+        ("ideal", name): runner.plan_ideal(
             name, num_cores, page_bytes=page_bytes, translation=translation
         )
         for name in zoo.NAMES
-    ]
-
-
-def _static_specs(
-    runner: ExperimentRunner,
-    *,
-    page_bytes: int = 4096,
-    translation: bool = True,
-) -> list[RunSpec]:
-    return [
-        runner.plan_static_equal(
-            name, page_bytes=page_bytes, translation=translation
-        )
-        for name in zoo.NAMES
-    ]
-
-
-def _ideal_cycles(
-    runner: ExperimentRunner,
-    num_cores: int,
-    *,
-    page_bytes: int = 4096,
-    translation: bool = True,
-) -> dict[str, int]:
-    cycles: dict[str, int] = {}
-    for name in zoo.NAMES:
-        result = _maybe(
-            lambda n=name: runner.ideal(
-                n, num_cores, page_bytes=page_bytes, translation=translation
-            )
-        )
-        if result is not None:
-            cycles[name] = result["cycles"]
-    return cycles
-
-
-def _static_cycles(
-    runner: ExperimentRunner,
-    *,
-    page_bytes: int = 4096,
-    translation: bool = True,
-) -> dict[str, int]:
-    cycles: dict[str, int] = {}
-    for name in zoo.NAMES:
-        result = _maybe(
-            lambda n=name: runner.static_equal(
-                n, page_bytes=page_bytes, translation=translation
-            )
-        )
-        if result is not None:
-            cycles[name] = result["cycles"]
-    return cycles
+    }
 
 
 def mix_speedups(
-    runner: ExperimentRunner,
+    results: Results,
     mix: Sequence[str],
     level: SharingLevel,
     ideal: dict[str, int],
     static: dict[str, int],
-    *,
-    page_bytes: int = 4096,
-    translation: bool = True,
 ) -> list[float]:
     """Per-workload speedups (vs Ideal) of a mix under one sharing level.
 
@@ -193,54 +188,36 @@ def mix_speedups(
         if any(name not in ideal or name not in static for name in mix):
             return []
         return [ideal[name] / static[name] for name in mix]
-    if any(name not in ideal for name in mix):
-        return []
-    results = _maybe(
-        lambda: runner.mix(
-            mix, level, page_bytes=page_bytes, translation=translation
-        )
-    )
-    if results is None:
-        return []
-    return [
-        ideal[name] / result["cycles"] for name, result in zip(mix, results)
-    ]
+    return _speedups(results, ("mix", mix, level.label), mix, ideal) or []
 
 
-def sharing_sweep_specs(
-    runner: ExperimentRunner,
-    num_cores: int,
-    mixes: Sequence[tuple[str, ...]] | None = None,
-) -> list[RunSpec]:
-    """Every spec behind Figures 4-7: Ideal/Static solos + contended mixes."""
-    mixes = list(mixes) if mixes is not None else all_mixes(num_cores)
-    specs = _ideal_specs(runner, num_cores) + _static_specs(runner)
+def sharing_sweep_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
+    """Every spec behind Figures 4-7: Ideal/Static solos + contended mixes.
+
+    The core count is the mixes' size (two for Figs 4/6, four for 5/7).
+    """
+    plan = _ideal_plan(runner, len(mixes[0]))
+    for name in zoo.NAMES:
+        plan["static", name] = runner.plan_static_equal(name)
     for mix in mixes:
         for level in CONTENDED_LEVELS:
-            specs.append(runner.plan_mix(mix, level))
-    return specs
+            plan["mix", mix, level.label] = runner.plan_mix(mix, level)
+    return plan
 
 
-def _sharing_sweep(
-    runner: ExperimentRunner,
-    num_cores: int,
-    mixes: Sequence[tuple[str, ...]] | None,
-) -> dict[str, Any]:
-    """Speedups and fairness for every mix under all four sweep levels."""
-    mixes = list(mixes) if mixes is not None else all_mixes(num_cores)
-    runner.run_many(sharing_sweep_specs(runner, num_cores, mixes))
-    ideal = _ideal_cycles(runner, num_cores)
-    static = _static_cycles(runner)
-    per_mix: dict[str, dict[str, list[float]]] = {}
-    for mix in mixes:
-        label = mix_label(mix)
-        per_mix[label] = {}
-        for level in SWEEP_LEVELS:
-            per_mix[label][level.label] = mix_speedups(
-                runner, mix, level, ideal, static
-            )
+def sharing_sweep(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Speedups for every mix under all four sweep levels."""
+    ideal = _cycles(results, "ideal")
+    static = _cycles(results, "static")
+    per_mix = {
+        mix_label(mix): {
+            level.label: mix_speedups(results, mix, level, ideal, static)
+            for level in SWEEP_LEVELS
+        }
+        for mix in mixes
+    }
     return {
-        "num_cores": num_cores,
+        "num_cores": len(mixes[0]),
         "mixes": [mix_label(mix) for mix in mixes],
         "mix_tuples": [list(mix) for mix in mixes],
         "levels": [level.label for level in SWEEP_LEVELS],
@@ -248,28 +225,38 @@ def _sharing_sweep(
     }
 
 
-def _geomeans_by_level(sweep: dict[str, Any]) -> dict[str, dict[str, float]]:
-    # Empty speedup lists are failed runs: the level is simply absent
-    # from that mix's reduction.
-    result: dict[str, dict[str, float]] = {}
-    for label, by_level in sweep["speedups"].items():
-        result[label] = {
-            level: geomean(speeds)
-            for level, speeds in by_level.items()
-            if speeds
-        }
-    return result
+def _by_level(
+    sweep: dict[str, Any], metric: Callable[[list[float]], float], cdf: bool
+) -> dict[str, Any]:
+    """Per-mix ``metric`` of each level's speedups, then the overall view.
+
+    Empty speedup lists are failed runs: the level is simply absent from
+    that mix's reduction.
+    """
+    per_mix = {
+        label: {level: metric(speeds) for level, speeds in by_level.items() if speeds}
+        for label, by_level in sweep["speedups"].items()
+    }
+    cdfs = {}
+    overall = {}
+    for level in SWEEP_LEVELS:
+        values = [
+            per_mix[m][level.label]
+            for m in sweep["mixes"]
+            if level.label in per_mix[m]
+        ]
+        cdfs[level.label] = cdf_points(values) if values else []
+        overall[level.label] = _safe_geomean(values)
+    if cdf:
+        return {"per_mix": per_mix, "cdf": cdfs, "overall": overall}
+    return {"per_mix": per_mix, "overall": overall}
 
 
-def _fairness_by_level(sweep: dict[str, Any]) -> dict[str, dict[str, float]]:
-    result: dict[str, dict[str, float]] = {}
-    for label, by_level in sweep["speedups"].items():
-        result[label] = {
-            level: fairness([1.0 / value for value in speeds])
-            for level, speeds in by_level.items()
-            if speeds
-        }
-    return result
+def _run_figure(runner: ExperimentRunner, name: str, *params: Any) -> dict[str, Any]:
+    """One registered figure: plan once, execute once, reduce purely."""
+    figure = FIGURES[name]
+    (results,) = _execute(runner, [figure.planner(runner, *params)])
+    return _attach_failures(figure.reducer(results, *params), runner)
 
 
 # --------------------------------------------------------------------- #
@@ -353,87 +340,50 @@ def fig2_burstiness(
 # --------------------------------------------------------------------- #
 
 
+def reduce_fig4(results: Results, mixes: Mixes) -> dict[str, Any]:
+    sweep = sharing_sweep(results, mixes)
+    return {**_by_level(sweep, geomean, cdf=False), "sweep": sweep}
+
+
+def reduce_fig5(results: Results, mixes: Mixes) -> dict[str, Any]:
+    sweep = sharing_sweep(results, mixes)
+    return {**_by_level(sweep, geomean, cdf=True), "sweep": sweep}
+
+
+def reduce_fig6(results: Results, mixes: Mixes) -> dict[str, Any]:
+    return _by_level(sharing_sweep(results, mixes), _fairness_of, cdf=False)
+
+
+def reduce_fig7(results: Results, mixes: Mixes) -> dict[str, Any]:
+    return _by_level(sharing_sweep(results, mixes), _fairness_of, cdf=True)
+
+
 def fig4_dual_performance(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None = None
+    runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Dual-core per-mix geomean speedups for Static/+D/+DW/+DWT."""
-    sweep = _sharing_sweep(runner, 2, mixes)
-    per_mix = _geomeans_by_level(sweep)
-    overall = {
-        level.label: _safe_geomean(
-            [
-                per_mix[m][level.label]
-                for m in sweep["mixes"]
-                if level.label in per_mix[m]
-            ]
-        )
-        for level in SWEEP_LEVELS
-    }
-    return _attach_failures(
-        {"per_mix": per_mix, "overall": overall, "sweep": sweep}, runner
-    )
+    return _run_figure(runner, "fig4", _mixes(mixes, 2))
 
 
 def fig5_quad_performance(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None = None
+    runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Quad-core CDF of per-mix geomean speedups per sharing level."""
-    sweep = _sharing_sweep(runner, 4, mixes)
-    per_mix = _geomeans_by_level(sweep)
-    cdfs = {}
-    overall = {}
-    for level in SWEEP_LEVELS:
-        values = [
-            per_mix[m][level.label]
-            for m in sweep["mixes"]
-            if level.label in per_mix[m]
-        ]
-        cdfs[level.label] = cdf_points(values) if values else []
-        overall[level.label] = _safe_geomean(values)
-    return _attach_failures(
-        {"per_mix": per_mix, "cdf": cdfs, "overall": overall, "sweep": sweep},
-        runner,
-    )
+    return _run_figure(runner, "fig5", _mixes(mixes, 4))
 
 
 def fig6_dual_fairness(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None = None
+    runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Dual-core fairness (Equation 1) per mix and sharing level."""
-    sweep = _sharing_sweep(runner, 2, mixes)
-    per_mix = _fairness_by_level(sweep)
-    overall = {
-        level.label: _safe_geomean(
-            [
-                per_mix[m][level.label]
-                for m in sweep["mixes"]
-                if level.label in per_mix[m]
-            ]
-        )
-        for level in SWEEP_LEVELS
-    }
-    return _attach_failures({"per_mix": per_mix, "overall": overall}, runner)
+    return _run_figure(runner, "fig6", _mixes(mixes, 2))
 
 
 def fig7_quad_fairness(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None = None
+    runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Quad-core fairness CDF per sharing level."""
-    sweep = _sharing_sweep(runner, 4, mixes)
-    per_mix = _fairness_by_level(sweep)
-    cdfs = {}
-    overall = {}
-    for level in SWEEP_LEVELS:
-        values = [
-            per_mix[m][level.label]
-            for m in sweep["mixes"]
-            if level.label in per_mix[m]
-        ]
-        cdfs[level.label] = cdf_points(values) if values else []
-        overall[level.label] = _safe_geomean(values)
-    return _attach_failures(
-        {"per_mix": per_mix, "cdf": cdfs, "overall": overall}, runner
-    )
+    return _run_figure(runner, "fig7", _mixes(mixes, 4))
 
 
 # --------------------------------------------------------------------- #
@@ -441,41 +391,35 @@ def fig7_quad_fairness(
 # --------------------------------------------------------------------- #
 
 
-def fig8_specs(
-    runner: ExperimentRunner,
-    mixes: Sequence[tuple[str, ...]] | None = None,
-) -> list[RunSpec]:
+def fig8_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
     """Every spec behind Figure 8: dual-core Ideal solos + DWT mixes."""
-    mixes = list(mixes) if mixes is not None else all_mixes(2)
-    return _ideal_specs(runner, 2) + [
-        runner.plan_mix(mix, SharingLevel.DWT) for mix in mixes
-    ]
+    plan = _ideal_plan(runner, 2)
+    for mix in mixes:
+        plan["mix", mix] = runner.plan_mix(mix, SharingLevel.DWT)
+    return plan
 
 
-def fig8_sensitivity(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None = None
-) -> dict[str, Any]:
-    """Distribution of each workload's +DWT speedup across co-runners."""
-    mixes = list(mixes) if mixes is not None else all_mixes(2)
-    runner.run_many(fig8_specs(runner, mixes))
-    ideal = _ideal_cycles(runner, 2)
+def reduce_fig8(results: Results, mixes: Mixes) -> dict[str, Any]:
+    ideal = _cycles(results, "ideal")
     samples: dict[str, list[float]] = {name: [] for name in zoo.NAMES}
     for mix in mixes:
-        results = _maybe(lambda m=mix: runner.mix(m, SharingLevel.DWT))
-        if results is None:
-            continue
-        for name, result in zip(mix, results):
+        for name, run in zip(mix, results.get(("mix", mix), ())):
             if name in ideal:
-                samples[name].append(ideal[name] / result["cycles"])
+                samples[name].append(ideal[name] / run["cycles"])
     boxes = {
         name: box_stats(values) for name, values in samples.items() if values
     }
     spread = {
         name: box["max"] - box["min"] for name, box in boxes.items()
     }
-    return _attach_failures(
-        {"samples": samples, "boxes": boxes, "range": spread}, runner
-    )
+    return {"samples": samples, "boxes": boxes, "range": spread}
+
+
+def fig8_sensitivity(
+    runner: ExperimentRunner, mixes: Mixes | None = None
+) -> dict[str, Any]:
+    """Distribution of each workload's +DWT speedup across co-runners."""
+    return _run_figure(runner, "fig8", _mixes(mixes, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -483,49 +427,33 @@ def fig8_sensitivity(
 # --------------------------------------------------------------------- #
 
 
-def bw_partition_specs(
-    runner: ExperimentRunner,
-    mixes: Sequence[tuple[str, ...]] | None = None,
-) -> list[RunSpec]:
+#: Static channel shares (of 8) the bandwidth splits are made of.
+_BW_SHARES = sorted({part for split in BW_SPLITS for part in split})
+
+
+def bw_partition_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
     """Every spec behind Figures 9-10: channel-share solos + +D mixes."""
-    mixes = list(mixes) if mixes is not None else all_mixes(2)
     channels = runner.per_core["channels"]
-    specs = _ideal_specs(runner, 2, translation=False)
-    for share in sorted({part for split in BW_SPLITS for part in split}):
-        specs += [
-            runner.plan_solo(
+    plan = _ideal_plan(runner, 2, translation=False)
+    for share in _BW_SHARES:
+        for name in zoo.NAMES:
+            plan["share", share, name] = runner.plan_solo(
                 name, channels=channels * 2 * share // 8, translation=False
             )
-            for name in zoo.NAMES
-        ]
-    specs += [
-        runner.plan_mix(mix, SharingLevel.D, translation=False) for mix in mixes
-    ]
-    return specs
+    for mix in mixes:
+        plan["mix", mix] = runner.plan_mix(
+            mix, SharingLevel.D, translation=False
+        )
+    return plan
 
 
-def _bw_partition_sweep(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None
-) -> dict[str, Any]:
-    mixes = list(mixes) if mixes is not None else all_mixes(2)
-    runner.run_many(bw_partition_specs(runner, mixes))
-    channels = runner.per_core["channels"]
-    ideal = _ideal_cycles(runner, 2, translation=False)
+def bw_partition_sweep(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Per-mix speedups under every static split, Static Best and Dynamic."""
+    ideal = _cycles(results, "ideal")
     # Solo cycles at each static channel share (1..7 of 8).
-    share_cycles: dict[int, dict[str, int]] = {}
-    for share in sorted({part for split in BW_SPLITS for part in split}):
-        share_cycles[share] = {}
-        for name in zoo.NAMES:
-            result = _maybe(
-                lambda n=name, s=share: runner.solo(
-                    n, channels=channels * 2 * s // 8, translation=False
-                )
-            )
-            if result is not None:
-                share_cycles[share][name] = result["cycles"]
+    share_cycles = {share: _cycles(results, "share", share) for share in _BW_SHARES}
     per_mix: dict[str, dict[str, Any]] = {}
     for mix in mixes:
-        label = mix_label(mix)
         schemes: dict[str, list[float]] = {}
         for left, right in BW_SPLITS:
             if (
@@ -538,14 +466,9 @@ def _bw_partition_sweep(
                     ideal[mix[0]] / share_cycles[left][mix[0]],
                     ideal[mix[1]] / share_cycles[right][mix[1]],
                 ]
-        dynamic = _maybe(
-            lambda m=mix: runner.mix(m, SharingLevel.D, translation=False)
-        )
-        if dynamic is not None and all(name in ideal for name in mix):
-            schemes["Dynamic"] = [
-                ideal[name] / result["cycles"]
-                for name, result in zip(mix, dynamic)
-            ]
+        dynamic = _speedups(results, ("mix", mix), mix, ideal)
+        if dynamic is not None:
+            schemes["Dynamic"] = dynamic
         static_present = [
             f"{l}:{r}" for l, r in BW_SPLITS if f"{l}:{r}" in schemes
         ]
@@ -555,56 +478,63 @@ def _bw_partition_sweep(
                 static_present, key=lambda scheme: geomean(schemes[scheme])
             )
             schemes["Static Best"] = schemes[best]
-        per_mix[label] = {"schemes": schemes, "best_static": best}
+        per_mix[mix_label(mix)] = {"schemes": schemes, "best_static": best}
     return {"per_mix": per_mix, "mixes": [mix_label(mix) for mix in mixes]}
 
 
-def fig9_bandwidth_partition_performance(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None = None
+def _by_scheme(
+    labels: Sequence[str],
+    schemes: Mapping[str, Mapping[str, list[float]]],
+    scheme_names: list[str],
+    metric: Callable[[list[float]], float],
 ) -> dict[str, Any]:
-    """Geomean performance per bandwidth-partitioning scheme (dual-core)."""
-    sweep = _bw_partition_sweep(runner, mixes)
-    scheme_names = [f"{l}:{r}" for l, r in BW_SPLITS] + ["Static Best", "Dynamic"]
+    """Per-mix and overall ``metric`` of every partitioning scheme."""
     overall = {}
-    per_mix = {}
+    per_mix: dict[str, dict[str, float]] = {}
     for scheme in scheme_names:
         values = []
-        for label in sweep["mixes"]:
-            speeds = sweep["per_mix"][label]["schemes"].get(scheme)
+        for label in labels:
+            speeds = schemes[label].get(scheme)
             if not speeds:
                 continue
-            value = geomean(speeds)
+            value = metric(speeds)
             per_mix.setdefault(label, {})[scheme] = value
             values.append(value)
         overall[scheme] = _safe_geomean(values)
-    return _attach_failures(
-        {"per_mix": per_mix, "overall": overall, "schemes": scheme_names},
-        runner,
-    )
+    return {"per_mix": per_mix, "overall": overall, "schemes": scheme_names}
+
+
+def _reduce_bw(
+    results: Results, mixes: Mixes, metric: Callable[[list[float]], float]
+) -> dict[str, Any]:
+    sweep = bw_partition_sweep(results, mixes)
+    schemes = {
+        label: entry["schemes"] for label, entry in sweep["per_mix"].items()
+    }
+    scheme_names = [f"{l}:{r}" for l, r in BW_SPLITS] + ["Static Best", "Dynamic"]
+    return _by_scheme(sweep["mixes"], schemes, scheme_names, metric)
+
+
+def reduce_fig9(results: Results, mixes: Mixes) -> dict[str, Any]:
+    return _reduce_bw(results, mixes, geomean)
+
+
+def reduce_fig10(results: Results, mixes: Mixes) -> dict[str, Any]:
+    return _reduce_bw(results, mixes, _fairness_of)
+
+
+def fig9_bandwidth_partition_performance(
+    runner: ExperimentRunner, mixes: Mixes | None = None
+) -> dict[str, Any]:
+    """Geomean performance per bandwidth-partitioning scheme (dual-core)."""
+    return _run_figure(runner, "fig9", _mixes(mixes, 2))
 
 
 def fig10_bandwidth_partition_fairness(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None = None
+    runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Geomean fairness per bandwidth-partitioning scheme (dual-core)."""
-    sweep = _bw_partition_sweep(runner, mixes)
-    scheme_names = [f"{l}:{r}" for l, r in BW_SPLITS] + ["Static Best", "Dynamic"]
-    overall = {}
-    per_mix = {}
-    for scheme in scheme_names:
-        values = []
-        for label in sweep["mixes"]:
-            speeds = sweep["per_mix"][label]["schemes"].get(scheme)
-            if not speeds:
-                continue
-            value = fairness([1.0 / s for s in speeds])
-            per_mix.setdefault(label, {})[scheme] = value
-            values.append(value)
-        overall[scheme] = _safe_geomean(values)
-    return _attach_failures(
-        {"per_mix": per_mix, "overall": overall, "schemes": scheme_names},
-        runner,
-    )
+    return _run_figure(runner, "fig10", _mixes(mixes, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -617,13 +547,27 @@ def fig10_bandwidth_partition_fairness(
 FIG11_CHANNEL_COUNTS = (1, 2, 4, 6, 8)
 
 
-def fig11_specs(runner: ExperimentRunner) -> list[RunSpec]:
+def fig11_specs(runner: ExperimentRunner) -> Plan:
     """Every spec behind Figure 11: solos at each channel count."""
-    return [
-        runner.plan_solo(name, channels=count)
+    return {
+        ("solo", name, count): runner.plan_solo(name, channels=count)
         for name in zoo.NAMES
         for count in FIG11_CHANNEL_COUNTS
-    ]
+    }
+
+
+def reduce_fig11(results: Results) -> dict[str, Any]:
+    counts = FIG11_CHANNEL_COUNTS
+    per_workload: dict[str, list[tuple[int, float]]] = {}
+    for name in zoo.NAMES:
+        by_count = _cycles(results, "solo", name, keys=counts)
+        if counts[0] not in by_count:
+            continue
+        base = by_count[counts[0]]
+        per_workload[name] = [
+            (count, base / cycles) for count, cycles in by_count.items()
+        ]
+    return {"channel_counts": counts, "speedup": per_workload}
 
 
 def fig11_bandwidth_sweep(runner: ExperimentRunner) -> dict[str, Any]:
@@ -632,23 +576,12 @@ def fig11_bandwidth_sweep(runner: ExperimentRunner) -> dict[str, Any]:
     Channel counts 1/2/4/6/8 reproduce the paper's 32-256 GB/s sweep
     (every channel is one 32 GB/s share at full scale).
     """
-    runner.run_many(fig11_specs(runner))
-    counts = FIG11_CHANNEL_COUNTS
-    per_workload: dict[str, list[tuple[int, float]]] = {}
-    for name in zoo.NAMES:
-        baseline = _maybe(lambda n=name: runner.solo(n, channels=counts[0]))
-        if baseline is None:
-            continue
-        base = baseline["cycles"]
-        series = []
-        for count in counts:
-            result = _maybe(lambda n=name, c=count: runner.solo(n, channels=c))
-            if result is not None:
-                series.append((count, base / result["cycles"]))
-        per_workload[name] = series
-    return _attach_failures(
-        {"channel_counts": counts, "speedup": per_workload}, runner
-    )
+    return _run_figure(runner, "fig11")
+
+
+def _fig11_headline(data: dict[str, Any]) -> dict[str, float]:
+    """Each workload's speedup at the largest channel count."""
+    return {name: series[-1][1] for name, series in data["speedup"].items() if series}
 
 
 # --------------------------------------------------------------------- #
@@ -713,140 +646,77 @@ def fig12_bandwidth_utilization(
 #: isolate its resource.
 PTW_SPLITS = ((1, 3), (2, 2), (3, 1))
 _PTW_PER_CORE_FACTOR = 2
+_PTW_SCHEMES = [f"{l}:{r}" for l, r in PTW_SPLITS] + ["Dynamic"]
 
 
-def ptw_partition_specs(
-    runner: ExperimentRunner,
-    mixes: Sequence[tuple[str, ...]] | None = None,
-) -> list[RunSpec]:
+def ptw_partition_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
     """Every spec behind Figures 13-14: big-pool solos + split/DW mixes."""
-    mixes = list(mixes) if mixes is not None else all_mixes(2)
     per_core = runner.per_core["num_ptw"] * _PTW_PER_CORE_FACTOR
-    specs = [
-        runner.plan_solo(
+    plan = {
+        ("ideal", name): runner.plan_solo(
             name,
             channels=runner.per_core["channels"] * 2,
             num_ptw=per_core * 2,
             tlb_entries=runner.per_core["tlb_entries"] * 2,
         )
         for name in zoo.NAMES
-    ]
+    }
     for mix in mixes:
         for left, right in PTW_SPLITS:
-            specs.append(
-                runner.plan_mix(
-                    mix,
-                    SharingLevel.D,
-                    ptw_split=(left, right),
-                    num_ptw_per_core=per_core,
-                )
+            plan["mix", mix, f"{left}:{right}"] = runner.plan_mix(
+                mix,
+                SharingLevel.D,
+                ptw_split=(left, right),
+                num_ptw_per_core=per_core,
             )
-        specs.append(
-            runner.plan_mix(mix, SharingLevel.DW, num_ptw_per_core=per_core)
+        plan["mix", mix, "Dynamic"] = runner.plan_mix(
+            mix, SharingLevel.DW, num_ptw_per_core=per_core
         )
-    return specs
+    return plan
 
 
-def _ptw_partition_sweep(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None
-) -> dict[str, Any]:
-    mixes = list(mixes) if mixes is not None else all_mixes(2)
-    runner.run_many(ptw_partition_specs(runner, mixes))
-    per_core = runner.per_core["num_ptw"] * _PTW_PER_CORE_FACTOR
-    ideal = {}
-    for name in zoo.NAMES:
-        result = _maybe(
-            lambda n=name: runner.solo(
-                n,
-                channels=runner.per_core["channels"] * 2,
-                num_ptw=per_core * 2,
-                tlb_entries=runner.per_core["tlb_entries"] * 2,
-            )
-        )
-        if result is not None:
-            ideal[name] = result["cycles"]
+def ptw_partition_sweep(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Per-mix speedups under every walker split and dynamic sharing."""
+    ideal = _cycles(results, "ideal")
     per_mix: dict[str, dict[str, list[float]]] = {}
     for mix in mixes:
-        label = mix_label(mix)
         schemes: dict[str, list[float]] = {}
-        baselines_known = all(name in ideal for name in mix)
-        for left, right in PTW_SPLITS:
-            results = _maybe(
-                lambda m=mix, sp=(left, right): runner.mix(
-                    m,
-                    SharingLevel.D,
-                    ptw_split=sp,
-                    num_ptw_per_core=per_core,
-                )
-            )
-            if results is not None and baselines_known:
-                schemes[f"{left}:{right}"] = [
-                    ideal[name] / result["cycles"]
-                    for name, result in zip(mix, results)
-                ]
-        dynamic = _maybe(
-            lambda m=mix: runner.mix(
-                m, SharingLevel.DW, num_ptw_per_core=per_core
-            )
-        )
-        if dynamic is not None and baselines_known:
-            schemes["Dynamic"] = [
-                ideal[name] / result["cycles"]
-                for name, result in zip(mix, dynamic)
-            ]
-        per_mix[label] = schemes
-    scheme_names = [f"{l}:{r}" for l, r in PTW_SPLITS] + ["Dynamic"]
+        for scheme in _PTW_SCHEMES:
+            speeds = _speedups(results, ("mix", mix, scheme), mix, ideal)
+            if speeds is not None:
+                schemes[scheme] = speeds
+        per_mix[mix_label(mix)] = schemes
     return {
         "per_mix": per_mix,
         "mixes": [mix_label(mix) for mix in mixes],
-        "schemes": scheme_names,
+        "schemes": list(_PTW_SCHEMES),
     }
 
 
+def reduce_fig13(results: Results, mixes: Mixes) -> dict[str, Any]:
+    sweep = ptw_partition_sweep(results, mixes)
+    return _by_scheme(sweep["mixes"], sweep["per_mix"], sweep["schemes"], geomean)
+
+
+def reduce_fig14(results: Results, mixes: Mixes) -> dict[str, Any]:
+    sweep = ptw_partition_sweep(results, mixes)
+    return _by_scheme(
+        sweep["mixes"], sweep["per_mix"], sweep["schemes"], _fairness_of
+    )
+
+
 def fig13_ptw_partition_performance(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None = None
+    runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Geomean performance per walker-partitioning scheme (dual-core)."""
-    sweep = _ptw_partition_sweep(runner, mixes)
-    overall = {}
-    per_mix: dict[str, dict[str, float]] = {}
-    for scheme in sweep["schemes"]:
-        values = []
-        for label in sweep["mixes"]:
-            speeds = sweep["per_mix"][label].get(scheme)
-            if not speeds:
-                continue
-            value = geomean(speeds)
-            per_mix.setdefault(label, {})[scheme] = value
-            values.append(value)
-        overall[scheme] = _safe_geomean(values)
-    return _attach_failures(
-        {"per_mix": per_mix, "overall": overall, "schemes": sweep["schemes"]},
-        runner,
-    )
+    return _run_figure(runner, "fig13", _mixes(mixes, 2))
 
 
 def fig14_ptw_partition_fairness(
-    runner: ExperimentRunner, mixes: Sequence[tuple[str, ...]] | None = None
+    runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Geomean fairness per walker-partitioning scheme (dual-core)."""
-    sweep = _ptw_partition_sweep(runner, mixes)
-    overall = {}
-    per_mix: dict[str, dict[str, float]] = {}
-    for scheme in sweep["schemes"]:
-        values = []
-        for label in sweep["mixes"]:
-            speeds = sweep["per_mix"][label].get(scheme)
-            if not speeds:
-                continue
-            value = fairness([1.0 / s for s in speeds])
-            per_mix.setdefault(label, {})[scheme] = value
-            values.append(value)
-        overall[scheme] = _safe_geomean(values)
-    return _attach_failures(
-        {"per_mix": per_mix, "overall": overall, "schemes": sweep["schemes"]},
-        runner,
-    )
+    return _run_figure(runner, "fig14", _mixes(mixes, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -857,31 +727,25 @@ PAGE_SIZES = (4096, 65536, 1048576)
 _PAGE_LABELS = {4096: "4KB", 65536: "64KB", 1048576: "1MB"}
 
 
-def fig15_specs(runner: ExperimentRunner) -> list[RunSpec]:
+def fig15_specs(runner: ExperimentRunner) -> Plan:
     """Every spec behind Figure 15: solos at each page size."""
-    return [
-        runner.plan_solo(name, page_bytes=size)
+    return {
+        ("solo", name, size): runner.plan_solo(name, page_bytes=size)
         for name in zoo.NAMES
         for size in PAGE_SIZES
-    ]
+    }
 
 
-def fig15_pagesize_single(runner: ExperimentRunner) -> dict[str, Any]:
-    """Single-core speedup of 64KB/1MB pages over 4KB, per workload."""
-    runner.run_many(fig15_specs(runner))
+def reduce_fig15(results: Results) -> dict[str, Any]:
     per_workload: dict[str, dict[str, float]] = {}
     for name in zoo.NAMES:
-        baseline = _maybe(lambda n=name: runner.solo(n, page_bytes=4096))
-        if baseline is None:
+        by_size = _cycles(results, "solo", name, keys=PAGE_SIZES)
+        if 4096 not in by_size:
             continue
-        base = baseline["cycles"]
-        per_workload[name] = {}
-        for size in PAGE_SIZES[1:]:
-            result = _maybe(lambda n=name, s=size: runner.solo(n, page_bytes=s))
-            if result is not None:
-                per_workload[name][_PAGE_LABELS[size]] = (
-                    base / result["cycles"]
-                )
+        base = by_size.pop(4096)
+        per_workload[name] = {
+            _PAGE_LABELS[size]: base / cycles for size, cycles in by_size.items()
+        }
     overall = {
         label: _safe_geomean(
             [
@@ -892,76 +756,56 @@ def fig15_pagesize_single(runner: ExperimentRunner) -> dict[str, Any]:
         )
         for label in ("64KB", "1MB")
     }
-    return _attach_failures(
-        {"per_workload": per_workload, "overall": overall}, runner
-    )
+    return {"per_workload": per_workload, "overall": overall}
 
 
-def fig16_specs(
-    runner: ExperimentRunner,
-    num_cores: int,
-    mixes: Sequence[tuple[str, ...]] | None = None,
-) -> list[RunSpec]:
+def fig15_pagesize_single(runner: ExperimentRunner) -> dict[str, Any]:
+    """Single-core speedup of 64KB/1MB pages over 4KB, per workload."""
+    return _run_figure(runner, "fig15")
+
+
+def fig16_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
     """Every spec behind Figure 16: per-page-size Ideal solos + DWT mixes."""
-    mixes = list(mixes) if mixes is not None else all_mixes(num_cores)
-    specs = [
-        spec
+    plan = {
+        ("ideal", size, name): runner.plan_ideal(
+            name, len(mixes[0]), page_bytes=size
+        )
         for size in PAGE_SIZES
-        for spec in _ideal_specs(runner, num_cores, page_bytes=size)
-    ]
-    specs += [
-        runner.plan_mix(mix, SharingLevel.DWT, page_bytes=size)
-        for mix in mixes
-        for size in PAGE_SIZES
-    ]
-    return specs
-
-
-def fig16_pagesize_multi(
-    runner: ExperimentRunner,
-    num_cores: int,
-    mixes: Sequence[tuple[str, ...]] | None = None,
-) -> dict[str, Any]:
-    """Multi-core (+DWT) page-size performance and fairness.
-
-    Performance is normalized to the 4KB page (per mix geomean of cycle
-    ratios); fairness baseline is Ideal at the matching page size.
-    """
-    mixes = list(mixes) if mixes is not None else all_mixes(num_cores)
-    runner.run_many(fig16_specs(runner, num_cores, mixes))
-    perf: dict[str, dict[str, float]] = {}
-    fair: dict[str, dict[str, float]] = {}
-    ideal = {
-        size: _ideal_cycles(runner, num_cores, page_bytes=size)
-        for size in PAGE_SIZES
+        for name in zoo.NAMES
     }
     for mix in mixes:
-        label = mix_label(mix)
-        by_size: dict[int, list[dict[str, Any]] | None] = {
-            size: _maybe(
-                lambda m=mix, s=size: runner.mix(
-                    m, SharingLevel.DWT, page_bytes=s
-                )
+        for size in PAGE_SIZES:
+            plan["mix", mix, size] = runner.plan_mix(
+                mix, SharingLevel.DWT, page_bytes=size
             )
+    return plan
+
+
+def reduce_fig16(results: Results, mixes: Mixes) -> dict[str, Any]:
+    perf: dict[str, dict[str, float]] = {}
+    fair: dict[str, dict[str, float]] = {}
+    ideal = {size: _cycles(results, "ideal", size) for size in PAGE_SIZES}
+    for mix in mixes:
+        label = mix_label(mix)
+        by_size = {
+            size: results[("mix", mix, size)]
             for size in PAGE_SIZES
+            if ("mix", mix, size) in results
         }
-        if by_size[4096] is None:
+        if 4096 not in by_size:
             continue  # the normalization baseline failed: mix is missing
         perf[label] = {}
         fair[label] = {}
-        base = [result["cycles"] for result in by_size[4096]]
-        for size in PAGE_SIZES:
-            results = by_size[size]
-            if results is None:
-                continue
-            cycles = [result["cycles"] for result in results]
+        base = [run["cycles"] for run in by_size[4096]]
+        for size, runs in by_size.items():
+            cycles = [run["cycles"] for run in runs]
             perf[label][_PAGE_LABELS[size]] = geomean(
                 [b / c for b, c in zip(base, cycles)]
             )
             if all(name in ideal[size] for name in mix):
                 slowdowns = [
-                    result["cycles"] / ideal[size][name]
-                    for name, result in zip(mix, results)
+                    run["cycles"] / ideal[size][name]
+                    for name, run in zip(mix, runs)
                 ]
                 fair[label][_PAGE_LABELS[size]] = fairness(slowdowns)
     labels = [_PAGE_LABELS[size] for size in PAGE_SIZES]
@@ -977,16 +821,26 @@ def fig16_pagesize_multi(
         )
         for label in labels
     }
-    return _attach_failures(
-        {
-            "num_cores": num_cores,
-            "performance": perf,
-            "fairness": fair,
-            "overall_performance": overall_perf,
-            "overall_fairness": overall_fair,
-        },
-        runner,
-    )
+    return {
+        "num_cores": len(mixes[0]),
+        "performance": perf,
+        "fairness": fair,
+        "overall_performance": overall_perf,
+        "overall_fairness": overall_fair,
+    }
+
+
+def fig16_pagesize_multi(
+    runner: ExperimentRunner,
+    num_cores: int,
+    mixes: Mixes | None = None,
+) -> dict[str, Any]:
+    """Multi-core (+DWT) page-size performance and fairness.
+
+    Performance is normalized to the 4KB page (per mix geomean of cycle
+    ratios); fairness baseline is Ideal at the matching page size.
+    """
+    return _run_figure(runner, "fig16", _mixes(mixes, num_cores))
 
 
 # --------------------------------------------------------------------- #
@@ -994,11 +848,21 @@ def fig16_pagesize_multi(
 # --------------------------------------------------------------------- #
 
 
+def _dataflow_axes(
+    workloads: Sequence[str] | None, dataflows: Sequence[str] | None
+) -> tuple[list[str], list[str]]:
+    names = list(workloads) if workloads is not None else list(zoo.NAMES)
+    engines = (
+        list(dataflows) if dataflows is not None else list(registered_dataflows())
+    )
+    return names, engines
+
+
 def dataflow_compare_specs(
     runner: ExperimentRunner,
     workloads: Sequence[str] | None = None,
     dataflows: Sequence[str] | None = None,
-) -> list[RunSpec]:
+) -> Plan:
     """Every spec behind the dataflow comparison: one solo per engine.
 
     Each workload runs on the equal Static slice under every registered
@@ -1006,44 +870,21 @@ def dataflow_compare_specs(
     compute-side effect of the tiling/timing model with the memory
     system held fixed.
     """
-    names = list(workloads) if workloads is not None else list(zoo.NAMES)
-    engines = (
-        list(dataflows) if dataflows is not None else list(registered_dataflows())
-    )
-    return [
-        runner.plan_solo(name, dataflow=engine)
+    names, engines = _dataflow_axes(workloads, dataflows)
+    return {
+        ("solo", name, engine): runner.plan_solo(name, dataflow=engine)
         for name in names
         for engine in engines
-    ]
+    }
 
 
-def dataflow_compare(
-    runner: ExperimentRunner,
+def reduce_dataflow_compare(
+    results: Results,
     workloads: Sequence[str] | None = None,
     dataflows: Sequence[str] | None = None,
 ) -> dict[str, Any]:
-    """Per-workload cycles and speedup of each dataflow engine vs ``os``.
-
-    The paper evaluates output stationary and names other dataflows as
-    future work; this figure sweeps the registered engines over the model
-    zoo and reports, per workload, total cycles under each engine plus
-    the speedup relative to the ``os`` baseline (values above 1 mean the
-    engine finished faster than output stationary).
-    """
-    names = list(workloads) if workloads is not None else list(zoo.NAMES)
-    engines = (
-        list(dataflows) if dataflows is not None else list(registered_dataflows())
-    )
-    runner.run_many(dataflow_compare_specs(runner, names, engines))
-    cycles: dict[str, dict[str, int]] = {}
-    for name in names:
-        cycles[name] = {}
-        for engine in engines:
-            result = _maybe(
-                lambda n=name, e=engine: runner.solo(n, dataflow=e)
-            )
-            if result is not None:
-                cycles[name][engine] = result["cycles"]
+    names, engines = _dataflow_axes(workloads, dataflows)
+    cycles = {name: _cycles(results, "solo", name, keys=engines) for name in names}
     speedup_vs_os: dict[str, dict[str, float]] = {}
     for name, by_engine in cycles.items():
         base = by_engine.get("os")
@@ -1062,16 +903,29 @@ def dataflow_compare(
         )
         for engine in engines
     }
-    return _attach_failures(
-        {
-            "workloads": names,
-            "dataflows": engines,
-            "cycles": cycles,
-            "speedup_vs_os": speedup_vs_os,
-            "overall": overall,
-        },
-        runner,
-    )
+    return {
+        "workloads": names,
+        "dataflows": engines,
+        "cycles": cycles,
+        "speedup_vs_os": speedup_vs_os,
+        "overall": overall,
+    }
+
+
+def dataflow_compare(
+    runner: ExperimentRunner,
+    workloads: Sequence[str] | None = None,
+    dataflows: Sequence[str] | None = None,
+) -> dict[str, Any]:
+    """Per-workload cycles and speedup of each dataflow engine vs ``os``.
+
+    The paper evaluates output stationary and names other dataflows as
+    future work; this figure sweeps the registered engines over the model
+    zoo and reports, per workload, total cycles under each engine plus
+    the speedup relative to the ``os`` baseline (values above 1 mean the
+    engine finished faster than output stationary).
+    """
+    return _run_figure(runner, "dataflow_compare", workloads, dataflows)
 
 
 # --------------------------------------------------------------------- #
@@ -1099,7 +953,7 @@ SERVING_SKEWS = ("uniform", "zipf")
 def serving_colocation_specs(
     runner: ExperimentRunner,
     skews: Sequence[str] = SERVING_SKEWS,
-) -> list[RunSpec]:
+) -> Plan:
     """Every spec behind the serving co-location figure.
 
     Per MoE skew: a dual-pool Ideal solo of each phase (the speedup
@@ -1108,19 +962,68 @@ def serving_colocation_specs(
     default :class:`ServingParams`, so its specs share cache keys with
     any other default-parameter serving run.
     """
-    specs = []
+    plan = {}
     for skew in skews:
         params = ServingParams(moe_skew=skew)
         for name in SERVING_PHASE_NAMES:
-            specs.append(runner.plan_ideal(name, 2, serving=params))
+            plan["ideal", skew, name] = runner.plan_ideal(
+                name, 2, serving=params
+            )
         for pair in SERVING_PAIRS:
             for level in SERVING_SHARINGS:
-                specs.append(runner.plan_mix(pair, level, serving=params))
-    return specs
+                plan["mix", skew, pair, level.label] = runner.plan_mix(
+                    pair, level, serving=params
+                )
+    return plan
 
 
 def _pair_label(pair: Sequence[str]) -> str:
     return "+".join(name.split(":", 1)[1] for name in pair)
+
+
+def reduce_serving_colocation(
+    results: Results, skews: Sequence[str] = SERVING_SKEWS
+) -> dict[str, Any]:
+    per_scenario: dict[str, dict[str, Any]] = {}
+    level_values: dict[str, list[float]] = {
+        level.label: [] for level in SERVING_SHARINGS
+    }
+    dwt_gains: list[float] = []
+    for skew in skews:
+        ideal = _cycles(results, "ideal", skew, keys=SERVING_PHASE_NAMES)
+        for pair in SERVING_PAIRS:
+            entry: dict[str, Any] = {}
+            for level in SERVING_SHARINGS:
+                speeds = _speedups(
+                    results, ("mix", skew, pair, level.label), pair, ideal
+                )
+                if speeds is None:
+                    continue
+                entry[level.label] = geomean(speeds)
+                level_values[level.label].append(entry[level.label])
+            if "+DW" in entry and "+DWT" in entry:
+                entry["dwt_gain"] = entry["+DWT"] / entry["+DW"]
+                entry["verdict"] = (
+                    "helps" if entry["dwt_gain"] >= 1.0 else "hurts"
+                )
+                dwt_gains.append(entry["dwt_gain"])
+            per_scenario[f"{skew}/{_pair_label(pair)}"] = entry
+    overall: dict[str, Any] = {
+        level.label: _safe_geomean(level_values[level.label])
+        for level in SERVING_SHARINGS
+    }
+    overall["dwt_gain"] = _safe_geomean(dwt_gains)
+    if overall["dwt_gain"] is not None:
+        overall["verdict"] = (
+            "helps" if overall["dwt_gain"] >= 1.0 else "hurts"
+        )
+    return {
+        "skews": list(skews),
+        "pairs": [_pair_label(pair) for pair in SERVING_PAIRS],
+        "sharings": [level.label for level in SERVING_SHARINGS],
+        "per_scenario": per_scenario,
+        "overall": overall,
+    }
 
 
 def serving_colocation(
@@ -1135,132 +1038,73 @@ def serving_colocation(
     Ideal are reported for private TLBs (+DW) and the shared TLB
     (+DWT); ``dwt_gain`` is their ratio (>1: sharing helps).
     """
-    runner.run_many(serving_colocation_specs(runner, skews))
-    per_scenario: dict[str, dict[str, Any]] = {}
-    level_values: dict[str, list[float]] = {
-        level.label: [] for level in SERVING_SHARINGS
-    }
-    dwt_gains: list[float] = []
-    for skew in skews:
-        params = ServingParams(moe_skew=skew)
-        ideal: dict[str, int] = {}
-        for name in SERVING_PHASE_NAMES:
-            result = _maybe(
-                lambda n=name, p=params: runner.run(
-                    runner.plan_ideal(n, 2, serving=p)
-                )
-            )
-            if result is not None:
-                ideal[name] = result[0]["cycles"]
-        for pair in SERVING_PAIRS:
-            label = f"{skew}/{_pair_label(pair)}"
-            entry: dict[str, Any] = {}
-            for level in SERVING_SHARINGS:
-                if any(name not in ideal for name in pair):
-                    continue
-                results = _maybe(
-                    lambda pr=pair, lv=level, p=params: runner.run(
-                        runner.plan_mix(pr, lv, serving=p)
-                    )
-                )
-                if results is None:
-                    continue
-                entry[level.label] = geomean(
-                    [
-                        ideal[name] / result["cycles"]
-                        for name, result in zip(pair, results)
-                    ]
-                )
-                level_values[level.label].append(entry[level.label])
-            if "+DW" in entry and "+DWT" in entry:
-                entry["dwt_gain"] = entry["+DWT"] / entry["+DW"]
-                entry["verdict"] = (
-                    "helps" if entry["dwt_gain"] >= 1.0 else "hurts"
-                )
-                dwt_gains.append(entry["dwt_gain"])
-            per_scenario[label] = entry
-    overall: dict[str, Any] = {
-        level.label: _safe_geomean(level_values[level.label])
-        for level in SERVING_SHARINGS
-    }
-    overall["dwt_gain"] = _safe_geomean(dwt_gains)
-    if overall["dwt_gain"] is not None:
-        overall["verdict"] = (
-            "helps" if overall["dwt_gain"] >= 1.0 else "hurts"
-        )
-    return _attach_failures(
-        {
-            "skews": list(skews),
-            "pairs": [_pair_label(pair) for pair in SERVING_PAIRS],
-            "sharings": [level.label for level in SERVING_SHARINGS],
-            "per_scenario": per_scenario,
-            "overall": overall,
-        },
-        runner,
-    )
+    return _run_figure(runner, "serving_colocation", skews)
 
 
 # --------------------------------------------------------------------- #
-# Planner registry
+# Figure registry
 # --------------------------------------------------------------------- #
 
 
-def _plan_fig4(runner, dual, quad):
-    return sharing_sweep_specs(runner, 2, dual)
+@dataclass(frozen=True)
+class Figure:
+    """A figure's planner, pure reducer and printed headline.
+
+    With ``cores`` set, both planner and reducer take the mix list of
+    that core count after their first argument; otherwise they take
+    nothing more.
+    """
+
+    planner: Callable[..., Plan]
+    reducer: Callable[..., dict[str, Any]]
+    headline: Callable[[dict[str, Any]], dict[str, Any]] = itemgetter("overall")
+    cores: int | None = None
 
 
-def _plan_fig5(runner, dual, quad):
-    return sharing_sweep_specs(runner, 4, quad)
-
-
-def _plan_fig8(runner, dual, quad):
-    return fig8_specs(runner, dual)
-
-
-def _plan_bw(runner, dual, quad):
-    return bw_partition_specs(runner, dual)
-
-
-def _plan_fig11(runner, dual, quad):
-    return fig11_specs(runner)
-
-
-def _plan_ptw(runner, dual, quad):
-    return ptw_partition_specs(runner, dual)
-
-
-def _plan_fig15(runner, dual, quad):
-    return fig15_specs(runner)
-
-
-def _plan_fig16(runner, dual, quad):
-    return fig16_specs(runner, 2, dual)
-
-
-def _plan_dataflow(runner, dual, quad):
-    return dataflow_compare_specs(runner)
-
-
-def _plan_serving(runner, dual, quad):
-    return serving_colocation_specs(runner)
-
-
-#: ``figure name -> planner(runner, dual_mixes, quad_mixes) -> [RunSpec]``.
-#: Figures 2 and 12 trace bandwidth inside one ad-hoc simulation and have
-#: no cacheable spec set; figures 17/18 live in :mod:`repro.mapping`.
-FIGURE_PLANNERS = {
-    "fig4": _plan_fig4,
-    "fig5": _plan_fig5,
-    "fig6": _plan_fig4,  # same sweep as fig4, reduced to fairness
-    "fig7": _plan_fig5,  # same sweep as fig5, reduced to fairness
-    "fig8": _plan_fig8,
-    "fig9": _plan_bw,
-    "fig10": _plan_bw,
-    "fig11": _plan_fig11,
-    "fig13": _plan_ptw,
-    "fig14": _plan_ptw,
-    "fig15": _plan_fig15,
-    "fig16": _plan_fig16,
-    "dataflow_compare": _plan_dataflow,
-    "serving_colocation": _plan_serving,
+#: ``mnpusim figure``/``sweep`` name -> :class:`Figure`.  Figures 2 and
+#: 12 trace bandwidth inside one ad-hoc simulation and have no cacheable
+#: spec set; figures 17/18 live in :mod:`repro.mapping`.
+FIGURES = {
+    "fig4": Figure(sharing_sweep_specs, reduce_fig4, cores=2),
+    "fig5": Figure(sharing_sweep_specs, reduce_fig5, cores=4),
+    "fig6": Figure(sharing_sweep_specs, reduce_fig6, cores=2),
+    "fig7": Figure(sharing_sweep_specs, reduce_fig7, cores=4),
+    "fig8": Figure(fig8_specs, reduce_fig8, itemgetter("range"), cores=2),
+    "fig9": Figure(bw_partition_specs, reduce_fig9, cores=2),
+    "fig10": Figure(bw_partition_specs, reduce_fig10, cores=2),
+    "fig11": Figure(fig11_specs, reduce_fig11, _fig11_headline),
+    "fig13": Figure(ptw_partition_specs, reduce_fig13, cores=2),
+    "fig14": Figure(ptw_partition_specs, reduce_fig14, cores=2),
+    "fig15": Figure(fig15_specs, reduce_fig15),
+    "fig16": Figure(
+        fig16_specs, reduce_fig16, itemgetter("overall_performance"), cores=2
+    ),
+    "dataflow_compare": Figure(dataflow_compare_specs, reduce_dataflow_compare),
+    "serving_colocation": Figure(
+        serving_colocation_specs, reduce_serving_colocation
+    ),
 }
+
+
+def run_figures(
+    runner: ExperimentRunner,
+    names: Sequence[str],
+    dual: Mixes,
+    quad: Mixes,
+) -> dict[str, dict[str, Any]]:
+    """Reduce several registered figures from one deduplicated batch.
+
+    Every figure's plan is built first and the union executes as a
+    single :meth:`ExperimentRunner.run_many`, so overlapping specs (the
+    Ideal/Static solos every sharing figure needs, the shared fig4/fig6
+    and fig9/fig10 sweeps) simulate, and are read, exactly once.
+    """
+    mixes = {2: dual, 4: quad}
+    entries = [FIGURES[name] for name in names]
+    params = [() if entry.cores is None else (mixes[entry.cores],) for entry in entries]
+    plans = [entry.planner(runner, *args) for entry, args in zip(entries, params)]
+    executed = _execute(runner, plans)
+    return {
+        name: entry.reducer(results, *args)
+        for name, entry, args, results in zip(names, entries, params, executed)
+    }

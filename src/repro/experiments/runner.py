@@ -43,10 +43,6 @@ Supervision (the fault-tolerance layer):
 Workers rebuild the whole simulation from the spec alone (plus the
 pickled network topologies), so parallel, serial, and retried execution
 produce byte-identical cache files and results.
-
-The kwarg-form ``solo()`` / ``ideal()`` / ``static_equal()`` / ``mix()``
-methods remain as thin wrappers that build a :class:`RunSpec` internally;
-new code should plan specs and call :meth:`run_many`.
 """
 
 from __future__ import annotations
@@ -72,8 +68,6 @@ from repro.obs.profiling import PhaseProfiler
 from repro.storage import (
     QUARANTINE_DIR,
     ShardStore,
-    atomic_write_bytes,
-    checksum_path,
     encode_result_shard,
 )
 from repro.core.sharing import SharingLevel
@@ -108,7 +102,6 @@ __all__ = [
     "DEFAULT_MAX_TICKS",
     "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_RETRY_BACKOFF",
-    "MIX_STAGGER_CYCLES",
     "QUARANTINE_DIR",
     "RESULTS_VERSION",
     "ExperimentRunner",
@@ -153,9 +146,6 @@ JOURNAL_NAME = "journal.jsonl"
 
 #: Subdirectory of the result cache holding compiled-trace shards.
 TRACE_DIR_NAME = "traces"
-
-#: Re-exported for back-compat; the constant lives with the presets now.
-MIX_STAGGER_CYCLES = presets.MIX_STAGGER_CYCLES
 
 #: Sentinel distinguishing "argument omitted" from an explicit ``None``
 #: for per-call overrides of runner-level defaults (``run_timeout``).
@@ -739,14 +729,6 @@ class ExperimentRunner:
 
     def _cache_path(self, spec: RunSpec) -> Path:
         return self._result_store.path(self._shard_name(spec))
-
-    @staticmethod
-    def _checksum_path(path: Path) -> Path:
-        return checksum_path(path)
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        atomic_write_bytes(path, data)
 
     def _store(self, spec: RunSpec, results: list[dict[str, Any]]) -> None:
         # The shard byte format is pinned by the golden-equivalence suite;
@@ -1362,100 +1344,3 @@ class ExperimentRunner:
         else:
             if not self.keep_pool:
                 self._discard_pool(pool)
-
-    # ------------------------------------------------------------------ #
-    # Back-compat kwarg API (thin wrappers over RunSpec)
-    # ------------------------------------------------------------------ #
-
-    def solo(
-        self,
-        workload: str,
-        *,
-        channels: int | None = None,
-        num_ptw: int | None = None,
-        tlb_entries: int | None = None,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        dataflow: str | None = None,
-    ) -> dict[str, Any]:
-        """One workload alone on an explicit resource slice.
-
-        Deprecated kwarg form; equivalent to ``run(plan_solo(...))[0]``.
-        """
-        return self.run(
-            self.plan_solo(
-                workload,
-                channels=channels,
-                num_ptw=num_ptw,
-                tlb_entries=tlb_entries,
-                page_bytes=page_bytes,
-                translation=translation,
-                dataflow=dataflow,
-            )
-        )[0]
-
-    def ideal(
-        self,
-        workload: str,
-        num_cores: int,
-        *,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        dataflow: str | None = None,
-    ) -> dict[str, Any]:
-        """The Ideal baseline: alone with the whole N-core resource pool."""
-        return self.run(
-            self.plan_ideal(
-                workload,
-                num_cores,
-                page_bytes=page_bytes,
-                translation=translation,
-                dataflow=dataflow,
-            )
-        )[0]
-
-    def static_equal(
-        self,
-        workload: str,
-        *,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        dataflow: str | None = None,
-    ) -> dict[str, Any]:
-        """The equal Static split: exactly one per-core resource share."""
-        return self.solo(
-            workload,
-            page_bytes=page_bytes,
-            translation=translation,
-            dataflow=dataflow,
-        )
-
-    def mix(
-        self,
-        names: Sequence[str],
-        sharing: SharingLevel,
-        *,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        ptw_split: Sequence[int] | None = None,
-        num_ptw_per_core: int | None = None,
-        tlb_entries_per_core: int | None = None,
-        dataflow: str | None = None,
-    ) -> list[dict[str, Any]]:
-        """Co-simulate ``names`` under a dynamic sharing level.
-
-        Deprecated kwarg form; equivalent to ``run(plan_mix(...))``.  See
-        :meth:`plan_mix` for the walker-partitioning overrides.
-        """
-        return self.run(
-            self.plan_mix(
-                names,
-                sharing,
-                page_bytes=page_bytes,
-                translation=translation,
-                ptw_split=ptw_split,
-                num_ptw_per_core=num_ptw_per_core,
-                tlb_entries_per_core=tlb_entries_per_core,
-                dataflow=dataflow,
-            )
-        )

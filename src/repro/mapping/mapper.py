@@ -25,7 +25,8 @@ from repro.experiments.runner import ExperimentRunner
 from repro.mapping.predictor import (
     SlowdownPredictor,
     WorkloadProfile,
-    profile_workload,
+    profile_workloads,
+    run_all,
 )
 from repro.models import zoo
 
@@ -73,14 +74,16 @@ class MappingStudy:
         self, runner: ExperimentRunner, *, train_predictor: bool = True
     ) -> None:
         self.runner = runner
-        self.profiles: dict[str, WorkloadProfile] = {
-            name: profile_workload(runner, zoo.get(name, runner.scale))
-            for name in zoo.NAMES
-        }
+        self.profiles: dict[str, WorkloadProfile] = profile_workloads(
+            runner, [zoo.get(name, runner.scale) for name in zoo.NAMES]
+        )
         # Simulated slowdown of each workload within each type pair.
         self.pair_slowdowns: dict[tuple[str, str], tuple[float, float]] = {}
-        for mix in all_mixes(2):
-            results = runner.mix(mix, SharingLevel.DWT)
+        mixes = all_mixes(2)
+        batch = run_all(
+            runner, [runner.plan_mix(mix, SharingLevel.DWT) for mix in mixes]
+        )
+        for mix, results in zip(mixes, batch):
             self.pair_slowdowns[mix] = tuple(
                 result["cycles"] / self.profiles[name].ideal_cycles
                 for name, result in zip(mix, results)

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.compute.requestgen import RequestGenerator
 from repro.config import presets
 from repro.core.sharing import SharingLevel
+from repro.errors import RunFailedError
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.spec import RunSpec
 from repro.models.layers import Network
 from repro.models.random_net import random_network
 
@@ -37,20 +40,46 @@ class WorkloadProfile:
     ideal_cycles: float        #: profiled solo latency (Ideal resources)
 
 
-def profile_workload(
-    runner: ExperimentRunner, network: Network, num_cores: int = 2
-) -> WorkloadProfile:
-    """Profile a workload: request-generator statistics + one Ideal run."""
-    runner.register_network(network)
+def run_all(
+    runner: ExperimentRunner, specs: Sequence[RunSpec]
+) -> list[list[dict[str, Any]]]:
+    """Results of ``specs``, in order, from one :meth:`run_many` batch.
+
+    The mapping study needs every run, so the first failed spec raises
+    its :class:`RunFailedError` instead of leaving a gap.
+    """
+    planned = [runner.plan(spec) for spec in specs]
+    results = runner.run_many(planned)
+    for spec in planned:
+        if spec not in results:
+            raise RunFailedError(runner.failures[spec])
+    return [results[spec] for spec in planned]
+
+
+def profile_workloads(
+    runner: ExperimentRunner, networks: Sequence[Network], num_cores: int = 2
+) -> dict[str, WorkloadProfile]:
+    """Profile workloads: request-generator statistics + Ideal runs.
+
+    The Ideal runs of all ``networks`` execute as one batch.
+    """
+    for network in networks:
+        runner.register_network(network)
     arch = presets.cloud_arch(runner.scale)
-    summary = RequestGenerator(network, arch).summary()
-    ideal = runner.ideal(network.name, num_cores)
-    return WorkloadProfile(
-        name=network.name,
-        pe_utilization=summary["pe_utilization"],
-        traffic_per_cycle=summary["traffic_bytes"] / max(1.0, ideal["cycles"]),
-        ideal_cycles=float(ideal["cycles"]),
+    ideals = run_all(
+        runner,
+        [runner.plan_ideal(network.name, num_cores) for network in networks],
     )
+    profiles = {}
+    for network, (ideal,) in zip(networks, ideals):
+        summary = RequestGenerator(network, arch).summary()
+        profiles[network.name] = WorkloadProfile(
+            name=network.name,
+            pe_utilization=summary["pe_utilization"],
+            traffic_per_cycle=summary["traffic_bytes"] / max(1.0, ideal["cycles"]),
+            ideal_cycles=float(ideal["cycles"]),
+        )
+    return profiles
 
 
 def _features(a: WorkloadProfile, b: WorkloadProfile) -> list[float]:
@@ -94,23 +123,23 @@ class SlowdownPredictor:
             random_network(seed + index, name=f"rand{seed + index}")
             for index in range(num_random_nets)
         ]
-        profiles = {
-            network.name: profile_workload(runner, network)
-            for network in networks
-        }
+        profiles = profile_workloads(runner, networks)
+        pairs = [
+            (left.name, right.name)
+            for i, left in enumerate(networks)
+            for right in networks[i:]
+        ]
+        mixes = run_all(
+            runner, [runner.plan_mix(pair, SharingLevel.DWT) for pair in pairs]
+        )
         rows: list[list[float]] = []
         targets: list[float] = []
-        for i, left in enumerate(networks):
-            for right in networks[i:]:
-                results = runner.mix(
-                    (left.name, right.name), SharingLevel.DWT
-                )
-                pair = (left.name, right.name)
-                for name, result in zip(pair, results):
-                    other = pair[1] if name == pair[0] else pair[0]
-                    observed = result["cycles"] / profiles[name].ideal_cycles
-                    rows.append(_features(profiles[name], profiles[other]))
-                    targets.append(observed)
+        for pair, results in zip(pairs, mixes):
+            for name, result in zip(pair, results):
+                other = pair[1] if name == pair[0] else pair[0]
+                observed = result["cycles"] / profiles[name].ideal_cycles
+                rows.append(_features(profiles[name], profiles[other]))
+                targets.append(observed)
         matrix = np.asarray(rows)
         vector = np.asarray(targets)
         weights, *_ = np.linalg.lstsq(matrix, vector, rcond=None)

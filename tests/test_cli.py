@@ -104,7 +104,7 @@ class TestMixCommand:
             int(line.split()[2]) for line in out.splitlines() if "cycles" in line
         ]
         runner = ExperimentRunner(cache_dir=tmp_path)
-        results = runner.mix(("ncf", "ncf"), SharingLevel.DW)
+        results = runner.run(runner.plan_mix(("ncf", "ncf"), SharingLevel.DW))
         assert cli_cycles == [result["cycles"] for result in results]
 
     def test_uncontended_sharing_rejected(self):
@@ -268,6 +268,62 @@ class TestSweepCommand:
     def test_unknown_figures_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown figures"):
             main(["sweep", "fig4", "fig99", "--cache-dir", str(tmp_path)])
+
+    def test_fig16_sweeps(self, tmp_path, capsys):
+        args = ["sweep", "fig16", "--mixes", "1", "--quiet"]
+        assert main([*args, "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "fig16 (scale=mini)" in out and "64KB" in out
+
+
+def _count_result_reads(monkeypatch, cache):
+    """``shard name -> hits`` of result-shard reads under ``cache``."""
+    from collections import Counter
+
+    from repro.storage import ShardStore
+
+    reads = Counter()
+    read = ShardStore.read_validated
+
+    def counting(store, name, validate):
+        value = read(store, name, validate)
+        if value is not None and store.directory == cache:
+            reads[name] += 1
+        return value
+
+    monkeypatch.setattr(ShardStore, "read_validated", counting)
+    return reads
+
+
+class TestReadOnce:
+    """Figures read each result shard once: one plan, one batch, no re-reads."""
+
+    #: fig4 at two mixes: 8 Ideal + 8 Static solos + 2 mixes x 3 levels.
+    SPECS = 22
+
+    @pytest.fixture(scope="class")
+    def warm_cache(self, tmp_path_factory):
+        cache = tmp_path_factory.mktemp("warm")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            reads = _count_result_reads(monkeypatch, cache)
+            args = ["figure", "fig4", "--mixes", "2", "--quiet"]
+            assert main([*args, "--cache-dir", str(cache)]) == 0
+        return cache, reads
+
+    def test_cold_figure_reads_no_shard(self, warm_cache):
+        _, cold_reads = warm_cache
+        assert not cold_reads
+
+    @pytest.mark.parametrize(
+        "names", [["figure", "fig4"], ["sweep", "fig4", "fig6"]], ids=" ".join
+    )
+    def test_warm_run_reads_every_shard_once(self, warm_cache, monkeypatch, names):
+        cache, _ = warm_cache
+        reads = _count_result_reads(monkeypatch, cache)
+        args = [*names, "--mixes", "2", "--quiet", "--cache-dir", str(cache)]
+        assert main(args) == 0
+        assert len(reads) == self.SPECS
+        assert set(reads.values()) == {1}
 
 
 class TestTraceOption:

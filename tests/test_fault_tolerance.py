@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 from repro.core.sharing import SharingLevel
-from repro.errors import RunFailedError, RunFailure
+from repro.errors import RunFailedError
 from repro.experiments import faults, figures
 from repro.experiments.report import format_failures
 from repro.experiments.runner import ExperimentRunner, JOURNAL_NAME, QUARANTINE_DIR
 from repro.models.layers import DenseLayer, Network
+from repro.storage import atomic_write_bytes, checksum_path
 
-from tests.test_figures_reduction import StubRunner
+from tests.test_figures_reduction import synthetic_results
 
 
 def _tiny(name):
@@ -80,7 +81,7 @@ class TestCacheQuarantine:
         first = _make_runner(cache)
         (spec,) = _specs(first, ["a"])
         expected = first.run(spec)
-        first._checksum_path(first._cache_path(spec)).unlink()
+        checksum_path(first._cache_path(spec)).unlink()
 
         fresh = _make_runner(cache)
         assert fresh.run(spec) == expected
@@ -96,7 +97,7 @@ class TestCacheQuarantine:
 def _hammer_writes(path_str, payload, count):
     path = Path(path_str)
     for _ in range(count):
-        ExperimentRunner._atomic_write(path, payload)
+        atomic_write_bytes(path, payload)
 
 
 def _sweep_in_child(cache_dir, names):
@@ -321,61 +322,74 @@ class TestFaultDescriptors:
 # --------------------------------------------------------------------- #
 
 
-class _DegradedRunner(StubRunner):
-    """Stub whose ("res", "yt") mixes all failed terminally."""
+MIXES = [("res", "yt"), ("alex", "gpt2")]
+CONTENDED = ("+D", "+DW", "+DWT")
 
-    def __init__(self, bad=("res", "yt")):
-        super().__init__()
-        self.bad = tuple(bad)
-        spec = self.plan_mix(self.bad, SharingLevel.DWT)
-        self.failures = {
-            spec: RunFailure(
-                spec=spec,
-                kind="crash",
-                attempts=3,
-                error="TransientWorkerError: worker process died",
-            )
-        }
 
-    def mix(self, names, sharing, **kwargs):
-        if tuple(names) == self.bad:
-            raise RunFailedError(next(iter(self.failures.values())))
-        return super().mix(names, sharing, **kwargs)
+def _degraded_fig4(tmp_path):
+    """Fig 4's synthetic results with every ("res", "yt") mix run missing."""
+    planner = ExperimentRunner(cache_dir=tmp_path / "plan")
+    results = synthetic_results(figures.sharing_sweep_specs(planner, MIXES))
+    for level in CONTENDED:
+        del results["mix", MIXES[0], level]
+    return results
+
+
+@pytest.fixture()
+def crashing_runner(tmp_path, monkeypatch):
+    """A real runner over two tiny networks whose a+b +DWT mix crashes."""
+    from repro.models import zoo
+
+    monkeypatch.setattr(zoo, "NAMES", ("a", "b"))
+    runner = _make_runner(tmp_path / "cache")
+    runner.fault_plan = faults.FaultPlan.for_specs(
+        {runner.plan_mix(("a", "b"), SharingLevel.DWT): faults.Fault("crash")}
+    )
+    return runner
 
 
 class TestFigureDegradation:
-    def test_mix_speedups_empty_for_failed_mix(self):
-        runner = _DegradedRunner()
-        ideal = {name: runner.ideal(name, 2)["cycles"] for name in ("res", "yt")}
-        static = {name: runner.static_equal(name)["cycles"] for name in ("res", "yt")}
+    def test_mix_speedups_empty_for_failed_mix(self, tmp_path):
+        results = _degraded_fig4(tmp_path)
+        ideal = {name: results["ideal", name][0]["cycles"] for name in MIXES[0]}
+        static = {name: results["static", name][0]["cycles"] for name in MIXES[0]}
         assert figures.mix_speedups(
-            runner, ("res", "yt"), SharingLevel.DWT, ideal, static
+            results, MIXES[0], SharingLevel.DWT, ideal, static
         ) == []
 
-    def test_fig4_marks_failed_mix_missing_not_fatal(self):
-        runner = _DegradedRunner()
-        data = figures.fig4_dual_performance(runner, [("res", "yt"), ("alex", "gpt2")])
+    def test_fig4_marks_failed_mix_missing_not_fatal(self, tmp_path):
+        data = figures.reduce_fig4(_degraded_fig4(tmp_path), MIXES)
 
         bad = data["per_mix"]["res+yt"]
         good = data["per_mix"]["alex+gpt2"]
         # Static comes from solo runs, which still succeeded; every
         # contended level of the failed mix is missing.
         assert "Static" in bad
-        for level in ("+D", "+DW", "+DWT"):
+        for level in CONTENDED:
             assert level not in bad
             assert level in good
         # The healthy mix still feeds the overall geomeans.
         assert data["overall"]["+DWT"] is not None
-        summaries = data["failures"]
-        assert summaries and summaries[0]["kind"] == "crash"
 
-    def test_failures_key_absent_when_sweep_healthy(self):
-        data = figures.fig4_dual_performance(StubRunner(), [("res", "yt")])
+    def test_entry_point_attaches_runner_failures(self, crashing_runner):
+        data = figures.fig4_dual_performance(crashing_runner, [("a", "b"), ("a", "a")])
+        assert "+DWT" not in data["per_mix"]["a+b"]
+        assert "+DW" in data["per_mix"]["a+b"]
+        assert "+DWT" in data["per_mix"]["a+a"]
+        summaries = data["failures"]
+        assert len(summaries) == 1 and summaries[0]["kind"] == "crash"
+
+    def test_failures_key_absent_when_sweep_healthy(self, tmp_path, monkeypatch):
+        from repro.models import zoo
+
+        monkeypatch.setattr(zoo, "NAMES", ("a", "b"))
+        data = figures.fig4_dual_performance(
+            _make_runner(tmp_path / "cache"), [("a", "b")]
+        )
         assert "failures" not in data
 
-    def test_format_failures_renders_summaries(self):
-        runner = _DegradedRunner()
-        data = figures.fig4_dual_performance(runner, [("res", "yt"), ("alex", "gpt2")])
+    def test_format_failures_renders_summaries(self, crashing_runner):
+        data = figures.fig4_dual_performance(crashing_runner, [("a", "b")])
         text = format_failures(data["failures"])
         assert "crash" in text
         assert "1 run(s) failed" in text

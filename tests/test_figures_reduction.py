@@ -1,8 +1,11 @@
-"""Unit tests of the figure reducers' math, using a stubbed runner.
+"""Unit tests of the figure reducers' math, on synthetic result maps.
 
-These verify the reductions (normalization, geomeans, fairness, CDFs,
-best-static selection) without paying for simulations: the stub returns
-synthetic cycle counts with known relationships.
+Reducers are pure functions of ``{role: results}``, so these tests build
+each figure's plan with the real planner, give every role synthetic
+cycle counts with known relationships, and reduce — no simulation and
+no runner in the reduction.  Keying the synthetic map by the planner's
+own roles also proves each reducer reads exactly the roles its planner
+emits.
 """
 
 import math
@@ -14,112 +17,80 @@ from repro.experiments import figures
 from repro.experiments.runner import ExperimentRunner
 from repro.models import zoo
 
+#: Synthetic solo cycles on the equal Static slice (4 channels).
+BASE = {name: 1000 * (index + 1) for index, name in enumerate(zoo.NAMES)}
 
-class StubRunner:
-    """Deterministic fake: cycles derived from workload name + config.
-
-    Planning is pure spec construction, so the stub borrows the real
-    runner's ``plan_*`` methods and stubs only the execution side:
-    ``run_many`` (the figures' prefetch hook) is a no-op and ``solo`` /
-    ``mix`` answer directly with synthetic cycles.
-    """
-
-    scale = "mini"
-    dataflow = "os"
-    replay_mode = "event"
-    phase = None
-    serving = None
-    plan_solo = ExperimentRunner.plan_solo
-    plan_ideal = ExperimentRunner.plan_ideal
-    plan_static_equal = ExperimentRunner.plan_static_equal
-    plan_mix = ExperimentRunner.plan_mix
-    _plan_serving = ExperimentRunner._plan_serving
-
-    def __init__(self):
-        self.per_core = {"channels": 4, "num_ptw": 1, "tlb_entries": 64}
-        self._base = {
-            name: 1000 * (index + 1) for index, name in enumerate(zoo.NAMES)
-        }
-
-    def run_many(self, specs, jobs=None, progress=None):
-        list(specs)  # planners must at least produce valid specs
-        return {}
-
-    # -- solo ---------------------------------------------------------- #
-    def solo(self, workload, *, channels=4, num_ptw=None, tlb_entries=None,
-             page_bytes=4096, translation=True):
-        base = self._base[workload]
-        # More channels help sub-linearly; bigger pages shave 10%.
-        factor = 1.0 + 4.0 / channels
-        if page_bytes > 4096:
-            factor *= 0.9
-        return {"cycles": int(base * factor)}
-
-    def ideal(self, workload, num_cores, *, page_bytes=4096, translation=True):
-        return self.solo(
-            workload, channels=4 * num_cores, page_bytes=page_bytes,
-            translation=translation,
-        )
-
-    def static_equal(self, workload, *, page_bytes=4096, translation=True):
-        return self.solo(
-            workload, page_bytes=page_bytes, translation=translation
-        )
-
-    # -- mix ------------------------------------------------------------ #
-    def mix(self, names, sharing, *, page_bytes=4096, translation=True,
-            ptw_split=None, num_ptw_per_core=None, tlb_entries_per_core=None):
-        # Sharing recovers a fixed fraction of the static loss; walker
-        # splits skew the two cores.
-        recover = {
-            SharingLevel.D: 0.5,
-            SharingLevel.DW: 0.75,
-            SharingLevel.DWT: 0.80,
-        }[sharing]
-        results = []
-        for index, name in enumerate(names):
-            ideal = self.ideal(name, len(names))["cycles"]
-            static = self.static_equal(name)["cycles"]
-            cycles = static - recover * (static - ideal)
-            if ptw_split is not None:
-                total = sum(ptw_split)
-                share = ptw_split[index] / total
-                cycles *= 1.0 + max(0.0, 0.5 - share)  # starved side slows
-            if page_bytes > 4096:
-                cycles *= 0.92
-            results.append({"cycles": int(cycles), "workload": name})
-        return results
+#: Fraction of the static loss each sharing level recovers.
+RECOVER = {"D": 0.5, "DW": 0.75, "DWT": 0.80}
 
 
-@pytest.fixture()
-def runner():
-    return StubRunner()
+def _solo_cycles(name, channels=4, page_bytes=4096):
+    # More channels help sub-linearly; bigger pages shave 10%.
+    factor = 1.0 + 4.0 / channels
+    if page_bytes > 4096:
+        factor *= 0.9
+    return int(BASE[name.split(":", 1)[0]] * factor)
+
+
+def synthetic_run(spec):
+    """Per-workload results a spec would produce in the synthetic model."""
+    if spec.kind == "solo":
+        (name,) = spec.workloads
+        return [{"cycles": _solo_cycles(name, spec.channels or 4, spec.page_bytes)}]
+    runs = []
+    for index, name in enumerate(spec.workloads):
+        ideal = _solo_cycles(name, channels=4 * len(spec.workloads))
+        static = _solo_cycles(name)
+        cycles = static - RECOVER[spec.sharing] * (static - ideal)
+        if spec.ptw_split is not None:
+            share = spec.ptw_split[index] / sum(spec.ptw_split)
+            cycles *= 1.0 + max(0.0, 0.5 - share)  # starved side slows
+        if spec.page_bytes > 4096:
+            cycles *= 0.92
+        runs.append({"cycles": int(cycles), "workload": name})
+    return runs
+
+
+def synthetic_results(plan):
+    """``{role: results}`` for every role of a keyed plan."""
+    return {role: synthetic_run(spec) for role, spec in plan.items()}
+
+
+@pytest.fixture(scope="module")
+def planner(tmp_path_factory):
+    """A runner used only to plan specs; nothing is executed."""
+    return ExperimentRunner(cache_dir=tmp_path_factory.mktemp("plan"))
+
+
+def reduce(planner, name, *params):
+    """Plan figure ``name``, synthesize its results, and reduce them."""
+    figure = figures.FIGURES[name]
+    results = synthetic_results(figure.planner(planner, *params))
+    return figure.reducer(results, *params)
 
 
 MIXES2 = [("res", "yt"), ("alex", "gpt2"), ("ncf", "ncf")]
 
 
 class TestSharingSweepReduction:
-    def test_fig4_ordering_follows_recovery_fractions(self, runner):
-        data = figures.fig4_dual_performance(runner, MIXES2)
+    def test_fig4_ordering_follows_recovery_fractions(self, planner):
+        data = reduce(planner, "fig4", MIXES2)
         overall = data["overall"]
         assert overall["Static"] < overall["+D"] < overall["+DW"] < overall["+DWT"]
 
-    def test_fig4_identical_pair_has_equal_speedups(self, runner):
-        data = figures.fig4_dual_performance(runner, [("ncf", "ncf")])
+    def test_fig4_identical_pair_has_equal_speedups(self, planner):
+        data = reduce(planner, "fig4", [("ncf", "ncf")])
         speeds = data["sweep"]["speedups"]["ncf+ncf"]["+DWT"]
         assert speeds[0] == pytest.approx(speeds[1])
 
-    def test_fig6_fairness_is_one_for_uniform_recovery(self, runner):
-        # The stub slows both mix members by the same slowdown factor
-        # only for identical pairs.
-        data = figures.fig6_dual_fairness(runner, [("ncf", "ncf")])
+    def test_fig6_fairness_is_one_for_uniform_recovery(self, planner):
+        # The synthetic model slows both mix members by the same
+        # slowdown factor only for identical pairs.
+        data = reduce(planner, "fig6", [("ncf", "ncf")])
         assert data["per_mix"]["ncf+ncf"]["+DWT"] == pytest.approx(1.0)
 
-    def test_fig5_cdf_fraction_axis(self, runner):
-        data = figures.fig5_quad_performance(
-            runner, [("res", "yt", "alex", "gpt2"), ("ncf",) * 4]
-        )
+    def test_fig5_cdf_fraction_axis(self, planner):
+        data = reduce(planner, "fig5", [("res", "yt", "alex", "gpt2"), ("ncf",) * 4])
         for level, points in data["cdf"].items():
             assert points[-1][1] == 1.0
             values = [v for v, _ in points]
@@ -127,44 +98,63 @@ class TestSharingSweepReduction:
 
 
 class TestPagesizeReduction:
-    def test_fig15_speedup_matches_stub_factor(self, runner):
-        data = figures.fig15_pagesize_single(runner)
+    def test_fig15_speedup_matches_stub_factor(self, planner):
+        data = reduce(planner, "fig15")
         for name in zoo.NAMES:
             assert data["per_workload"][name]["64KB"] == pytest.approx(
                 1 / 0.9, rel=0.01
             )
 
-    def test_fig16_performance_normalized_to_4kb(self, runner):
-        data = figures.fig16_pagesize_multi(runner, 2, MIXES2)
+    def test_fig16_performance_normalized_to_4kb(self, planner):
+        data = reduce(planner, "fig16", MIXES2)
         for mix_label, values in data["performance"].items():
             assert values["4KB"] == pytest.approx(1.0)
             assert values["64KB"] == pytest.approx(1 / 0.92, rel=0.01)
 
 
 class TestPtwPartitionReduction:
-    def test_fig13_equal_split_beats_skew_in_stub(self, runner):
-        data = figures.fig13_ptw_partition_performance(runner, MIXES2)
+    def test_fig13_equal_split_beats_skew_in_stub(self, planner):
+        data = reduce(planner, "fig13", MIXES2)
         overall = data["overall"]
         assert overall["2:2"] > overall["1:3"]
         assert overall["2:2"] > overall["3:1"]
 
-    def test_fig14_fairness_penalizes_skew(self, runner):
-        data = figures.fig14_ptw_partition_fairness(runner, MIXES2)
+    def test_fig14_fairness_penalizes_skew(self, planner):
+        data = reduce(planner, "fig14", MIXES2)
         overall = data["overall"]
         assert overall["1:3"] < overall["2:2"]
 
 
 class TestMixSpeedupsHelper:
-    def test_static_level_uses_solo_results(self, runner):
-        ideal = {n: runner.ideal(n, 2)["cycles"] for n in zoo.NAMES}
-        static = {n: runner.static_equal(n)["cycles"] for n in zoo.NAMES}
+    def test_static_level_uses_solo_results(self):
+        ideal = {n: _solo_cycles(n, channels=8) for n in zoo.NAMES}
+        static = {n: _solo_cycles(n) for n in zoo.NAMES}
         speeds = figures.mix_speedups(
-            runner, ("res", "yt"), SharingLevel.STATIC, ideal, static
+            {}, ("res", "yt"), SharingLevel.STATIC, ideal, static
         )
         assert speeds[0] == pytest.approx(ideal["res"] / static["res"])
 
-    def test_geomean_of_speedups_matches_manual(self, runner):
-        data = figures.fig4_dual_performance(runner, [("res", "yt")])
+    def test_geomean_of_speedups_matches_manual(self, planner):
+        data = reduce(planner, "fig4", [("res", "yt")])
         speeds = data["sweep"]["speedups"]["res+yt"]["+D"]
         manual = math.sqrt(speeds[0] * speeds[1])
         assert data["per_mix"]["res+yt"]["+D"] == pytest.approx(manual)
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(figures.FIGURES))
+    def test_every_figure_reduces_its_own_plan(self, planner, name):
+        figure = figures.FIGURES[name]
+        params = {None: (), 2: (MIXES2,), 4: ([("res", "yt", "alex", "gpt2")],)}
+        data = reduce(planner, name, *params[figure.cores])
+        headline = figure.headline(data)
+        assert headline and all(value is not None for value in headline.values())
+
+    def test_missing_role_is_a_missing_data_point(self, planner):
+        plan = figures.FIGURES["fig11"].planner(planner)
+        results = synthetic_results(plan)
+        del results["solo", "res", 1]  # the normalization baseline
+        del results["solo", "yt", 8]
+        data = figures.FIGURES["fig11"].reducer(results)
+        assert "res" not in data["speedup"]
+        assert [count for count, _ in data["speedup"]["yt"]] == [1, 2, 4, 6]

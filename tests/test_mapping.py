@@ -4,12 +4,15 @@ import math
 
 import pytest
 
+from repro.errors import RunFailedError
+from repro.experiments import faults
 from repro.experiments.runner import ExperimentRunner
 from repro.mapping.mapper import pairings
 from repro.mapping.predictor import (
     SlowdownPredictor,
     WorkloadProfile,
-    profile_workload,
+    profile_workloads,
+    run_all,
 )
 from repro.models.layers import DenseLayer, Network
 
@@ -77,9 +80,22 @@ class TestPredictor:
     def test_profile_workload_features(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path / "c")
         network = Network("prof", (DenseLayer("l0", 32, 64, 32),))
-        profile = profile_workload(runner, network)
+        profile = profile_workloads(runner, [network])["prof"]
         assert profile.name == "prof"
         assert 0 < profile.pe_utilization <= 1
         assert profile.traffic_per_cycle > 0
         assert profile.ideal_cycles > 0
         assert math.isfinite(profile.ideal_cycles)
+
+    def test_run_all_raises_a_failed_spec(self, tmp_path):
+        # The study needs every run: a failure raises, not a silent gap.
+        runner = ExperimentRunner(cache_dir=tmp_path / "c", retry_backoff=0.0)
+        for name in ("ok", "bad"):
+            runner.register_network(Network(name, (DenseLayer("l0", 16, 32, 16),)))
+        good, bad = runner.plan_solo("ok"), runner.plan_solo("bad")
+        runner.fault_plan = faults.FaultPlan.for_specs(
+            {runner.plan(bad): faults.Fault("error")}
+        )
+        with pytest.raises(RunFailedError, match="injected"):
+            run_all(runner, [good, bad])
+        assert run_all(runner, [good]) == [runner.run(good)]

@@ -330,22 +330,9 @@ class TestRunMany:
         assert events[-1].total == 8
         assert all(e.spec is not None for e in events[1:])
 
-    def test_wrappers_agree_with_run_many(self, tmp_path):
-        batch = ExperimentRunner(cache_dir=tmp_path / "a")
-        legacy = ExperimentRunner(cache_dir=tmp_path / "b")
-        results = batch.run_many(_sweep_specs(batch), jobs=4)
-        for name in ("wa", "wb"):
-            legacy.register_network(_tiny(name))
-        assert legacy.solo("wa") == results[batch.plan_solo("wa")][0]
-        assert legacy.ideal("wa", 2) == results[batch.plan_ideal("wa", 2)][0]
-        assert (
-            legacy.mix(("wa", "wb"), SharingLevel.DWT)
-            == results[batch.plan_mix(("wa", "wb"), SharingLevel.DWT)]
-        )
-
     def test_figure_planner_prefetches_everything(self, tmp_path, monkeypatch):
-        # After one run_many over the planner's specs, the reducer must
-        # be served entirely from cache: zero additional cold runs.
+        # After one run_many over the planner's specs, the figure must be
+        # served entirely from cache: zero additional cold runs.
         from repro.experiments import figures
         from repro.models import zoo
 
@@ -354,7 +341,8 @@ class TestRunMany:
         for name in ("wa", "wb"):
             runner.register_network(_tiny(name))
         mixes = [("wa", "wa"), ("wa", "wb")]
-        runner.run_many(figures.sharing_sweep_specs(runner, 2, mixes), jobs=1)
+        plan = figures.sharing_sweep_specs(runner, mixes)
+        runner.run_many(plan.values(), jobs=1)
         executed = runner.runs_executed
         data = figures.fig4_dual_performance(runner, mixes)
         assert runner.runs_executed == executed
@@ -399,18 +387,20 @@ class TestRunMany:
         reason="parallel speedup needs at least two CPUs",
     )
     def test_parallel_beats_serial_on_cold_cache(self, tmp_path):
-        # Heavy enough that per-run simulation dwarfs pool startup.
+        # Heavy enough that per-run simulation dwarfs pool startup.  One
+        # worker per CPU (up to 4): more would only oversubscribe them.
         dims = (512, 512, 512)
+        jobs = min(4, len(os.sched_getaffinity(0)))
         serial = ExperimentRunner(cache_dir=tmp_path / "serial")
         begin = time.monotonic()
         serial_results = serial.run_many(_sweep_specs(serial, dims), jobs=1)
         serial_elapsed = time.monotonic() - begin
         parallel = ExperimentRunner(cache_dir=tmp_path / "parallel")
         begin = time.monotonic()
-        parallel_results = parallel.run_many(_sweep_specs(parallel, dims), jobs=4)
+        parallel_results = parallel.run_many(_sweep_specs(parallel, dims), jobs=jobs)
         parallel_elapsed = time.monotonic() - begin
         assert parallel_results == serial_results
         assert parallel_elapsed < serial_elapsed * 0.8, (
-            f"jobs=4 took {parallel_elapsed:.2f}s vs "
+            f"jobs={jobs} took {parallel_elapsed:.2f}s vs "
             f"serial {serial_elapsed:.2f}s on a cold 8-run sweep"
         )
