@@ -17,9 +17,10 @@ mechanical work, not changed results.
 A separate top-level ``sweep`` block benchmarks the compile/replay
 split at sweep scale (many specs, few distinct frontends): compile-phase
 wall clock with the trace cache off/cold/warm, plus transparent
-end-to-end sweep times.  It is refreshed every run and has no
-baseline/current split — the no-cache mode measured alongside *is* the
-baseline.
+end-to-end sweep times, plus the memory the memoized traces hold per
+DRAM run (``memo_bytes_per_run``, from ``tracemalloc``).  It is
+refreshed every run and has no baseline/current split — the no-cache
+mode measured alongside *is* the baseline.
 
 Usage::
 
@@ -33,11 +34,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import platform
 import shutil
 import tempfile
 import time
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -195,6 +198,30 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
+def memo_footprint(trace_dir: Path, frontends: list) -> tuple[int, int]:
+    """``(runs, bytes)`` the trace memo holds once ``frontends`` are loaded.
+
+    A fresh :class:`TraceCache` memoizes every frontend from the shards in
+    ``trace_dir`` under ``tracemalloc``; the bytes still held afterwards
+    are the memo's cost, and runs are counted once per distinct trace.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = tracecache.TraceCache(trace_dir)
+        traces = {
+            trace.fingerprint: trace
+            for trace in (cache.get(network, arch) for network, arch in frontends)
+        }
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    runs = sum(trace.object_cost - trace.num_tiles for trace in traces.values())
+    return runs, held
+
+
 def measure_sweep(repeats: int) -> dict:
     """Benchmark the sweep's compile phase and end-to-end wall clock.
 
@@ -213,6 +240,10 @@ def measure_sweep(repeats: int) -> dict:
     event-driven replay dominates end-to-end time, so this speedup is
     modest by construction — it is recorded so the frontend numbers
     cannot be mistaken for whole-run gains.
+
+    ``memo_runs`` / ``memo_bytes_per_run``: the DRAM runs the trace memo
+    holds after the cached sweep and the bytes it spends per run (see
+    :func:`memo_footprint`).
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -268,6 +299,7 @@ def measure_sweep(repeats: int) -> dict:
         e2e_warm, warm_stats = run_sweep(
             "warm", enabled=True, seed_traces=(tmp / "e2e-cold" / "traces")
         )
+        memo_runs, memo_bytes = memo_footprint(tmp / "e2e-warm" / "traces", frontends)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -315,6 +347,8 @@ def measure_sweep(repeats: int) -> dict:
             "speedup_warm_vs_no_cache": round(e2e_no_cache / e2e_warm, 3),
         },
         "trace_cache_stats": warm_stats.summary() if warm_stats else None,
+        "memo_runs": memo_runs,
+        "memo_bytes_per_run": round(memo_bytes / memo_runs, 2),
     }
 
 
@@ -377,7 +411,8 @@ def main(argv: list[str] | None = None) -> int:
         f"({frontend['speedup_warm_disk_vs_no_cache']}x); "
         f"end-to-end {end_to_end['no_cache_seconds']:.2f}s -> "
         f"{end_to_end['warm_seconds']:.2f}s warm "
-        f"({end_to_end['speedup_warm_vs_no_cache']}x)"
+        f"({end_to_end['speedup_warm_vs_no_cache']}x); "
+        f"memo {sweep['memo_runs']} runs at {sweep['memo_bytes_per_run']} B/run"
     )
     for name, entry in replay_modes.items():
         per_mode = ", ".join(

@@ -12,7 +12,7 @@ from repro.compute.systolic import (
     ws_pass_cycles,
 )
 from repro.compute.tiling import Tile, TileShape, choose_tile_shape, tiles_for_gemm
-from repro.compute.requestgen import RequestGenerator, Run, TileTraffic
+from repro.compute.requestgen import RequestGenerator, TileTraffic
 from repro.compute.tracecache import (
     CompiledTrace,
     TraceCache,
@@ -34,7 +34,6 @@ __all__ = [
     "choose_tile_shape",
     "tiles_for_gemm",
     "RequestGenerator",
-    "Run",
     "TileTraffic",
     "CompiledTrace",
     "TraceCache",

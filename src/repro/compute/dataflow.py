@@ -12,7 +12,8 @@ actually makes on a systolic array —
 * **compute-cycle model** (:meth:`DataflowEngine.estimate`): how many
   array cycles one ``(m, k, n)`` tile costs.
 
-Every engine produces the same per-tile artifacts — ``Run`` lists and
+Every engine produces the same per-tile artifacts — flat ``(addr,
+count)`` run arrays and
 :class:`~repro.compute.systolic.ComputeEstimate` objects flowing through
 :class:`~repro.compute.requestgen.RequestGenerator` into the
 ``CompiledTrace`` path — so the event-loop replay side is completely

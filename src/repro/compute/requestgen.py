@@ -8,14 +8,18 @@ requests against the contended memory system.
 Virtual layout: each layer's three operands get their own page-aligned
 regions, allocated sequentially in the core's virtual address space (the
 artifact's ``intermediate_config`` performs the equivalent "absolute
-address translation").  Requests are emitted as :class:`Run` objects —
-``count`` back-to-back transactions from ``addr`` — which the DMA expands
-lazily; rows that are contiguous in DRAM are merged into single runs, as
-a real DMA descriptor would.
+address translation").  Each tile's reads and its write-back are emitted
+as one flat ``array('q')`` of interleaved ``(addr, count)`` pairs — a
+*run* is ``count`` back-to-back transactions from ``addr`` — which the
+DMA expands lazily; rows that are contiguous in DRAM are merged into
+single runs, as a real DMA descriptor would.  A run is a write exactly
+when it sits on the tile's ``writes`` side, so no per-run flag is kept.
+The arrays are immutable by contract: no consumer may mutate them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -41,54 +45,29 @@ _HASH_MULT = 0x9E3779B1
 
 
 @dataclass(frozen=True)
-class Run:
-    """``count`` consecutive DRAM transactions starting at ``addr``."""
-
-    addr: int
-    count: int
-    write: bool
-
-    def __post_init__(self) -> None:
-        if self.addr < 0 or self.count <= 0:
-            raise ValueError("run needs a non-negative address and positive count")
-
-    @classmethod
-    def _unchecked(cls, addr: int, count: int, write: bool) -> "Run":
-        """Construct without ``__post_init__`` validation.
-
-        Millions of runs are built per compile, all satisfying the
-        generator's layout invariants by construction (non-negative
-        region bases, positive tile extents, positive transaction size —
-        validated once in :meth:`RequestGenerator.__init__`), so the
-        per-instance checks stay on the public constructor for external
-        callers only.
-        """
-        run = object.__new__(cls)
-        object.__setattr__(run, "addr", addr)
-        object.__setattr__(run, "count", count)
-        object.__setattr__(run, "write", write)
-        return run
-
-
-@dataclass(frozen=True)
 class TileTraffic:
-    """Everything the HW simulator needs to execute one tile."""
+    """Everything the HW simulator needs to execute one tile.
+
+    ``reads`` and ``writes`` are flat ``(addr, count)`` pair arrays; they
+    are shared by every replay of a compiled trace and must not be
+    mutated.
+    """
 
     layer_index: int
     tile: Tile
-    reads: tuple[Run, ...]
-    writes: tuple[Run, ...]
+    reads: array
+    writes: array
     compute: ComputeEstimate
 
     @property
     def read_txns(self) -> int:
         """Total read transactions of this tile."""
-        return sum(run.count for run in self.reads)
+        return sum(self.reads[1::2])
 
     @property
     def write_txns(self) -> int:
         """Total write transactions of this tile."""
-        return sum(run.count for run in self.writes)
+        return sum(self.writes[1::2])
 
 
 @dataclass(frozen=True)
@@ -116,11 +95,10 @@ class RequestGenerator:
     """
 
     def __init__(self, network: Network, arch: ArchConfig, va_base: int = 0) -> None:
-        # Boundary validation: everything a Run's own checks would verify
-        # is implied by these invariants plus the layout construction
+        # Boundary validation: every emitted run has ``addr >= 0`` and
+        # ``count > 0`` by these invariants plus the layout construction
         # below (bases start at the aligned va_base and only grow, tile
-        # extents are positive), so the hot path builds runs through
-        # Run._unchecked.
+        # extents are positive), so the hot path appends pairs unchecked.
         if va_base < 0:
             raise ValueError("virtual base cannot be negative")
         if arch.dram_transaction_bytes <= 0 or arch.element_bytes <= 0:
@@ -219,40 +197,29 @@ class RequestGenerator:
         layout = self._layouts[layer_index]
         gemm = layout.gemm
         for tile in self._engine.tiles(gemm, layout.shape):
-            reads: list[Run] = []
+            reads = array("q")
             # A tile: rows m0..m0+tm, columns k0..k0+tk of an M x K matrix.
-            reads.extend(
-                self._matrix_runs(
-                    layout.a_base, gemm.k,
-                    tile.m0, tile.tm, tile.k0, tile.tk, write=False,
-                )
+            self._matrix_runs(
+                reads, layout.a_base, gemm.k, tile.m0, tile.tm, tile.k0, tile.tk
             )
             # B tile: rows k0..k0+tk, columns n0..n0+tn of a K x N matrix
             # (or, for gathers, tk scattered table rows).
             if gemm.b_scatter:
-                reads.extend(
-                    self._scatter_runs(layout, tile.k0, tile.tk, tile.tn)
-                )
+                self._scatter_runs(reads, layout, tile.k0, tile.tk, tile.tn)
             else:
-                reads.extend(
-                    self._matrix_runs(
-                        layout.b_base, gemm.n,
-                        tile.k0, tile.tk, tile.n0, tile.tn, write=False,
-                    )
+                self._matrix_runs(
+                    reads, layout.b_base, gemm.n, tile.k0, tile.tk, tile.n0, tile.tn
                 )
-            writes: tuple[Run, ...] = ()
+            writes = array("q")
             if tile.last_k:
                 # C tile: rows m0..m0+tm, columns n0..n0+tn of an M x N matrix.
-                writes = tuple(
-                    self._matrix_runs(
-                        layout.c_base, gemm.n,
-                        tile.m0, tile.tm, tile.n0, tile.tn, write=True,
-                    )
+                self._matrix_runs(
+                    writes, layout.c_base, gemm.n, tile.m0, tile.tm, tile.n0, tile.tn
                 )
             yield TileTraffic(
                 layer_index=layer_index,
                 tile=tile,
-                reads=tuple(reads),
+                reads=reads,
                 writes=writes,
                 compute=self._engine.estimate(self.arch, tile.tm, tile.tk, tile.tn),
             )
@@ -264,45 +231,38 @@ class RequestGenerator:
 
     def _matrix_runs(
         self,
+        out: array,
         base: int,
         row_len: int,
         row0: int,
         nrows: int,
         col0: int,
         ncols: int,
-        *,
-        write: bool,
-    ) -> Iterator[Run]:
-        """Runs covering a ``nrows x ncols`` sub-matrix of a row-major matrix."""
+    ) -> None:
+        """Append runs covering a ``nrows x ncols`` sub-matrix of a row-major matrix."""
         elem = self._elem
         if ncols == row_len:
             # Full-width rows are contiguous in memory: one merged run.
-            yield self._byte_run(
-                base + row0 * row_len * elem, nrows * row_len * elem, write
-            )
+            self._byte_run(out, base + row0 * row_len * elem, nrows * row_len * elem)
             return
         for row in range(row0, row0 + nrows):
             start = base + (row * row_len + col0) * elem
-            yield self._byte_run(start, ncols * elem, write)
+            self._byte_run(out, start, ncols * elem)
 
     def _scatter_runs(
-        self, layout: _LayerLayout, row0: int, nrows: int, ncols: int
-    ) -> Iterator[Run]:
-        """One run per gathered row, hashed across the table region."""
+        self, out: array, layout: _LayerLayout, row0: int, nrows: int, ncols: int
+    ) -> None:
+        """Append one run per gathered row, hashed across the table region."""
         row_bytes = ncols * self._elem
         slots = max(1, layout.b_scatter_span // self._txn)
         for row in range(row0, row0 + nrows):
             slot = (row * _HASH_MULT) % slots
-            yield self._byte_run(layout.b_base + slot * self._txn, row_bytes, False)
+            self._byte_run(out, layout.b_base + slot * self._txn, row_bytes)
 
-    def _byte_run(self, start: int, nbytes: int, write: bool) -> Run:
-        """A transaction-aligned run covering ``[start, start+nbytes)``.
-
-        ``start >= 0`` and ``nbytes > 0`` hold by construction (invariants
-        checked once in ``__init__``), so this uses the unchecked
-        constructor.
-        """
+    def _byte_run(self, out: array, start: int, nbytes: int) -> None:
+        """Append the transaction-aligned run covering ``[start, start+nbytes)``."""
         txn = self._txn
         first = start - (start % txn)
         last = _align_up(start + nbytes, txn)
-        return Run._unchecked(first, (last - first) // txn, write)
+        out.append(first)
+        out.append((last - first) // txn)

@@ -8,9 +8,9 @@ reproduction:
 
 * **Compile** — :func:`compile_trace` lowers one ``(Network,
   ArchConfig)`` pair through the full SW stack (im2col → GEMM → tiling →
-  run-list generation → systolic timing) into an immutable
-  :class:`CompiledTrace`: every layer's tile sequence with its
-  :class:`~repro.compute.requestgen.Run` lists and
+  run generation → systolic timing) into an immutable
+  :class:`CompiledTrace`: every layer's tile sequence with its flat
+  ``(addr, count)`` read and write run arrays and
   :class:`~repro.compute.systolic.ComputeEstimate`, plus the pre-run
   summary statistics.
 * **Replay** — :class:`~repro.core.npu_core.NpuCore` consumes any
@@ -27,8 +27,8 @@ and the *traffic-affecting* arch fields only — memory-side sweeps
 (bandwidth partitions, page sizes, TLB/PTW splits, DRAM timing) share
 one compiled frontend across every configuration they try:
 
-1. an in-process LRU memo bounded by total object count
-   (:data:`MEMO_MAX_OBJECTS`, the budget that used to live inside
+1. an in-process LRU memo bounded by total object count, tiles plus
+   runs (:data:`MEMO_MAX_OBJECTS`, the budget that used to live inside
    ``RequestGenerator``), and
 2. an on-disk shard store (``.repro_cache/traces/`` by default) reusing
    the crash-safe machinery of :mod:`repro.storage`: atomic tmp+rename
@@ -51,13 +51,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Protocol, Union
 
 from repro.compute.dataflow import get_engine
-from repro.compute.requestgen import RequestGenerator, Run, TileTraffic
+from repro.compute.requestgen import RequestGenerator, TileTraffic
 from repro.compute.systolic import ComputeEstimate
 from repro.compute.tiling import Tile
 from repro.config.arch import ArchConfig
@@ -161,9 +162,10 @@ class CompiledTrace:
     """One frontend, fully lowered: the immutable compile-phase artifact.
 
     Replaying a compiled trace is indistinguishable from re-running the
-    request generator (all objects are frozen and generation is
-    deterministic); ``all_tiles()`` hands the replay loop prebuilt
-    :class:`TileTraffic` tuples instead of re-deriving them.
+    request generator (tiles are frozen, run arrays are never mutated,
+    and generation is deterministic); ``all_tiles()`` hands the replay
+    loop prebuilt :class:`TileTraffic` tuples instead of re-deriving
+    them.
     """
 
     fingerprint: str
@@ -198,9 +200,12 @@ class CompiledTrace:
 
 
 def _trace_cost(layers: list[tuple[TileTraffic, ...]]) -> int:
-    """Objects (tiles + runs) a materialized trace holds."""
+    """Objects (tiles + runs) a materialized trace holds.
+
+    Each run is one ``(addr, count)`` pair, two array slots.
+    """
     return sum(
-        1 + len(tile.reads) + len(tile.writes)
+        1 + (len(tile.reads) + len(tile.writes)) // 2
         for layer in layers
         for tile in layer
     )
@@ -286,8 +291,8 @@ def encode_trace(trace: CompiledTrace) -> bytes:
             [
                 [t.m0, t.n0, t.k0, t.tm, t.tn, t.tk,
                  int(t.first_k), int(t.last_k)],
-                [[run.addr, run.count] for run in tile.reads],
-                [[run.addr, run.count] for run in tile.writes],
+                _pairs(tile.reads),
+                _pairs(tile.writes),
                 [tile.compute.cycles, tile.compute.macs,
                  tile.compute.pe_utilization],
             ]
@@ -305,6 +310,20 @@ def encode_trace(trace: CompiledTrace) -> bytes:
         "layers": layers,
     }
     return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+
+
+def _pairs(runs: array) -> list[tuple[int, int]]:
+    """A flat run array as the shard's ``[[addr, count], ...]`` list."""
+    return list(zip(runs[0::2], runs[1::2]))
+
+
+def _flatten(pairs: list) -> array:
+    """The shard's ``[[addr, count], ...]`` list as a flat run array."""
+    runs = array("q")
+    for addr, count in pairs:
+        runs.append(addr)
+        runs.append(count)
+    return runs
 
 
 def decode_trace(
@@ -340,14 +359,8 @@ def decode_trace(
                             m0=m0, n0=n0, k0=k0, tm=tm, tn=tn, tk=tk,
                             first_k=bool(first_k), last_k=bool(last_k),
                         ),
-                        reads=tuple(
-                            Run._unchecked(addr, count, False)
-                            for addr, count in reads
-                        ),
-                        writes=tuple(
-                            Run._unchecked(addr, count, True)
-                            for addr, count in writes
-                        ),
+                        reads=_flatten(reads),
+                        writes=_flatten(writes),
                         compute=ComputeEstimate(
                             cycles=compute[0], macs=compute[1],
                             pe_utilization=compute[2],
@@ -363,7 +376,7 @@ def decode_trace(
             stats=payload["summary"],
             object_cost=_trace_cost(layers),
         )
-    except (KeyError, TypeError, ValueError, IndexError):
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
         return None, "malformed trace payload"
     return trace, None
 

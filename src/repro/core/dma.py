@@ -1,7 +1,9 @@
 """The per-core DMA engine moving tiles between SPM and off-chip memory.
 
 Each core owns a private DMA engine (paper Figure 1).  A *transfer* is
-one tile-phase burst (the read runs of a tile, or its write-back runs).
+one tile-phase burst: the read runs of a tile (:meth:`DmaEngine.transfer`)
+or its write-back runs (:meth:`DmaEngine.write_back`), each a flat
+``(addr, count)`` pair array whose direction is the burst's, not the run's.
 The engine expands runs into DRAM-transaction-sized requests, translates
 each through the MMU, and paces issue at the core's DMA width with a
 bounded in-flight window — the mechanism that turns tile loads into the
@@ -10,13 +12,11 @@ bursty request trains of Figure 2(b).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from typing import TYPE_CHECKING
-
-from repro.compute.requestgen import Run
 from repro.core.clock import ClockDomain
 from repro.core.engine import Engine
 from repro.dram.controller import DramController
@@ -100,12 +100,23 @@ class DmaEngine:
 
     # ------------------------------------------------------------------ #
 
-    def transfer(self, runs: tuple[Run, ...], on_complete: Callable[[], None]) -> None:
-        """Start a burst covering ``runs``; ``on_complete`` fires when all land."""
+    def transfer(self, runs: array, on_complete: Callable[[], None]) -> None:
+        """Start a load burst reading ``runs``; ``on_complete`` fires when all land.
+
+        ``runs`` is a flat ``(addr, count)`` pair array, read but never
+        mutated.
+        """
+        self._start(runs, False, on_complete)
+
+    def write_back(self, runs: array, on_complete: Callable[[], None]) -> None:
+        """Start a write-back burst writing ``runs``; see :meth:`transfer`."""
+        self._start(runs, True, on_complete)
+
+    def _start(self, runs: array, write: bool, on_complete: Callable[[], None]) -> None:
         if not runs:
             self.engine.after(0, on_complete)
             return
-        transfer = _Transfer(self._expand(runs), on_complete)
+        transfer = _Transfer(self._expand(runs, write), on_complete)
         transfer.complete = lambda: self._complete(transfer)
         self._active.append(transfer)
         self._schedule_pump(max(self.engine.now, self._next_issue_at))
@@ -142,11 +153,11 @@ class DmaEngine:
 
     # ------------------------------------------------------------------ #
 
-    def _expand(self, runs: tuple[Run, ...]) -> Iterator[tuple[int, bool]]:
+    def _expand(self, runs: array, write: bool) -> Iterator[tuple[int, bool]]:
         txn = self.transaction_bytes
-        for run in runs:
-            for index in range(run.count):
-                yield run.addr + index * txn, run.write
+        for addr, count in zip(runs[0::2], runs[1::2]):
+            for index in range(count):
+                yield addr + index * txn, write
 
     def _schedule_pump(self, time: int) -> None:
         if self._pump_scheduled:

@@ -206,12 +206,12 @@ class NpuCore:
         if tile.writes:
             self._outstanding_writes += 1
             if self._timeline is None:
-                self.dma.transfer(
+                self.dma.write_back(
                     tile.writes,
                     lambda layer=tile.layer_index: self._write_done(layer),
                 )
             else:
-                self.dma.transfer(
+                self.dma.write_back(
                     tile.writes,
                     lambda layer=tile.layer_index, start=self.engine.now: (
                         self._write_done_observed(layer, start)

@@ -23,8 +23,9 @@ Exclusivity is decided statically per core by :func:`plan_replay`:
   same-tick cross-core ordering significant).
 
 Under those conditions the owned subsystem interacts with the rest of
-the simulation through exactly two channels: the core calling
-``transfer()`` (always at real ``engine.now``) and the governor firing
+the simulation through exactly two channels: the core starting a burst
+(``transfer()`` or ``write_back()``, always at real ``engine.now``) and
+the governor firing
 ``on_complete`` (pinned to real ``engine.now`` below).  Everything in
 between — pump, kick, refresh, per-burst completion bookkeeping —
 mutates owned state only, so the governor may retire it at *virtual*
@@ -87,10 +88,10 @@ and the differential harness holds it to that.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.compute.requestgen import Run
 from repro.core.dma import DmaEngine
 from repro.dram.channel import Channel, DramRequest
 
@@ -196,7 +197,7 @@ class _VTransfer:
 
     __slots__ = (
         "addr", "write", "chan", "bank", "row",
-        "chan_np", "bank_np", "row_np", "write_np",
+        "chan_np", "bank_np", "row_np",
         "count", "pos", "outstanding", "issued_all", "on_complete",
     )
 
@@ -258,23 +259,22 @@ class TurboDma(DmaEngine):
     # Materialization: expand + translate + decompose, vectorized.
 
     def _materialize(
-        self, runs: tuple[Run, ...], on_complete: Callable[[], None]
+        self, runs: array, write: bool, on_complete: Callable[[], None]
     ) -> _VTransfer:
         import numpy as np
 
         txn = self.transaction_bytes
         # Expand runs without a per-run Python loop (tile streams can
         # carry thousands of short runs): global arange minus each run's
-        # start offset gives the within-run index.
-        nruns = len(runs)
-        counts = np.fromiter((run.count for run in runs), np.int64, count=nruns)
-        starts = np.fromiter((run.addr for run in runs), np.int64, count=nruns)
-        flags = np.fromiter((run.write for run in runs), bool, count=nruns)
+        # start offset gives the within-run index.  The pair array is
+        # viewed in place, never copied or written.
+        pairs = np.frombuffer(runs, np.int64)
+        starts = pairs[0::2]
+        counts = pairs[1::2]
         total = int(counts.sum())
         ends = np.cumsum(counts)
         within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
         vaddr = np.repeat(starts, counts) + txn * within
-        write = np.repeat(flags, counts)
         # Translation: whole-transfer-eager is the same first-touch order
         # as the lazy per-issue path because issue is strictly FIFO across
         # transfers and each transfer is fully translated at call time.
@@ -317,25 +317,24 @@ class TurboDma(DmaEngine):
         rec.chan_np = channel
         rec.bank_np = bank
         rec.row_np = row
-        rec.write_np = write
         # Python-int lists for the hot scalar path: request fields and
         # stats must stay plain ints (numpy scalars would leak into the
         # serialized results).
         rec.addr = paddr.tolist()
-        rec.write = write.tolist()
+        rec.write = write
         rec.chan = channel.tolist()
         rec.bank = bank.tolist()
         rec.row = row.tolist()
         return rec
 
     # ------------------------------------------------------------------ #
-    # The public DmaEngine surface.
+    # The DmaEngine surface (``transfer`` and ``write_back`` start here).
 
-    def transfer(self, runs: tuple[Run, ...], on_complete: Callable[[], None]) -> None:
+    def _start(self, runs: array, write: bool, on_complete: Callable[[], None]) -> None:
         if not runs:
             self.engine.after(0, on_complete)
             return
-        rec = self._materialize(runs, on_complete)
+        rec = self._materialize(runs, write, on_complete)
         self._active.append(rec)
         now = self.engine.now
         # Mirror of ``_schedule_pump(max(now, _next_issue_at))``.
@@ -487,7 +486,7 @@ class TurboDma(DmaEngine):
         rec.outstanding += 1
         self._outstanding += 1
         stats = self.stats
-        write = rec.write[index]
+        write = rec.write
         if write:
             stats.write_txns += 1
         else:
@@ -683,13 +682,13 @@ class TurboDma(DmaEngine):
         bus_slack = (m - 1) * burst  # bus_free_j - t_j, constant in-block
         bank_list = rec.bank
         row_list = rec.row
-        write_list = rec.write
+        # A transfer is all reads or all writes: one column-ready step.
+        col_step = tCCD + tWR if rec.write else tCCD
         i = rec.pos
         stop = i + k
         t_j = t
         hits = 0
         misses = 0
-        writes = 0
         while i < stop:
             bank = banks[bank_list[i]]
             row = row_list[i]
@@ -719,11 +718,7 @@ class TurboDma(DmaEngine):
                 bank.act_at = act_at
                 bank.open_row = row
                 misses += 1
-            if write_list[i]:
-                writes += 1
-                bank.col_ready_at = col_ready + tCCD + tWR
-            else:
-                bank.col_ready_at = col_ready + tCCD
+            bank.col_ready_at = col_ready + col_step
             i += 1
             t_j += burst
         n = i - rec.pos
@@ -732,6 +727,7 @@ class TurboDma(DmaEngine):
         # Commit: n completes retired, n transactions issued; outstanding
         # and the in-flight ladder shape are unchanged, shifted n bursts.
         rec.pos = i
+        writes = n if rec.write else 0
         end = t + burst * n
         self._next_issue_at = end - burst + gap
         stats = self.stats

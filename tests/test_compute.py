@@ -1,9 +1,11 @@
 """Unit tests for the systolic timing model, tiling, and request generation."""
 
+from array import array
+
 import pytest
 
-from repro.compute.dataflow import get_engine
-from repro.compute.requestgen import RequestGenerator, Run
+from repro.compute.dataflow import get_engine, registered_dataflows
+from repro.compute.requestgen import RequestGenerator
 from repro.compute.systolic import os_pass_cycles
 from repro.compute.tiling import (
     TileShape,
@@ -12,6 +14,8 @@ from repro.compute.tiling import (
     tiles_for_gemm,
 )
 from repro.config.arch import ArchConfig
+from repro.experiments.spec import RunSpec
+from repro.models import zoo
 from repro.models.layers import DenseLayer, EmbeddingLayer, GemmOp, Network
 
 ARCH = ArchConfig(
@@ -115,15 +119,30 @@ class TestTilesForGemm:
         assert all(t.tk in (4, 1) for t in tiles)
 
 
+def _pairs(runs):
+    """The ``(addr, count)`` pairs of a flat run array."""
+    return list(zip(runs[0::2], runs[1::2]))
+
+
 class TestRequestGenerator:
     def _gen(self, layers, arch=ARCH):
         return RequestGenerator(Network("n", tuple(layers)), arch)
 
-    def test_run_validation(self):
-        with pytest.raises(ValueError):
-            Run(addr=-1, count=1, write=False)
-        with pytest.raises(ValueError):
-            Run(addr=0, count=0, write=False)
+    @pytest.mark.parametrize("dataflow", registered_dataflows())
+    @pytest.mark.parametrize("model", zoo.NAMES)
+    def test_every_emitted_run_is_valid(self, model, dataflow):
+        # The generator builds runs unchecked; its layout invariants must
+        # give every pair a non-negative, transaction-aligned address and
+        # a positive count, for every zoo model under every dataflow.
+        spec = RunSpec.solo(model, dataflow=dataflow)
+        ((name, arch),) = spec.frontends()
+        txn = arch.dram_transaction_bytes
+        for traffic in RequestGenerator(zoo.get(name, spec.scale), arch).all_tiles():
+            for runs in (traffic.reads, traffic.writes):
+                assert isinstance(runs, array) and runs.typecode == "q"
+                assert len(runs) % 2 == 0
+                for addr, count in _pairs(runs):
+                    assert addr >= 0 and count > 0 and addr % txn == 0
 
     def test_traffic_covers_operands(self):
         gen = self._gen([DenseLayer("a", 16, 16, 16)])
@@ -147,8 +166,8 @@ class TestRequestGenerator:
     def test_addresses_transaction_aligned(self):
         gen = self._gen([DenseLayer("a", 33, 70, 9)])
         for traffic in gen.all_tiles():
-            for run in traffic.reads + traffic.writes:
-                assert run.addr % 64 == 0
+            for addr, _ in _pairs(traffic.reads + traffic.writes):
+                assert addr % 64 == 0
 
     def test_layer_regions_do_not_overlap(self):
         gen = self._gen(
@@ -156,14 +175,14 @@ class TestRequestGenerator:
         )
         tiles = list(gen.all_tiles())
         layer0 = {
-            run.addr
+            addr
             for t in tiles if t.layer_index == 0
-            for run in t.reads + t.writes
+            for addr, _ in _pairs(t.reads + t.writes)
         }
         layer1 = {
-            run.addr
+            addr
             for t in tiles if t.layer_index == 1
-            for run in t.reads + t.writes
+            for addr, _ in _pairs(t.reads + t.writes)
         }
         assert not layer0 & layer1
 
@@ -181,9 +200,9 @@ class TestRequestGenerator:
         emb = EmbeddingLayer("e", lookups=8, dim=64, batch=16)
         gen = self._gen([emb])
         addrs = {
-            run.addr
+            addr
             for t in gen.all_tiles()
-            for run in t.reads
+            for addr, _ in _pairs(t.reads)
         }
         gemm = emb.to_gemm()
         contiguous_span = gemm.k * gemm.n  # bytes if packed
@@ -198,8 +217,8 @@ class TestRequestGenerator:
     def test_deterministic(self):
         gen1 = self._gen([DenseLayer("a", 64, 64, 64)])
         gen2 = self._gen([DenseLayer("a", 64, 64, 64)])
-        runs1 = [run for t in gen1.all_tiles() for run in t.reads + t.writes]
-        runs2 = [run for t in gen2.all_tiles() for run in t.reads + t.writes]
+        runs1 = [(t.reads, t.writes) for t in gen1.all_tiles()]
+        runs2 = [(t.reads, t.writes) for t in gen2.all_tiles()]
         assert runs1 == runs2
 
 

@@ -5,7 +5,11 @@ planner's precompile step."""
 from __future__ import annotations
 
 import dataclasses
+import gc
+import hashlib
+import json
 import os
+import tracemalloc
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.compute import tracecache
-from repro.compute.requestgen import RequestGenerator, Run
+from repro.compute.requestgen import RequestGenerator
 from repro.compute.tracecache import (
     CompiledTrace,
     TraceCache,
@@ -261,22 +265,77 @@ class TestTraceCache:
 
 
 # ---------------------------------------------------------------------- #
-# The unchecked Run construction path
+# Shard format and trace memory
 # ---------------------------------------------------------------------- #
 
+#: The eight Table 1 workloads, in the order their shards are hashed.
+SHARD_MODELS = ("res", "yt", "alex", "sfrnn", "ds2", "dlrm", "ncf", "gpt2")
 
-class TestRunValidation:
-    def test_public_constructor_still_validates(self):
-        with pytest.raises(ValueError):
-            Run(addr=-1, count=1, write=False)
-        with pytest.raises(ValueError):
-            Run(addr=0, count=0, write=False)
+#: sha256 over the encoded mini solo frontends of SHARD_MODELS, in order.
+#: A change here means existing ``traces/`` shards no longer match what
+#: a fresh compile writes: bump TRACE_VERSION instead of re-pinning.
+SHARD_SHA256 = "d1bbc63cd383602d8c516916cdcc51f81478b82b2e5d2d917a918c1e360b83cf"
 
-    def test_unchecked_path_skips_validation_but_matches(self):
-        checked = Run(addr=64, count=3, write=True)
-        assert Run._unchecked(64, 3, True) == checked
-        # The internal path must not pay __post_init__ (it would raise here).
-        assert Run._unchecked(-1, 0, False).addr == -1
+
+def _solo_frontend(model: str):
+    """``(network, arch)`` of ``RunSpec.solo(model)``'s one core."""
+    spec = RunSpec.solo(model)
+    ((name, arch),) = spec.frontends()
+    return zoo.get(name, spec.scale), arch
+
+
+@pytest.fixture(scope="module")
+def solo_traces():
+    return [compile_trace(*_solo_frontend(model)) for model in SHARD_MODELS]
+
+
+class TestShardFormat:
+    def test_encoded_shards_match_pinned_digest(self, solo_traces):
+        digest = hashlib.sha256()
+        for trace in solo_traces:
+            digest.update(encode_trace(trace))
+        assert digest.hexdigest() == SHARD_SHA256
+
+    def test_decode_encode_round_trips_bytes(self, solo_traces):
+        for trace in solo_traces:
+            raw = encode_trace(trace)
+            decoded, reason = decode_trace(raw, trace.fingerprint)
+            assert reason is None
+            assert encode_trace(decoded) == raw
+
+    def test_object_cost_is_tiles_plus_runs(self, solo_traces):
+        for trace in solo_traces:
+            shard = json.loads(encode_trace(trace))
+            tiles = [tile for layer in shard["layers"] for tile in layer]
+            runs = sum(len(reads) + len(writes) for _, reads, writes, _ in tiles)
+            assert trace.object_cost == len(tiles) + runs
+            decoded, _ = decode_trace(encode_trace(trace), trace.fingerprint)
+            assert decoded.object_cost == trace.object_cost
+
+    def test_decode_rejects_non_integer_runs(self, network, arch):
+        trace = compile_trace(network, arch)
+        shard = json.loads(encode_trace(trace))
+        shard["layers"][0][0][1][0][0] = 0.5
+        decoded, reason = decode_trace(json.dumps(shard).encode(), trace.fingerprint)
+        assert decoded is None
+        assert reason == "malformed trace payload"
+
+
+class TestTraceMemory:
+    def test_compiled_runs_cost_at_most_32_bytes_each(self):
+        network, arch = _solo_frontend("sfrnn")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = compile_trace(network, arch)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        runs = trace.object_cost - trace.num_tiles
+        assert runs == 29_046
+        assert held / runs <= 32, f"{held / runs:.1f} B per run"
 
 
 # ---------------------------------------------------------------------- #
