@@ -18,7 +18,8 @@ A separate top-level ``sweep`` block benchmarks the compile/replay
 split at sweep scale (many specs, few distinct frontends): compile-phase
 wall clock with the trace cache off/cold/warm, plus transparent
 end-to-end sweep times, plus the memory the memoized traces hold per
-DRAM run (``memo_bytes_per_run``, from ``tracemalloc``).  It is
+DRAM run (``memo_bytes_per_run``) and the peak memory of encoding them
+as shards (``encode_peak_bytes_per_run``), both from ``tracemalloc``.  It is
 refreshed every run and has no baseline/current split — the no-cache
 mode measured alongside *is* the baseline.
 
@@ -198,12 +199,13 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def memo_footprint(trace_dir: Path, frontends: list) -> tuple[int, int]:
-    """``(runs, bytes)`` the trace memo holds once ``frontends`` are loaded.
+def memo_footprint(trace_dir: Path, frontends: list) -> tuple[list, int]:
+    """The distinct traces the memo holds once ``frontends`` are loaded,
+    and the bytes it spends on them.
 
     A fresh :class:`TraceCache` memoizes every frontend from the shards in
     ``trace_dir`` under ``tracemalloc``; the bytes still held afterwards
-    are the memo's cost, and runs are counted once per distinct trace.
+    are the memo's cost.
     """
     gc.collect()
     tracemalloc.start()
@@ -218,8 +220,26 @@ def memo_footprint(trace_dir: Path, frontends: list) -> tuple[int, int]:
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    runs = sum(trace.object_cost - trace.num_tiles for trace in traces.values())
-    return runs, held
+    return list(traces.values()), held
+
+
+def encode_peak(traces: list) -> int:
+    """Summed ``tracemalloc`` peak of :func:`encode_trace` over ``traces``.
+
+    Each peak is measured above the bytes live before that encode, so it
+    counts the shard payload plus every transient the encoder builds.
+    """
+    total = 0
+    for trace in traces:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracecache.encode_trace(trace)
+            total += tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    return total
 
 
 def measure_sweep(repeats: int) -> dict:
@@ -243,7 +263,9 @@ def measure_sweep(repeats: int) -> dict:
 
     ``memo_runs`` / ``memo_bytes_per_run``: the DRAM runs the trace memo
     holds after the cached sweep and the bytes it spends per run (see
-    :func:`memo_footprint`).
+    :func:`memo_footprint`).  ``encode_peak_bytes_per_run``: the peak
+    memory of writing those traces as shards, summed over the distinct
+    traces and divided by the same runs (see :func:`encode_peak`).
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -299,7 +321,9 @@ def measure_sweep(repeats: int) -> dict:
         e2e_warm, warm_stats = run_sweep(
             "warm", enabled=True, seed_traces=(tmp / "e2e-cold" / "traces")
         )
-        memo_runs, memo_bytes = memo_footprint(tmp / "e2e-warm" / "traces", frontends)
+        memo_traces, memo_bytes = memo_footprint(tmp / "e2e-warm" / "traces", frontends)
+        memo_runs = sum(trace.object_cost - trace.num_tiles for trace in memo_traces)
+        encode_bytes = encode_peak(memo_traces)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -349,6 +373,7 @@ def measure_sweep(repeats: int) -> dict:
         "trace_cache_stats": warm_stats.summary() if warm_stats else None,
         "memo_runs": memo_runs,
         "memo_bytes_per_run": round(memo_bytes / memo_runs, 2),
+        "encode_peak_bytes_per_run": round(encode_bytes / memo_runs, 2),
     }
 
 
@@ -412,7 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         f"end-to-end {end_to_end['no_cache_seconds']:.2f}s -> "
         f"{end_to_end['warm_seconds']:.2f}s warm "
         f"({end_to_end['speedup_warm_vs_no_cache']}x); "
-        f"memo {sweep['memo_runs']} runs at {sweep['memo_bytes_per_run']} B/run"
+        f"memo {sweep['memo_runs']} runs at {sweep['memo_bytes_per_run']} B/run, "
+        f"encode peak {sweep['encode_peak_bytes_per_run']} B/run"
     )
     for name, entry in replay_modes.items():
         per_mode = ", ".join(

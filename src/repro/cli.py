@@ -243,13 +243,17 @@ def _print_cache_summary(runner, quiet: bool) -> None:
             f"(memo {trace.memo_hits}, disk {trace.disk_hits}), "
             f"{trace.compiles} compiled, hit-rate {trace.hit_rate:.2f}"
         )
-    usage = runner.cache_usage()
     print(
-        f"cache: results {outcome.cache_hits}/{outcome.total} cached; "
-        f"{trace_part}; "
-        f"{usage['shards']} shard(s), {human_bytes(usage['bytes'])} on disk",
+        f"cache: results {outcome.cache_hits}/{outcome.total} cached, "
+        f"{_disk_usage(runner.cache_usage())}; "
+        f"{trace_part}, {_disk_usage(runner.trace_usage())}",
         file=sys.stderr,
     )
+
+
+def _disk_usage(usage: dict[str, int]) -> str:
+    """``N shard(s) X on disk`` for one shard store."""
+    return f"{usage['shards']} shard(s) {human_bytes(usage['bytes'])} on disk"
 
 
 def _report_failures(runner) -> int:

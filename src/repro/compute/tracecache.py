@@ -279,42 +279,71 @@ def _summarize(
 # ---------------------------------------------------------------------- #
 
 
+#: Compact JSON text of one value, as every shard has been written.
+_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 def encode_trace(trace: CompiledTrace) -> bytes:
     """Serialize a trace to its compact JSON shard payload.
 
-    Floats survive the round trip exactly (``json`` emits the shortest
-    representation that parses back to the identical double), so a
-    disk-loaded trace replays byte-identically to a fresh compile.
+    The bytes are those of ``json.dumps(payload, separators=(",", ":"),
+    sort_keys=True)`` over the ``[[addr, count], ...]`` rendering of
+    every run array, but that nested list is never built: each tile's
+    text is formatted straight from its flat ``reads``/``writes``
+    arrays and the pieces are joined once, as ASCII bytes.  Only the
+    small non-run values go through ``json``, so floats keep its
+    shortest exact rendering and a disk-loaded trace replays
+    byte-identically to a fresh compile.
     """
-    layers = [
-        [
-            [
-                [t.m0, t.n0, t.k0, t.tm, t.tn, t.tk,
-                 int(t.first_k), int(t.last_k)],
-                _pairs(tile.reads),
-                _pairs(tile.writes),
-                [tile.compute.cycles, tile.compute.macs,
-                 tile.compute.pe_utilization],
-            ]
-            for tile in layer
-            for t in (tile.tile,)
-        ]
-        for layer in trace.layers
+    pieces = [
+        b'{"fingerprint":%b,"footprint":%b,"layers":['
+        % (_ascii(trace.fingerprint), _ascii(trace.memory_footprint_bytes))
     ]
-    payload = {
-        "version": TRACE_VERSION,
-        "fingerprint": trace.fingerprint,
-        "network": trace.network_name,
-        "footprint": trace.memory_footprint_bytes,
-        "summary": trace.stats,
-        "layers": layers,
-    }
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+    for index, layer in enumerate(trace.layers):
+        pieces.append(b",[" if index else b"[")
+        for position, tile in enumerate(layer):
+            if position:
+                pieces.append(b",")
+            pieces.append(_encode_tile(tile))
+        pieces.append(b"]")
+    pieces.append(
+        b'],"network":%b,"summary":%b,"version":%b}'
+        % (
+            _ascii(trace.network_name),
+            _ascii(trace.stats),
+            _ascii(TRACE_VERSION),
+        )
+    )
+    return b"".join(pieces)
 
 
-def _pairs(runs: array) -> list[tuple[int, int]]:
-    """A flat run array as the shard's ``[[addr, count], ...]`` list."""
-    return list(zip(runs[0::2], runs[1::2]))
+def _ascii(value: object) -> bytes:
+    """``value`` as compact JSON bytes (``json`` escapes to ASCII)."""
+    return _json(value).encode("ascii")
+
+
+def _encode_tile(tile: TileTraffic) -> bytes:
+    """One tile's ``[shape, reads, writes, compute]`` JSON text.
+
+    The tile shape and the run arrays hold only ints, which ``%d``
+    renders exactly as ``json`` does; the compute triple carries a
+    float and goes through ``json``.
+    """
+    t = tile.tile
+    c = tile.compute
+    shape = (t.m0, t.n0, t.k0, t.tm, t.tn, t.tk, t.first_k, t.last_k)
+    return b"[[%d,%d,%d,%d,%d,%d,%d,%d],%b,%b,%b]" % (
+        *shape,
+        _encode_runs(tile.reads),
+        _encode_runs(tile.writes),
+        _ascii([c.cycles, c.macs, c.pe_utilization]),
+    )
+
+
+def _encode_runs(runs: array) -> bytes:
+    """A flat run array as the shard's ``[[addr,count],...]`` JSON text."""
+    template = b"[" + b",".join([b"[%d,%d]"] * (len(runs) // 2)) + b"]"
+    return template % tuple(runs)
 
 
 def _flatten(pairs: list) -> array:

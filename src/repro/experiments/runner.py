@@ -780,6 +780,10 @@ class ExperimentRunner:
         """Disk usage of the result store: shards / bytes / quarantined."""
         return self._result_store.usage()
 
+    def trace_usage(self) -> dict[str, int]:
+        """Disk usage of the trace store under :attr:`trace_dir`."""
+        return ShardStore(self.trace_dir).usage()
+
     def cached_payload(self, spec: RunSpec) -> bytes | None:
         """The validated result-shard bytes for ``spec``, or ``None``.
 

@@ -276,6 +276,30 @@ class TestSweepCommand:
         assert "fig16 (scale=mini)" in out and "64KB" in out
 
 
+class TestCacheSummary:
+    def test_results_and_traces_reported_separately(self, tmp_path, capsys):
+        """The post-batch line gives each store its own disk usage."""
+        from repro.obs.profiling import human_bytes
+
+        args = ["figure", "fig16", "--mixes", "1", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("cache: ")
+        ]
+
+        def disk(directory):
+            shards = list(directory.glob("*.json"))
+            size = sum(shard.stat().st_size for shard in shards)
+            return f"{len(shards)} shard(s) {human_bytes(size)} on disk"
+
+        results, traces = line.split("; ")
+        assert results == f"cache: results 0/27 cached, {disk(tmp_path)}"
+        assert traces.startswith("traces 8 distinct: ")
+        assert traces.endswith(f", {disk(tmp_path / 'traces')}")
+
+
 def _count_result_reads(monkeypatch, cache):
     """``shard name -> hits`` of result-shard reads under ``cache``."""
     from collections import Counter

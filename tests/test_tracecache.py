@@ -12,12 +12,18 @@ import os
 import tracemalloc
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compute import tracecache
-from repro.compute.requestgen import RequestGenerator
+from repro.compute.dataflow import registered_dataflows
+from repro.compute.requestgen import RequestGenerator, TileTraffic
+from repro.compute.systolic import ComputeEstimate
+from repro.compute.tiling import Tile
 from repro.compute.tracecache import (
     CompiledTrace,
     TraceCache,
@@ -30,7 +36,7 @@ from repro.compute.tracecache import (
 from repro.config import presets
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.spec import RunSpec
-from repro.models import zoo
+from repro.models import serving, zoo
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -321,6 +327,134 @@ class TestShardFormat:
         assert reason == "malformed trace payload"
 
 
+def reference_encode(trace: CompiledTrace) -> bytes:
+    """The shard bytes as ``json.dumps`` writes them over nested lists.
+
+    This is how ``encode_trace`` built shards before it learned to
+    format them straight from the flat run arrays; the encoder must
+    stay byte-identical to it.
+    """
+
+    def pairs(runs):
+        return list(zip(runs[0::2], runs[1::2]))
+
+    def tile_lists(tile):
+        t, c = tile.tile, tile.compute
+        return [
+            [t.m0, t.n0, t.k0, t.tm, t.tn, t.tk, int(t.first_k), int(t.last_k)],
+            pairs(tile.reads),
+            pairs(tile.writes),
+            [c.cycles, c.macs, c.pe_utilization],
+        ]
+
+    layers = [[tile_lists(tile) for tile in layer] for layer in trace.layers]
+    payload = {
+        "version": tracecache.TRACE_VERSION,
+        "fingerprint": trace.fingerprint,
+        "network": trace.network_name,
+        "footprint": trace.memory_footprint_bytes,
+        "summary": trace.stats,
+        "layers": layers,
+    }
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+
+
+def assert_encodes_like_reference(trace: CompiledTrace) -> None:
+    raw = encode_trace(trace)
+    assert raw == reference_encode(trace)
+    decoded, reason = decode_trace(raw, trace.fingerprint)
+    assert reason is None
+    assert decoded.layers == trace.layers
+    assert decoded.summary() == trace.summary()
+    assert encode_trace(decoded) == raw
+
+
+#: Floats whose shortest JSON rendering is easy to get wrong by hand.
+TRICKY_FLOATS = (5e-324, 0.1, 1 / 3, 1.0)
+
+ints = st.integers(min_value=0, max_value=2**62)
+floats = st.sampled_from(TRICKY_FLOATS) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+run_arrays = st.lists(st.tuples(ints, ints), max_size=6).map(
+    lambda pairs: array("q", [value for pair in pairs for value in pair])
+)
+
+
+@st.composite
+def tile_traffic(draw, layer_index: int):
+    return TileTraffic(
+        layer_index=layer_index,
+        tile=Tile(
+            *draw(st.tuples(*[ints] * 6)),
+            first_k=draw(st.booleans()),
+            last_k=draw(st.booleans()),
+        ),
+        reads=draw(run_arrays),
+        writes=draw(run_arrays),
+        compute=ComputeEstimate(
+            cycles=draw(ints), macs=draw(ints), pe_utilization=draw(floats)
+        ),
+    )
+
+
+@st.composite
+def compiled_traces(draw):
+    layer_count = draw(st.integers(min_value=0, max_value=3))
+    layers = tuple(
+        tuple(draw(st.lists(tile_traffic(index), max_size=3)))
+        for index in range(layer_count)
+    )
+    return CompiledTrace(
+        fingerprint=draw(st.text(max_size=12)),
+        network_name=draw(st.text(max_size=12)),
+        memory_footprint_bytes=draw(ints),
+        layers=layers,
+        stats=draw(st.dictionaries(st.text(max_size=8), floats, max_size=4)),
+    )
+
+
+class TestEncoderMatchesReference:
+    """``encode_trace`` writes exactly the bytes ``json.dumps`` would."""
+
+    @given(compiled_traces())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_traces(self, trace):
+        assert_encodes_like_reference(trace)
+
+    @pytest.mark.parametrize("value", TRICKY_FLOATS)
+    def test_tricky_floats_in_compute_and_summary(self, value):
+        tile = TileTraffic(
+            layer_index=0,
+            tile=Tile(0, 0, 0, 1, 1, 1, True, False),
+            reads=array("q", [2**62, 1]),
+            writes=array("q"),
+            compute=ComputeEstimate(cycles=1, macs=1, pe_utilization=value),
+        )
+        trace = CompiledTrace(
+            fingerprint="os-x",
+            network_name="n",
+            memory_footprint_bytes=0,
+            layers=((tile,), ()),
+            stats={"pe_utilization": value},
+        )
+        assert_encodes_like_reference(trace)
+
+    @pytest.mark.parametrize("dataflow", registered_dataflows())
+    def test_real_frontends_of_every_dataflow(self, dataflow):
+        for model in SHARD_MODELS:
+            network, arch = _solo_frontend(model)
+            arch = dataclasses.replace(arch, dataflow=dataflow)
+            assert_encodes_like_reference(compile_trace(network, arch))
+
+    @pytest.mark.parametrize("phase", serving.PHASES)
+    def test_gpt2_serving_phases(self, phase):
+        network = serving.resolve(f"gpt2:{phase}")
+        assert_encodes_like_reference(
+            compile_trace(network, presets.cloud_arch("mini"))
+        )
+
+
 class TestTraceMemory:
     def test_compiled_runs_cost_at_most_32_bytes_each(self):
         network, arch = _solo_frontend("sfrnn")
@@ -336,6 +470,26 @@ class TestTraceMemory:
         runs = trace.object_cost - trace.num_tiles
         assert runs == 29_046
         assert held / runs <= 32, f"{held / runs:.1f} B per run"
+
+    def test_encode_peak_at_most_64_bytes_per_run(self):
+        """Shards are written from the flat arrays: no per-run objects.
+
+        The JSON itself is about 12.5 B per run; building it through
+        nested ``[addr, count]`` lists peaked near 192 B per run.
+        """
+        trace = compile_trace(*_solo_frontend("sfrnn"))
+        runs = trace.object_cost - trace.num_tiles
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            raw = encode_trace(trace)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(raw) > 0
+        assert peak / runs <= 64, f"{peak / runs:.1f} B per run"
 
 
 # ---------------------------------------------------------------------- #
