@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import signal
 import sys
@@ -768,6 +769,13 @@ def _add_observed_mix_options(parser: argparse.ArgumentParser) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``mnpusim`` console script."""
+    # Everything imported so far lives as long as the process.  Freezing
+    # it keeps the full collection after each spec (``_execute_spec``)
+    # from re-scanning it; pool workers inherit the frozen heap by fork.
+    # Once per process: a later call (tests drive ``main`` repeatedly)
+    # must not pin the garbage that has built up since.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = argparse.ArgumentParser(
         prog="mnpusim", description="Multi-core NPU simulator (mNPUsim reproduction)"
     )

@@ -62,13 +62,9 @@ from repro.compute.requestgen import RequestGenerator, TileTraffic
 from repro.compute.systolic import ComputeEstimate
 from repro.compute.tiling import Tile
 from repro.config.arch import ArchConfig
+from repro.digest import blake2b
 from repro.models.layers import Network
 from repro.storage import ShardStore
-
-try:  # blake2b is the fastest stdlib hash for short payloads
-    from hashlib import blake2b as _fingerprint_hash
-except ImportError:  # pragma: no cover - blake2 ships with CPython
-    from hashlib import sha256 as _fingerprint_hash
 
 #: Bump when the trace shard layout (or trace semantics) changes;
 #: mismatched shards are quarantined and recompiled.
@@ -150,7 +146,7 @@ def frontend_fingerprint(network: Network, arch: ArchConfig) -> str:
         "arch": {name: getattr(arch, name) for name in _TRAFFIC_ARCH_FIELDS},
         "layers": layers,
     }
-    digest = _fingerprint_hash(
+    digest = blake2b(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     )
     tag = "srv-" if network.name.startswith("srv-") else ""

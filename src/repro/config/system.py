@@ -18,7 +18,6 @@ paper's ``Static`` / ``+D`` / ``+DW`` / ``+DWT`` levels (section 4.1.3):
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from repro.config.arch import ArchConfig
 from repro.config.dram import DramConfig
 from repro.config.misc import MiscConfig
 from repro.config.npumem import NpuMemConfig
+from repro.digest import sha256
 
 
 def _round_robin_split(items: int, parts: int) -> tuple[tuple[int, ...], ...]:
@@ -117,4 +117,4 @@ class SystemConfig:
     def cache_key(self) -> str:
         """Stable hash of this configuration, for result caching."""
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()[:20]
+        return sha256(payload.encode()).hexdigest()[:20]

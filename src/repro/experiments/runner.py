@@ -48,6 +48,7 @@ produce byte-identical cache files and results.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import os
@@ -183,12 +184,18 @@ def _execute_spec(
     Deliberately a module-level function of picklable arguments: workers
     reconstruct the simulator purely from the spec plus the network
     topologies, so results cannot depend on parent-process state.
+
+    A finished simulator is a web of reference cycles (engine, channels,
+    callbacks, generators) that only a rare full collection would free,
+    so it is dropped and collected here, before the next spec allocates.
     """
     sim = MultiCoreNPUSim(
         spec.system(), list(networks), stall_window_ticks=stall_window
     )
-    mix_result = sim.run(max_ticks=max_ticks)
-    return [_result_dict(result) for result in mix_result.workloads]
+    rows = [_result_dict(result) for result in sim.run(max_ticks=max_ticks).workloads]
+    del sim
+    gc.collect()
+    return rows
 
 
 def _supervised_execute(

@@ -25,7 +25,6 @@ constructors (which resolve per-scale resource defaults), or with the
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -37,6 +36,7 @@ from repro.config.misc import MiscConfig
 from repro.config.system import SystemConfig
 from repro.core.replay import DEFAULT_REPLAY_MODE, REPLAY_MODES
 from repro.core.sharing import SharingLevel
+from repro.digest import sha256
 from repro.models import serving as serving_module
 from repro.models.serving import ServingParams
 
@@ -383,7 +383,7 @@ class RunSpec:
     def cache_key(self) -> str:
         """Stable content hash of the descriptor (the cache file stem)."""
         payload = json.dumps(self.descriptor(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:24]
+        return sha256(payload.encode()).hexdigest()[:24]
 
     def frontends(self) -> tuple[tuple[str, ArchConfig], ...]:
         """The compile units of this run: one (workload, arch) per core.

@@ -25,12 +25,13 @@ Both on-disk caches — the experiment runner's result shards in
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 from pathlib import Path
 from typing import Any, Callable
+
+from repro.digest import sha256
 
 _LOG = logging.getLogger("repro.storage")
 
@@ -102,7 +103,7 @@ class ShardStore:
         atomic_write_bytes(path, payload)
         atomic_write_bytes(
             checksum_path(path),
-            hashlib.sha256(payload).hexdigest().encode("ascii"),
+            sha256(payload).hexdigest().encode("ascii"),
         )
         return path
 
@@ -119,7 +120,7 @@ class ShardStore:
             expected = checksum_path(self.path(name)).read_text("ascii").strip()
         except OSError:
             return True  # sidecar optional: pre-existing caches lack it
-        return not expected or expected == hashlib.sha256(raw).hexdigest()
+        return not expected or expected == sha256(raw).hexdigest()
 
     def read_validated(
         self,

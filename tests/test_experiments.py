@@ -1,13 +1,18 @@
 """Unit tests for mix enumeration, the cached runner, and reporting."""
 
+import gc
 import json
 
 import pytest
 
+from repro.core.engine import Engine
 from repro.core.sharing import SharingLevel
+from repro.core.simulator import MultiCoreNPUSim
+from repro.dram.channel import Channel
 from repro.experiments.mixes import all_mixes, mix_label, subset_mixes
 from repro.experiments.report import cdf_summary, format_mapping, format_table
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import DEFAULT_MAX_TICKS, ExperimentRunner, _execute_spec
+from repro.experiments.spec import RunSpec
 from repro.models import zoo
 from repro.models.layers import DenseLayer, Network
 
@@ -125,6 +130,24 @@ class TestRunnerCaching:
         assert files
         payload = json.loads(files[0].read_text())
         assert "descriptor" in payload and "results" in payload
+
+    def test_no_simulator_outlives_its_spec(self):
+        # A finished simulator is cyclic garbage; with automatic
+        # collection off, only _execute_spec's own collection frees it.
+        spec = RunSpec.solo("tiny")
+        assert spec.translation
+        gc.disable()
+        try:
+            rows = _execute_spec(spec, [_tiny()], DEFAULT_MAX_TICKS)
+            alive = [
+                type(obj).__name__
+                for obj in gc.get_objects()
+                if isinstance(obj, (MultiCoreNPUSim, Engine, Channel))
+            ]
+        finally:
+            gc.enable()
+        assert rows[0]["workload"] == "tiny" and rows[0]["cycles"] > 0
+        assert alive == []
 
 
 class TestReport:

@@ -4,21 +4,40 @@ Every ``mnpusim`` process pays for what it imports, and most of them are
 short.  numpy is needed only by the vectorized replay kernel
 (``TurboDma``, built under ``--replay-mode batched|auto``) and the
 process-pool machinery only when a pool is actually made (``--jobs N``
-with N > 1, and always under ``mnpusim serve``).  These tests run fresh
-interpreters, because ``sys.modules`` in the pytest process already
-holds whatever earlier tests imported.
+with N > 1, and always under ``mnpusim serve``).  OpenSSL is never
+needed: ``repro.digest`` takes sha256 and blake2b from CPython's builtin
+hash modules, so no simulating process loads ``_hashlib`` or ``_ssl``
+(and with them ``libcrypto``, about 3.6 MB resident).  These tests run
+fresh interpreters, because ``sys.modules`` in the pytest process
+already holds whatever earlier tests imported.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Modules the default (event-mode, in-process) path must never load.
-HEAVY = ("numpy", "concurrent.futures.process", "multiprocessing")
+HEAVY = (
+    "numpy",
+    "concurrent.futures.process",
+    "multiprocessing",
+    "_hashlib",
+    "_ssl",
+)
+
+#: Without a builtin sha256 (``_sha2`` on 3.12+, ``_sha256`` before),
+#: ``repro.digest`` falls back to ``hashlib`` and so loads ``_hashlib``.
+needs_builtin_sha256 = pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="interpreter has no builtin sha256 module",
+)
 
 
 def _python(script: str, cwd: Path) -> str:
@@ -41,10 +60,12 @@ _LOADED = (
 )
 
 
+@needs_builtin_sha256
 def test_cli_import_skips_numpy_and_pool(tmp_path):
     assert json.loads(_python("import repro.cli; " + _LOADED, cwd=tmp_path)) == []
 
 
+@needs_builtin_sha256
 def test_default_run_and_figure_skip_numpy_and_pool(tmp_path):
     arch = tmp_path / "arch.cfg"
     arch.write_text(
