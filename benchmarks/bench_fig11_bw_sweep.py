@@ -7,8 +7,8 @@ from repro.experiments.report import format_table
 from repro.models import zoo
 
 
-def test_fig11_bandwidth_sweep(benchmark, runner):
-    data = run_once(benchmark, lambda: figures.fig11_bandwidth_sweep(runner))
+def test_fig11_bandwidth_sweep(benchmark, ctx, runner):
+    data = run_once(benchmark, lambda: figures.fig11_bandwidth_sweep(ctx, runner))
     counts = data["channel_counts"]
     rows = []
     for name in zoo.NAMES:

@@ -6,10 +6,10 @@ from repro.experiments import figures
 from repro.experiments.report import format_table
 
 
-def test_fig13_ptw_partition_performance(benchmark, runner, dual_mixes):
+def test_fig13_ptw_partition_performance(benchmark, ctx, runner, dual_mixes):
     data = run_once(
         benchmark,
-        lambda: figures.fig13_ptw_partition_performance(runner, dual_mixes),
+        lambda: figures.fig13_ptw_partition_performance(ctx, runner, dual_mixes),
     )
     rows = [
         (scheme, round(data["overall"][scheme], 3)) for scheme in data["schemes"]

@@ -7,8 +7,8 @@ from repro.experiments.report import format_table
 from repro.models import zoo
 
 
-def test_fig15_pagesize_single(benchmark, runner):
-    data = run_once(benchmark, lambda: figures.fig15_pagesize_single(runner))
+def test_fig15_pagesize_single(benchmark, ctx, runner):
+    data = run_once(benchmark, lambda: figures.fig15_pagesize_single(ctx, runner))
     rows = [
         (name, round(data["per_workload"][name]["64KB"], 3),
          round(data["per_workload"][name]["1MB"], 3))

@@ -9,7 +9,7 @@ from repro.experiments.mixes import subset_mixes
 from repro.experiments.report import format_table
 
 
-def test_fig16_pagesize_multi(benchmark, runner, dual_mixes):
+def test_fig16_pagesize_multi(benchmark, ctx, runner, dual_mixes):
     # The quad half of this figure triples the quad-mix simulation count,
     # so it uses a leaner default subset than Figures 5/7.
     quad_limit = int(os.environ.get("REPRO_QUAD_PAGESIZE_MIXES", "20"))
@@ -17,8 +17,8 @@ def test_fig16_pagesize_multi(benchmark, runner, dual_mixes):
 
     def compute():
         return (
-            figures.fig16_pagesize_multi(runner, 2, dual_mixes),
-            figures.fig16_pagesize_multi(runner, 4, quad),
+            figures.fig16_pagesize_multi(ctx, runner, 2, dual_mixes),
+            figures.fig16_pagesize_multi(ctx, runner, 4, quad),
         )
 
     dual_data, quad_data = run_once(benchmark, compute)

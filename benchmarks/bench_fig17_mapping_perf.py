@@ -11,8 +11,8 @@ from repro.mapping import MappingStudy, fig17_mapping_performance
 
 
 @pytest.fixture(scope="module")
-def study(runner):
-    return MappingStudy(runner)
+def study(ctx, runner):
+    return MappingStudy(ctx, runner)
 
 
 def _sets():

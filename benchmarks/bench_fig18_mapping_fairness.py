@@ -11,8 +11,8 @@ from repro.mapping import MappingStudy, fig18_mapping_fairness
 
 
 @pytest.fixture(scope="module")
-def study(runner):
-    return MappingStudy(runner)
+def study(ctx, runner):
+    return MappingStudy(ctx, runner)
 
 
 def test_fig18_mapping_fairness(benchmark, study):

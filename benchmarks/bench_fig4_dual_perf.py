@@ -6,9 +6,9 @@ from repro.experiments import figures
 from repro.experiments.report import format_table
 
 
-def test_fig4_dual_performance(benchmark, runner, dual_mixes):
+def test_fig4_dual_performance(benchmark, ctx, runner, dual_mixes):
     data = run_once(
-        benchmark, lambda: figures.fig4_dual_performance(runner, dual_mixes)
+        benchmark, lambda: figures.fig4_dual_performance(ctx, runner, dual_mixes)
     )
     levels = ["Static", "+D", "+DW", "+DWT"]
     rows = [

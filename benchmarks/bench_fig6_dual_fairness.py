@@ -6,9 +6,9 @@ from repro.experiments import figures
 from repro.experiments.report import format_table
 
 
-def test_fig6_dual_fairness(benchmark, runner, dual_mixes):
+def test_fig6_dual_fairness(benchmark, ctx, runner, dual_mixes):
     data = run_once(
-        benchmark, lambda: figures.fig6_dual_fairness(runner, dual_mixes)
+        benchmark, lambda: figures.fig6_dual_fairness(ctx, runner, dual_mixes)
     )
     levels = ["Static", "+D", "+DW", "+DWT"]
     rows = [

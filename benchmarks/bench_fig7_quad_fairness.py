@@ -6,9 +6,9 @@ from repro.experiments import figures
 from repro.experiments.report import cdf_summary, format_table
 
 
-def test_fig7_quad_fairness(benchmark, runner, quad_mixes):
+def test_fig7_quad_fairness(benchmark, ctx, runner, quad_mixes):
     data = run_once(
-        benchmark, lambda: figures.fig7_quad_fairness(runner, quad_mixes)
+        benchmark, lambda: figures.fig7_quad_fairness(ctx, runner, quad_mixes)
     )
     levels = ["Static", "+D", "+DW", "+DWT"]
     rows = []

@@ -304,7 +304,6 @@ def measure_sweep(repeats: int) -> dict:
 
         def run_sweep(label: str, enabled: bool, seed_traces: Path | None = None):
             runner = ExperimentRunner(
-                scale="mini",
                 cache_dir=tmp / f"e2e-{label}",
                 journal=False,
                 trace_cache=enabled,

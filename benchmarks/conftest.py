@@ -27,6 +27,7 @@ import pytest
 
 from repro.experiments.mixes import subset_mixes
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.spec import PlanContext
 
 
 #: Report blocks emitted by the benches, flushed after capture ends.
@@ -50,6 +51,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("regenerated tables and figures")
     for block in _EMITTED:
         terminalreporter.write_line(block)
+
+
+@pytest.fixture(scope="session")
+def ctx() -> PlanContext:
+    """The plan defaults every benchmark's figures are planned with."""
+    return PlanContext()
 
 
 @pytest.fixture(scope="session")

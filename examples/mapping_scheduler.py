@@ -19,6 +19,7 @@ import argparse
 
 from repro.core.metrics import geomean
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.spec import PlanContext
 from repro.mapping import MappingStudy, pairings
 from repro.models import zoo
 
@@ -37,7 +38,7 @@ def main() -> None:
     print("building the mapping study (simulating pairs + training the "
           "predictor; cached after the first run)...")
     runner = ExperimentRunner()
-    study = MappingStudy(runner)
+    study = MappingStudy(PlanContext(), runner)
     print(f"predictor RMS training error: {study.predictor.training_error:.3f}\n")
 
     outcome = study.evaluate_set(tuple(args.workloads))

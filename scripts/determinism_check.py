@@ -55,7 +55,7 @@ def run_pass(label: str, out: Path, corpus, observed, trace_seed: Path | None = 
         tracecache.process_cache().clear_memo()  # force the warm-disk path
     manifest: dict[str, dict[str, str]] = {}
     for name, spec in corpus:
-        runner = ExperimentRunner(scale=spec.scale, cache_dir=cache_dir)
+        runner = ExperimentRunner(cache_dir=cache_dir)
         runner.run(spec)
         shard = (cache_dir / f"{spec.cache_key()}.json").read_bytes()
         manifest[name] = {

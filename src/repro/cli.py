@@ -48,7 +48,7 @@ from repro.core.simulator import (
 )
 from repro.errors import SimulationStallError
 from repro.experiments.runner import DEFAULT_MAX_TICKS
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import PlanContext, RunSpec
 from repro.models import zoo
 from repro.models import serving as serving_models
 from repro.models.serving import ServingParams
@@ -285,14 +285,9 @@ def _make_runner(args: argparse.Namespace, *, profile: bool = False):
     # Progress reporting is always on (serial and parallel alike) unless
     # --quiet asked for silence, so figure and sweep behave identically.
     return ExperimentRunner(
-        scale=args.scale,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         progress=None if args.quiet else _print_progress,
-        dataflow=args.dataflow,
-        replay_mode=args.replay_mode,
-        phase=args.phase,
-        serving=_serving_params(args),
         run_timeout=args.run_timeout,
         trace_cache=not args.no_trace_cache,
         profile=profile,
@@ -312,7 +307,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _sweep_with(runner, args: argparse.Namespace, names) -> int:
     """Plan, execute and reduce ``names`` on a caller-built runner.
 
-    Every figure's specs execute in a single
+    The plan defaults (scale, dataflow, replay mode, serving axes) come
+    from ``args`` as a :class:`PlanContext`.  Every figure's specs
+    execute in a single
     :meth:`ExperimentRunner.run_many` call (see
     :func:`repro.experiments.figures.run_figures`); the figures' headline
     tables go to stdout.
@@ -325,10 +322,17 @@ def _sweep_with(runner, args: argparse.Namespace, names) -> int:
         raise SystemExit(
             f"unknown figures {unknown}; pick from {sorted(figures.FIGURES)}"
         )
+    ctx = PlanContext(
+        scale=args.scale,
+        dataflow=args.dataflow,
+        replay_mode=args.replay_mode,
+        phase=args.phase,
+        serving=_serving_params(args),
+    )
     dual, quad = _figure_mixes(args)
     try:
         with _graceful_termination():
-            reduced = figures.run_figures(runner, names, dual, quad)
+            reduced = figures.run_figures(ctx, runner, names, dual, quad)
     except KeyboardInterrupt:
         return _report_interrupted_sweep(runner)
     _print_cache_summary(runner, args.quiet)
@@ -606,17 +610,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     pool stays warm across requests, and the service owns the cache
     (memo + disk), single-flight dedup, bounded admission, deadline
     propagation and the circuit breaker (see :mod:`repro.serve.server`).
+    Requests carry fully described specs, so the daemon plans nothing
+    and takes no scale or dataflow defaults.
     """
     from repro.experiments.runner import ExperimentRunner
     from repro.serve.server import CircuitBreaker, ServeDaemon, SweepService
 
     runner = ExperimentRunner(
-        scale=args.scale,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         progress=None,
-        dataflow=args.dataflow,
-        replay_mode=args.replay_mode,
         run_timeout=args.run_timeout,
         trace_cache=not args.no_trace_cache,
         keep_pool=True,
@@ -943,15 +946,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--port", type=int, default=0,
         help="listen port (0 = ephemeral; the bound port is printed)",
-    )
-    serve.add_argument("--scale", default="mini", choices=("mini", "full"))
-    serve.add_argument(
-        "--dataflow", default="os", choices=registered_dataflows(),
-        help="dataflow engine served runs default to",
-    )
-    serve.add_argument(
-        "--replay-mode", default="event", choices=REPLAY_MODES,
-        help="replay kernel served runs default to",
     )
     serve.add_argument("--cache-dir", default=None,
                        help="cache root (default: ./.repro_cache)")

@@ -2,7 +2,7 @@
 
 from repro.experiments.mixes import all_mixes, mix_label, mixes_for
 from repro.experiments.runner import ExperimentRunner, RunProgress
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import PlanContext, RunSpec
 from repro.experiments import figures
 from repro.experiments.report import format_table
 
@@ -11,6 +11,7 @@ __all__ = [
     "mix_label",
     "mixes_for",
     "ExperimentRunner",
+    "PlanContext",
     "RunProgress",
     "RunSpec",
     "figures",

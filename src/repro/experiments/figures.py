@@ -7,9 +7,13 @@ are served from the on-disk cache.
 
 Each simulated figure is *plan once, execute once, reduce purely*:
 
-* a ``*_specs`` planner returns a keyed plan — ``{role: RunSpec}``, where
-  a role is a small tuple naming the spec's part in the figure, such as
-  ``("ideal", name)`` or ``("mix", mix, level.label)``;
+* a ``*_specs`` planner takes a
+  :class:`~repro.experiments.spec.PlanContext` (the sweep's scale,
+  dataflow and serving defaults) and returns a keyed plan —
+  ``{role: RunSpec}``, where a role is a small tuple naming the spec's
+  part in the figure, such as ``("ideal", name)`` or
+  ``("mix", mix, level.label)``.  Planning needs no runner and opens no
+  cache;
 * one :meth:`ExperimentRunner.run_many` call executes the plan's
   deduplicated specs (in parallel when the runner's ``jobs > 1``);
 * a ``reduce_*`` function turns ``{role: results}`` into the figure.  It
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.compute.dataflow import registered_dataflows
 from repro.config import presets
@@ -57,10 +61,12 @@ from repro.core.metrics import box_stats, cdf_points, fairness, geomean
 from repro.core.sharing import CONTENDED_LEVELS, SWEEP_LEVELS, SharingLevel
 from repro.core.simulator import MultiCoreNPUSim
 from repro.experiments.mixes import all_mixes, mix_label
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import PlanContext, RunSpec
 from repro.models import zoo
 from repro.models.serving import ServingParams
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentRunner
 
 #: DRAM-bandwidth ratio splits of section 4.3 (eight channels, dual-core).
 BW_SPLITS = ((1, 7), (2, 6), (4, 4), (6, 2), (7, 1))
@@ -99,14 +105,20 @@ def _fairness_of(speedups: Sequence[float]) -> float:
 
 
 def _attach_failures(
-    result: dict[str, Any], runner: ExperimentRunner
+    result: dict[str, Any], runner: ExperimentRunner, plan: Plan
 ) -> dict[str, Any]:
-    """Append the runner's failure summaries to a figure when non-empty.
+    """Append the failure summaries of ``plan``'s own specs when non-empty.
 
     Keeps fully-successful outputs byte-identical to the pre-degradation
     format: the ``"failures"`` key only appears when something failed.
+    Failures of other figures run earlier on the same runner stay out.
     """
-    summaries = [failure.summary() for failure in runner.failures.values()]
+    planned = {spec.resolve() for spec in plan.values()}
+    summaries = [
+        failure.summary()
+        for spec, failure in runner.failures.items()
+        if spec in planned
+    ]
     if summaries:
         result["failures"] = summaries
     return result
@@ -125,7 +137,7 @@ def _execute(
     for plan in plans:
         results = {}
         for role, spec in plan.items():
-            runs = by_spec.get(runner.plan(spec))
+            runs = by_spec.get(spec.resolve())
             if runs is not None:
                 results[role] = runs
         executed.append(results)
@@ -157,17 +169,9 @@ def _speedups(
     return [ideal[name] / run["cycles"] for name, run in zip(mix, runs)]
 
 
-def _ideal_plan(
-    runner: ExperimentRunner,
-    num_cores: int,
-    *,
-    page_bytes: int = 4096,
-    translation: bool = True,
-) -> Plan:
+def _ideal_plan(ctx: PlanContext, num_cores: int, **fields: Any) -> Plan:
     return {
-        ("ideal", name): runner.plan_ideal(
-            name, num_cores, page_bytes=page_bytes, translation=translation
-        )
+        ("ideal", name): ctx.ideal(name, num_cores, **fields)
         for name in zoo.NAMES
     }
 
@@ -191,17 +195,18 @@ def mix_speedups(
     return _speedups(results, ("mix", mix, level.label), mix, ideal) or []
 
 
-def sharing_sweep_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
+def sharing_sweep_specs(ctx: PlanContext, mixes: Mixes) -> Plan:
     """Every spec behind Figures 4-7: Ideal/Static solos + contended mixes.
 
     The core count is the mixes' size (two for Figs 4/6, four for 5/7).
+    The equal Static split is a plain solo: one per-core resource share.
     """
-    plan = _ideal_plan(runner, len(mixes[0]))
+    plan = _ideal_plan(ctx, len(mixes[0]))
     for name in zoo.NAMES:
-        plan["static", name] = runner.plan_static_equal(name)
+        plan["static", name] = ctx.solo(name)
     for mix in mixes:
         for level in CONTENDED_LEVELS:
-            plan["mix", mix, level.label] = runner.plan_mix(mix, level)
+            plan["mix", mix, level.label] = ctx.mix(mix, level)
     return plan
 
 
@@ -252,11 +257,14 @@ def _by_level(
     return {"per_mix": per_mix, "overall": overall}
 
 
-def _run_figure(runner: ExperimentRunner, name: str, *params: Any) -> dict[str, Any]:
+def _run_figure(
+    ctx: PlanContext, runner: ExperimentRunner, name: str, *params: Any
+) -> dict[str, Any]:
     """One registered figure: plan once, execute once, reduce purely."""
     figure = FIGURES[name]
-    (results,) = _execute(runner, [figure.planner(runner, *params)])
-    return _attach_failures(figure.reducer(results, *params), runner)
+    plan = figure.planner(ctx, *params)
+    (results,) = _execute(runner, [plan])
+    return _attach_failures(figure.reducer(results, *params), runner, plan)
 
 
 # --------------------------------------------------------------------- #
@@ -359,31 +367,31 @@ def reduce_fig7(results: Results, mixes: Mixes) -> dict[str, Any]:
 
 
 def fig4_dual_performance(
-    runner: ExperimentRunner, mixes: Mixes | None = None
+    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Dual-core per-mix geomean speedups for Static/+D/+DW/+DWT."""
-    return _run_figure(runner, "fig4", _mixes(mixes, 2))
+    return _run_figure(ctx, runner, "fig4", _mixes(mixes, 2))
 
 
 def fig5_quad_performance(
-    runner: ExperimentRunner, mixes: Mixes | None = None
+    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Quad-core CDF of per-mix geomean speedups per sharing level."""
-    return _run_figure(runner, "fig5", _mixes(mixes, 4))
+    return _run_figure(ctx, runner, "fig5", _mixes(mixes, 4))
 
 
 def fig6_dual_fairness(
-    runner: ExperimentRunner, mixes: Mixes | None = None
+    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Dual-core fairness (Equation 1) per mix and sharing level."""
-    return _run_figure(runner, "fig6", _mixes(mixes, 2))
+    return _run_figure(ctx, runner, "fig6", _mixes(mixes, 2))
 
 
 def fig7_quad_fairness(
-    runner: ExperimentRunner, mixes: Mixes | None = None
+    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Quad-core fairness CDF per sharing level."""
-    return _run_figure(runner, "fig7", _mixes(mixes, 4))
+    return _run_figure(ctx, runner, "fig7", _mixes(mixes, 4))
 
 
 # --------------------------------------------------------------------- #
@@ -391,11 +399,11 @@ def fig7_quad_fairness(
 # --------------------------------------------------------------------- #
 
 
-def fig8_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
+def fig8_specs(ctx: PlanContext, mixes: Mixes) -> Plan:
     """Every spec behind Figure 8: dual-core Ideal solos + DWT mixes."""
-    plan = _ideal_plan(runner, 2)
+    plan = _ideal_plan(ctx, 2)
     for mix in mixes:
-        plan["mix", mix] = runner.plan_mix(mix, SharingLevel.DWT)
+        plan["mix", mix] = ctx.mix(mix, SharingLevel.DWT)
     return plan
 
 
@@ -416,10 +424,10 @@ def reduce_fig8(results: Results, mixes: Mixes) -> dict[str, Any]:
 
 
 def fig8_sensitivity(
-    runner: ExperimentRunner, mixes: Mixes | None = None
+    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Distribution of each workload's +DWT speedup across co-runners."""
-    return _run_figure(runner, "fig8", _mixes(mixes, 2))
+    return _run_figure(ctx, runner, "fig8", _mixes(mixes, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -431,19 +439,17 @@ def fig8_sensitivity(
 _BW_SHARES = sorted({part for split in BW_SPLITS for part in split})
 
 
-def bw_partition_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
+def bw_partition_specs(ctx: PlanContext, mixes: Mixes) -> Plan:
     """Every spec behind Figures 9-10: channel-share solos + +D mixes."""
-    channels = runner.per_core["channels"]
-    plan = _ideal_plan(runner, 2, translation=False)
+    channels = ctx.per_core["channels"]
+    plan = _ideal_plan(ctx, 2, translation=False)
     for share in _BW_SHARES:
         for name in zoo.NAMES:
-            plan["share", share, name] = runner.plan_solo(
+            plan["share", share, name] = ctx.solo(
                 name, channels=channels * 2 * share // 8, translation=False
             )
     for mix in mixes:
-        plan["mix", mix] = runner.plan_mix(
-            mix, SharingLevel.D, translation=False
-        )
+        plan["mix", mix] = ctx.mix(mix, SharingLevel.D, translation=False)
     return plan
 
 
@@ -524,17 +530,17 @@ def reduce_fig10(results: Results, mixes: Mixes) -> dict[str, Any]:
 
 
 def fig9_bandwidth_partition_performance(
-    runner: ExperimentRunner, mixes: Mixes | None = None
+    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Geomean performance per bandwidth-partitioning scheme (dual-core)."""
-    return _run_figure(runner, "fig9", _mixes(mixes, 2))
+    return _run_figure(ctx, runner, "fig9", _mixes(mixes, 2))
 
 
 def fig10_bandwidth_partition_fairness(
-    runner: ExperimentRunner, mixes: Mixes | None = None
+    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Geomean fairness per bandwidth-partitioning scheme (dual-core)."""
-    return _run_figure(runner, "fig10", _mixes(mixes, 2))
+    return _run_figure(ctx, runner, "fig10", _mixes(mixes, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -547,10 +553,10 @@ def fig10_bandwidth_partition_fairness(
 FIG11_CHANNEL_COUNTS = (1, 2, 4, 6, 8)
 
 
-def fig11_specs(runner: ExperimentRunner) -> Plan:
+def fig11_specs(ctx: PlanContext) -> Plan:
     """Every spec behind Figure 11: solos at each channel count."""
     return {
-        ("solo", name, count): runner.plan_solo(name, channels=count)
+        ("solo", name, count): ctx.solo(name, channels=count)
         for name in zoo.NAMES
         for count in FIG11_CHANNEL_COUNTS
     }
@@ -570,13 +576,15 @@ def reduce_fig11(results: Results) -> dict[str, Any]:
     return {"channel_counts": counts, "speedup": per_workload}
 
 
-def fig11_bandwidth_sweep(runner: ExperimentRunner) -> dict[str, Any]:
+def fig11_bandwidth_sweep(
+    ctx: PlanContext, runner: ExperimentRunner
+) -> dict[str, Any]:
     """Single-core speedup vs DRAM bandwidth, normalized to the smallest.
 
     Channel counts 1/2/4/6/8 reproduce the paper's 32-256 GB/s sweep
     (every channel is one 32 GB/s share at full scale).
     """
-    return _run_figure(runner, "fig11")
+    return _run_figure(ctx, runner, "fig11")
 
 
 def _fig11_headline(data: dict[str, Any]) -> dict[str, float]:
@@ -649,27 +657,28 @@ _PTW_PER_CORE_FACTOR = 2
 _PTW_SCHEMES = [f"{l}:{r}" for l, r in PTW_SPLITS] + ["Dynamic"]
 
 
-def ptw_partition_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
+def ptw_partition_specs(ctx: PlanContext, mixes: Mixes) -> Plan:
     """Every spec behind Figures 13-14: big-pool solos + split/DW mixes."""
-    per_core = runner.per_core["num_ptw"] * _PTW_PER_CORE_FACTOR
+    resources = ctx.per_core
+    per_core = resources["num_ptw"] * _PTW_PER_CORE_FACTOR
     plan = {
-        ("ideal", name): runner.plan_solo(
+        ("ideal", name): ctx.solo(
             name,
-            channels=runner.per_core["channels"] * 2,
+            channels=resources["channels"] * 2,
             num_ptw=per_core * 2,
-            tlb_entries=runner.per_core["tlb_entries"] * 2,
+            tlb_entries=resources["tlb_entries"] * 2,
         )
         for name in zoo.NAMES
     }
     for mix in mixes:
         for left, right in PTW_SPLITS:
-            plan["mix", mix, f"{left}:{right}"] = runner.plan_mix(
+            plan["mix", mix, f"{left}:{right}"] = ctx.mix(
                 mix,
                 SharingLevel.D,
                 ptw_split=(left, right),
                 num_ptw_per_core=per_core,
             )
-        plan["mix", mix, "Dynamic"] = runner.plan_mix(
+        plan["mix", mix, "Dynamic"] = ctx.mix(
             mix, SharingLevel.DW, num_ptw_per_core=per_core
         )
     return plan
@@ -706,17 +715,17 @@ def reduce_fig14(results: Results, mixes: Mixes) -> dict[str, Any]:
 
 
 def fig13_ptw_partition_performance(
-    runner: ExperimentRunner, mixes: Mixes | None = None
+    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Geomean performance per walker-partitioning scheme (dual-core)."""
-    return _run_figure(runner, "fig13", _mixes(mixes, 2))
+    return _run_figure(ctx, runner, "fig13", _mixes(mixes, 2))
 
 
 def fig14_ptw_partition_fairness(
-    runner: ExperimentRunner, mixes: Mixes | None = None
+    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
 ) -> dict[str, Any]:
     """Geomean fairness per walker-partitioning scheme (dual-core)."""
-    return _run_figure(runner, "fig14", _mixes(mixes, 2))
+    return _run_figure(ctx, runner, "fig14", _mixes(mixes, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -727,10 +736,10 @@ PAGE_SIZES = (4096, 65536, 1048576)
 _PAGE_LABELS = {4096: "4KB", 65536: "64KB", 1048576: "1MB"}
 
 
-def fig15_specs(runner: ExperimentRunner) -> Plan:
+def fig15_specs(ctx: PlanContext) -> Plan:
     """Every spec behind Figure 15: solos at each page size."""
     return {
-        ("solo", name, size): runner.plan_solo(name, page_bytes=size)
+        ("solo", name, size): ctx.solo(name, page_bytes=size)
         for name in zoo.NAMES
         for size in PAGE_SIZES
     }
@@ -759,23 +768,23 @@ def reduce_fig15(results: Results) -> dict[str, Any]:
     return {"per_workload": per_workload, "overall": overall}
 
 
-def fig15_pagesize_single(runner: ExperimentRunner) -> dict[str, Any]:
+def fig15_pagesize_single(
+    ctx: PlanContext, runner: ExperimentRunner
+) -> dict[str, Any]:
     """Single-core speedup of 64KB/1MB pages over 4KB, per workload."""
-    return _run_figure(runner, "fig15")
+    return _run_figure(ctx, runner, "fig15")
 
 
-def fig16_specs(runner: ExperimentRunner, mixes: Mixes) -> Plan:
+def fig16_specs(ctx: PlanContext, mixes: Mixes) -> Plan:
     """Every spec behind Figure 16: per-page-size Ideal solos + DWT mixes."""
     plan = {
-        ("ideal", size, name): runner.plan_ideal(
-            name, len(mixes[0]), page_bytes=size
-        )
+        ("ideal", size, name): ctx.ideal(name, len(mixes[0]), page_bytes=size)
         for size in PAGE_SIZES
         for name in zoo.NAMES
     }
     for mix in mixes:
         for size in PAGE_SIZES:
-            plan["mix", mix, size] = runner.plan_mix(
+            plan["mix", mix, size] = ctx.mix(
                 mix, SharingLevel.DWT, page_bytes=size
             )
     return plan
@@ -831,6 +840,7 @@ def reduce_fig16(results: Results, mixes: Mixes) -> dict[str, Any]:
 
 
 def fig16_pagesize_multi(
+    ctx: PlanContext,
     runner: ExperimentRunner,
     num_cores: int,
     mixes: Mixes | None = None,
@@ -840,7 +850,7 @@ def fig16_pagesize_multi(
     Performance is normalized to the 4KB page (per mix geomean of cycle
     ratios); fairness baseline is Ideal at the matching page size.
     """
-    return _run_figure(runner, "fig16", _mixes(mixes, num_cores))
+    return _run_figure(ctx, runner, "fig16", _mixes(mixes, num_cores))
 
 
 # --------------------------------------------------------------------- #
@@ -859,7 +869,7 @@ def _dataflow_axes(
 
 
 def dataflow_compare_specs(
-    runner: ExperimentRunner,
+    ctx: PlanContext,
     workloads: Sequence[str] | None = None,
     dataflows: Sequence[str] | None = None,
 ) -> Plan:
@@ -872,7 +882,7 @@ def dataflow_compare_specs(
     """
     names, engines = _dataflow_axes(workloads, dataflows)
     return {
-        ("solo", name, engine): runner.plan_solo(name, dataflow=engine)
+        ("solo", name, engine): ctx.solo(name, dataflow=engine)
         for name in names
         for engine in engines
     }
@@ -913,6 +923,7 @@ def reduce_dataflow_compare(
 
 
 def dataflow_compare(
+    ctx: PlanContext,
     runner: ExperimentRunner,
     workloads: Sequence[str] | None = None,
     dataflows: Sequence[str] | None = None,
@@ -925,7 +936,7 @@ def dataflow_compare(
     the speedup relative to the ``os`` baseline (values above 1 mean the
     engine finished faster than output stationary).
     """
-    return _run_figure(runner, "dataflow_compare", workloads, dataflows)
+    return _run_figure(ctx, runner, "dataflow_compare", workloads, dataflows)
 
 
 # --------------------------------------------------------------------- #
@@ -951,7 +962,7 @@ SERVING_SKEWS = ("uniform", "zipf")
 
 
 def serving_colocation_specs(
-    runner: ExperimentRunner,
+    ctx: PlanContext,
     skews: Sequence[str] = SERVING_SKEWS,
 ) -> Plan:
     """Every spec behind the serving co-location figure.
@@ -966,12 +977,10 @@ def serving_colocation_specs(
     for skew in skews:
         params = ServingParams(moe_skew=skew)
         for name in SERVING_PHASE_NAMES:
-            plan["ideal", skew, name] = runner.plan_ideal(
-                name, 2, serving=params
-            )
+            plan["ideal", skew, name] = ctx.ideal(name, 2, serving=params)
         for pair in SERVING_PAIRS:
             for level in SERVING_SHARINGS:
-                plan["mix", skew, pair, level.label] = runner.plan_mix(
+                plan["mix", skew, pair, level.label] = ctx.mix(
                     pair, level, serving=params
                 )
     return plan
@@ -1027,6 +1036,7 @@ def reduce_serving_colocation(
 
 
 def serving_colocation(
+    ctx: PlanContext,
     runner: ExperimentRunner,
     skews: Sequence[str] = SERVING_SKEWS,
 ) -> dict[str, Any]:
@@ -1038,7 +1048,7 @@ def serving_colocation(
     Ideal are reported for private TLBs (+DW) and the shared TLB
     (+DWT); ``dwt_gain`` is their ratio (>1: sharing helps).
     """
-    return _run_figure(runner, "serving_colocation", skews)
+    return _run_figure(ctx, runner, "serving_colocation", skews)
 
 
 # --------------------------------------------------------------------- #
@@ -1087,6 +1097,7 @@ FIGURES = {
 
 
 def run_figures(
+    ctx: PlanContext,
     runner: ExperimentRunner,
     names: Sequence[str],
     dual: Mixes,
@@ -1102,7 +1113,7 @@ def run_figures(
     mixes = {2: dual, 4: quad}
     entries = [FIGURES[name] for name in names]
     params = [() if entry.cores is None else (mixes[entry.cores],) for entry in entries]
-    plans = [entry.planner(runner, *args) for entry, args in zip(entries, params)]
+    plans = [entry.planner(ctx, *args) for entry, args in zip(entries, params)]
     executed = _execute(runner, plans)
     return {
         name: entry.reducer(results, *args)

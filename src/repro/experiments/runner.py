@@ -5,8 +5,6 @@ simulations (see :mod:`repro.experiments.spec` for the taxonomy).  The
 runner's job is to execute such fan-outs efficiently *and to survive
 them*:
 
-* :meth:`ExperimentRunner.plan` / ``plan_*`` — turn parameters into a
-  frozen, fully-resolved :class:`RunSpec`;
 * :meth:`ExperimentRunner.run` — execute one spec, cache-first;
 * :meth:`ExperimentRunner.run_many` — deduplicate a batch of specs,
   satisfy cache hits, then shard the cold runs across a supervised
@@ -64,14 +62,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.compute import tracecache
-from repro.config import presets
 from repro.obs.profiling import PhaseProfiler
 from repro.storage import (
     QUARANTINE_DIR,
     ShardStore,
     encode_result_shard,
 )
-from repro.core.sharing import SharingLevel
 from repro.core.simulator import (
     DEFAULT_STALL_WINDOW_TICKS,
     MultiCoreNPUSim,
@@ -86,15 +82,9 @@ from repro.errors import (
     TransientWorkerError,
 )
 from repro.experiments import faults as faults_module
-from repro.experiments.spec import (
-    DEFAULT_DATAFLOW,
-    DEFAULT_REPLAY_MODE,
-    RESULTS_VERSION,
-    RunSpec,
-)
+from repro.experiments.spec import RESULTS_VERSION, RunSpec
 from repro.models import serving as serving_module
 from repro.models import zoo
-from repro.models.serving import ServingParams
 
 if TYPE_CHECKING:  # the pool machinery loads only when a pool is made
     from concurrent.futures import ProcessPoolExecutor
@@ -356,20 +346,15 @@ ProgressCallback = Callable[[RunProgress], None]
 
 
 class ExperimentRunner:
-    """Plans, executes (supervises, caches) the simulations behind every figure."""
+    """Executes (supervises, caches) the simulations behind every figure."""
 
     def __init__(
         self,
-        scale: str = "mini",
         cache_dir: str | Path | None = None,
         max_ticks: int = DEFAULT_MAX_TICKS,
         jobs: int = 1,
         progress: ProgressCallback | None = None,
         *,
-        dataflow: str = DEFAULT_DATAFLOW,
-        replay_mode: str = DEFAULT_REPLAY_MODE,
-        phase: str | None = None,
-        serving: ServingParams | None = None,
         run_timeout: float | None = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
@@ -382,13 +367,7 @@ class ExperimentRunner:
         profile: bool = False,
         keep_pool: bool = False,
     ) -> None:
-        """``dataflow`` is the engine the ``plan_*`` helpers default to
-        (the CLI's ``--dataflow`` flag sets it; individual specs may
-        still override it explicitly); ``replay_mode`` likewise seeds the
-        ``plan_*`` helpers (``--replay-mode``; all modes are proven
-        byte-identical, see :mod:`repro.core.replay`); ``run_timeout``
-        bounds each run's
-        wall clock (seconds, ``None``
+        """``run_timeout`` bounds each run's wall clock (seconds, ``None``
         = unbounded); ``max_attempts`` caps executions per retriable spec;
         ``retry_jitter`` randomizes each backoff sleep by up to that
         fraction (0 restores the deterministic exponential schedule);
@@ -412,14 +391,6 @@ class ExperimentRunner:
         inside the ``execute`` window (shards are stored as runs settle),
         so phase times overlap and need not sum to the elapsed total.
         """
-        self.scale = scale
-        self.dataflow = dataflow
-        self.replay_mode = replay_mode
-        #: Default serving axes the ``plan_*`` helpers thread into specs
-        #: (``--phase`` and the serving knobs of the CLI); per-spec
-        #: values still override them, mirroring ``dataflow``.
-        self.phase = phase
-        self.serving = serving
         self.max_ticks = max_ticks
         self.jobs = max(1, jobs)
         self.progress = progress
@@ -450,7 +421,6 @@ class ExperimentRunner:
         )
         #: Wall-time phase accounting (``profile=True``); ``None`` when off.
         self.profiler: PhaseProfiler | None = PhaseProfiler() if profile else None
-        self.per_core = presets.per_core_resources(scale)
         self.runs_executed = 0
         self.cache_hits = 0
         self.quarantined = 0
@@ -477,18 +447,14 @@ class ExperimentRunner:
         """
         self._networks[network.name] = network
 
-    def _network(self, name: str) -> Any:
-        if name in self._networks:
-            return self._networks[name]
-        return zoo.get(name, self.scale)
-
     def _network_for(self, spec: RunSpec, name: str) -> Any:
         """Resolve one of ``spec``'s workloads to its topology.
 
         Registered networks shadow everything (as before); serving
         names (``gpt2:prefill``, or a bare base under ``spec.phase``)
         build their schedule-unrolled networks from the spec's serving
-        parameters; everything else falls back to the zoo.
+        parameters; everything else falls back to the zoo at the spec's
+        scale.
         """
         if name in self._networks:
             return self._networks[name]
@@ -500,7 +466,7 @@ class ExperimentRunner:
         )
         if network is not None:
             return network
-        return zoo.get(name, self.scale)
+        return zoo.get(name, spec.scale)
 
     def _networks_for(self, spec: RunSpec) -> list[Any]:
         return [self._network_for(spec, name) for name in spec.workloads]
@@ -553,175 +519,6 @@ class ExperimentRunner:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    # Planning
-    # ------------------------------------------------------------------ #
-
-    def plan(self, spec: RunSpec) -> RunSpec:
-        """Resolve a spec against this runner's scale defaults.
-
-        Solo specs with unset resource fields get the scale's Table 2
-        per-core share (the equal Static split).  Specs planned here are
-        safe to hand to :meth:`run` / :meth:`run_many` or to hash.
-        """
-        if spec.kind == "solo" and not spec.is_resolved:
-            per_core = presets.per_core_resources(spec.scale)
-            spec = dataclasses.replace(
-                spec,
-                channels=spec.channels if spec.channels is not None
-                else per_core["channels"],
-                num_ptw=spec.num_ptw if spec.num_ptw is not None
-                else per_core["num_ptw"],
-                tlb_entries=spec.tlb_entries if spec.tlb_entries is not None
-                else per_core["tlb_entries"],
-            )
-        return spec
-
-    def _plan_serving(
-        self,
-        workloads: Sequence[str],
-        phase: str | None,
-        serving: ServingParams | None,
-    ) -> tuple[str | None, ServingParams | None]:
-        """Runner-default serving axes, applied only where they can bind.
-
-        ``--phase`` / serving knobs set runner-wide defaults, but most
-        planned specs in a sweep run plain zoo workloads; pushing the
-        defaults onto those would be rejected by :class:`RunSpec`
-        validation (a phase with no serving workload is a silent no-op
-        and therefore an error).  So the defaults bind exactly when the
-        workload list can use them, and stay off otherwise.
-        """
-        bare_base = any(
-            name in serving_module.SERVING_BASES for name in workloads
-        )
-        qualified = any(
-            serving_module.split_name(name)[1] is not None
-            for name in workloads
-        )
-        if phase is None and self.phase is not None and bare_base:
-            phase = self.phase
-        if (
-            serving is None
-            and self.serving is not None
-            and (qualified or (phase is not None and bare_base))
-        ):
-            serving = self.serving
-        return phase, serving
-
-    def plan_solo(
-        self,
-        workload: str,
-        *,
-        channels: int | None = None,
-        num_ptw: int | None = None,
-        tlb_entries: int | None = None,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        dataflow: str | None = None,
-        replay_mode: str | None = None,
-        phase: str | None = None,
-        serving: ServingParams | None = None,
-    ) -> RunSpec:
-        """Spec for one workload alone on an explicit resource slice."""
-        phase, serving = self._plan_serving((workload,), phase, serving)
-        return RunSpec.solo(
-            workload,
-            scale=self.scale,
-            channels=channels,
-            num_ptw=num_ptw,
-            tlb_entries=tlb_entries,
-            page_bytes=page_bytes,
-            translation=translation,
-            dataflow=dataflow if dataflow is not None else self.dataflow,
-            replay_mode=replay_mode if replay_mode is not None
-            else self.replay_mode,
-            phase=phase,
-            serving=serving,
-        )
-
-    def plan_ideal(
-        self,
-        workload: str,
-        num_cores: int,
-        *,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        dataflow: str | None = None,
-        replay_mode: str | None = None,
-        phase: str | None = None,
-        serving: ServingParams | None = None,
-    ) -> RunSpec:
-        """Spec for the Ideal baseline: the whole N-core resource pool."""
-        phase, serving = self._plan_serving((workload,), phase, serving)
-        return RunSpec.ideal(
-            workload,
-            num_cores,
-            scale=self.scale,
-            page_bytes=page_bytes,
-            translation=translation,
-            dataflow=dataflow if dataflow is not None else self.dataflow,
-            replay_mode=replay_mode if replay_mode is not None
-            else self.replay_mode,
-            phase=phase,
-            serving=serving,
-        )
-
-    def plan_static_equal(
-        self,
-        workload: str,
-        *,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        dataflow: str | None = None,
-        replay_mode: str | None = None,
-        phase: str | None = None,
-        serving: ServingParams | None = None,
-    ) -> RunSpec:
-        """Spec for the equal Static split: one per-core resource share."""
-        return self.plan_solo(
-            workload,
-            page_bytes=page_bytes,
-            translation=translation,
-            dataflow=dataflow,
-            replay_mode=replay_mode,
-            phase=phase,
-            serving=serving,
-        )
-
-    def plan_mix(
-        self,
-        names: Sequence[str],
-        sharing: SharingLevel,
-        *,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        ptw_split: Sequence[int] | None = None,
-        num_ptw_per_core: int | None = None,
-        tlb_entries_per_core: int | None = None,
-        dataflow: str | None = None,
-        replay_mode: str | None = None,
-        phase: str | None = None,
-        serving: ServingParams | None = None,
-    ) -> RunSpec:
-        """Spec for a co-simulation under a dynamic sharing level."""
-        phase, serving = self._plan_serving(names, phase, serving)
-        return RunSpec.mix(
-            names,
-            sharing,
-            scale=self.scale,
-            page_bytes=page_bytes,
-            translation=translation,
-            ptw_split=ptw_split,
-            num_ptw_per_core=num_ptw_per_core,
-            tlb_entries_per_core=tlb_entries_per_core,
-            dataflow=dataflow if dataflow is not None else self.dataflow,
-            replay_mode=replay_mode if replay_mode is not None
-            else self.replay_mode,
-            phase=phase,
-            serving=serving,
-        )
 
     # ------------------------------------------------------------------ #
     # Cache plumbing (crash-safe, delegated to repro.storage.ShardStore)
@@ -798,7 +595,7 @@ class ExperimentRunner:
         the serve daemon's cache-first read path, giving HTTP responses
         that are byte-identical to CLI shards.
         """
-        spec = self.plan(spec)
+        spec = spec.resolve()
         results = self._cached(spec)
         if results is None:
             return None
@@ -988,7 +785,7 @@ class ExperimentRunner:
         the spec in :attr:`failures` (so figure reducers consuming a
         partially-failed sweep get a typed error, not a re-execution).
         """
-        spec = self.plan(spec)
+        spec = spec.resolve()
         self._claim_trace_cache()
         with self._phase("cache_read"):
             cached = self._cached(spec)
@@ -1044,16 +841,15 @@ class ExperimentRunner:
         omitted from the returned mapping.  Check :attr:`last_outcome`
         for the batch aggregate.
 
-        Returns a mapping from each *planned* spec to its per-workload
-        result dicts; look results up with the specs returned by the
-        ``plan_*`` helpers.
+        Returns a mapping from each resolved spec (:meth:`RunSpec.resolve`)
+        to its per-workload result dicts.
         """
         jobs = self.jobs if jobs is None else max(1, jobs)
         progress = progress if progress is not None else self.progress
         if run_timeout is _UNSET:
             run_timeout = self.run_timeout
         self._claim_trace_cache()
-        ordered = list(dict.fromkeys(self.plan(spec) for spec in specs))
+        ordered = list(dict.fromkeys(spec.resolve() for spec in specs))
         started = time.monotonic()
         results: dict[RunSpec, list[dict[str, Any]]] = {}
         cold: list[RunSpec] = []

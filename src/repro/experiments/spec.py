@@ -18,8 +18,9 @@ from another, and serves three roles at once:
   reference back to the runner that planned it.
 
 Build specs with the :meth:`RunSpec.solo` / :meth:`RunSpec.mix`
-constructors (which resolve per-scale resource defaults), or with the
-``plan_*`` helpers on :class:`~repro.experiments.runner.ExperimentRunner`.
+constructors (which resolve per-scale resource defaults), or through a
+:class:`PlanContext`, which threads a sweep's shared defaults (scale,
+dataflow, serving axes) into every spec a figure plans.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ class RunSpec:
     plus the optional walker-partitioning overrides of figure 13.
 
     Solo resource fields may be left ``None`` and resolved later against
-    the scale's Table 2 per-core defaults with :meth:`resolve` (this is
-    what ``ExperimentRunner.plan`` does); an unresolved spec refuses to
-    produce a cache key.
+    the scale's Table 2 per-core defaults with :meth:`resolve` (the
+    runner resolves every spec it executes); an unresolved spec refuses
+    to produce a cache key.
     """
 
     kind: str
@@ -330,8 +331,7 @@ class RunSpec:
         """The JSON cache descriptor (identical to the pre-RunSpec format)."""
         if not self.is_resolved:
             raise ValueError(
-                f"unresolved spec {self!r}: call .resolve() or plan it "
-                "through an ExperimentRunner first"
+                f"unresolved spec {self!r}: call .resolve() first"
             )
         if self.kind == "solo":
             descriptor: dict[str, Any] = {
@@ -436,3 +436,79 @@ class RunSpec:
                 replay_mode=self.replay_mode,
             ),
         )
+
+
+@dataclass(frozen=True)
+class PlanContext:
+    """The defaults every spec of a figure sweep is planned with.
+
+    The CLI's ``--scale``, ``--dataflow``, ``--replay-mode``, ``--phase``
+    and serving flags build one context; figure planners and the mapping
+    study call :meth:`solo`, :meth:`ideal` and :meth:`mix` on it, passing
+    only the fields their figure varies.  Explicit fields win over the
+    context's defaults.  Planning needs no runner and touches no cache.
+    """
+
+    scale: str = "mini"
+    dataflow: str = DEFAULT_DATAFLOW
+    replay_mode: str = DEFAULT_REPLAY_MODE
+    phase: str | None = None
+    serving: ServingParams | None = None
+
+    @property
+    def per_core(self) -> dict[str, int]:
+        """The scale's Table 2 per-core resource share."""
+        return presets.per_core_resources(self.scale)
+
+    def solo(self, workload: str, **fields: Any) -> RunSpec:
+        """:meth:`RunSpec.solo` under this context's defaults."""
+        return RunSpec.solo(workload, **self._fields((workload,), fields))
+
+    def ideal(self, workload: str, num_cores: int, **fields: Any) -> RunSpec:
+        """:meth:`RunSpec.ideal` under this context's defaults."""
+        return RunSpec.ideal(
+            workload, num_cores, **self._fields((workload,), fields)
+        )
+
+    def mix(
+        self,
+        workloads: Sequence[str],
+        sharing: SharingLevel | str,
+        **fields: Any,
+    ) -> RunSpec:
+        """:meth:`RunSpec.mix` under this context's defaults."""
+        return RunSpec.mix(workloads, sharing, **self._fields(workloads, fields))
+
+    def _fields(
+        self, workloads: Sequence[str], fields: dict[str, Any]
+    ) -> dict[str, Any]:
+        """``fields`` over the defaults; serving axes only where they bind.
+
+        Most specs in a sweep run plain zoo workloads; pushing ``phase``
+        or serving parameters onto those would be rejected by
+        :class:`RunSpec` validation (a phase with no serving workload is
+        a silent no-op and therefore an error).  So the serving defaults
+        bind exactly when the workload list can use them.
+        """
+        fields = {
+            "scale": self.scale,
+            "dataflow": self.dataflow,
+            "replay_mode": self.replay_mode,
+            **fields,
+        }
+        bare_base = any(
+            name in serving_module.SERVING_BASES for name in workloads
+        )
+        qualified = any(
+            serving_module.split_name(name)[1] is not None
+            for name in workloads
+        )
+        if fields.get("phase") is None and self.phase is not None and bare_base:
+            fields["phase"] = self.phase
+        if (
+            fields.get("serving") is None
+            and self.serving is not None
+            and (qualified or (fields.get("phase") is not None and bare_base))
+        ):
+            fields["serving"] = self.serving
+        return fields

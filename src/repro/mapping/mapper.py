@@ -16,12 +16,12 @@ pairs — the same 36 type-pair co-simulations that back Figure 4.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.core.metrics import cdf_points, fairness, geomean
 from repro.core.sharing import SharingLevel
 from repro.experiments.mixes import all_mixes
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.spec import PlanContext
 from repro.mapping.predictor import (
     SlowdownPredictor,
     WorkloadProfile,
@@ -29,6 +29,9 @@ from repro.mapping.predictor import (
     run_all,
 )
 from repro.models import zoo
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentRunner
 
 
 def pairings(items: Sequence[str]) -> list[tuple[tuple[str, str], ...]]:
@@ -68,21 +71,26 @@ def _enumerate_pairings(
 
 
 class MappingStudy:
-    """Precomputed pair outcomes + predictor, evaluated over 8-sets."""
+    """Precomputed pair outcomes + predictor, evaluated over 8-sets.
+
+    ``ctx`` plans every run the study needs; ``runner`` executes them.
+    """
 
     def __init__(
-        self, runner: ExperimentRunner, *, train_predictor: bool = True
+        self,
+        ctx: PlanContext,
+        runner: ExperimentRunner,
+        *,
+        train_predictor: bool = True,
     ) -> None:
         self.runner = runner
         self.profiles: dict[str, WorkloadProfile] = profile_workloads(
-            runner, [zoo.get(name, runner.scale) for name in zoo.NAMES]
+            ctx, runner, [zoo.get(name, ctx.scale) for name in zoo.NAMES]
         )
         # Simulated slowdown of each workload within each type pair.
         self.pair_slowdowns: dict[tuple[str, str], tuple[float, float]] = {}
         mixes = all_mixes(2)
-        batch = run_all(
-            runner, [runner.plan_mix(mix, SharingLevel.DWT) for mix in mixes]
-        )
+        batch = run_all(runner, [ctx.mix(mix, SharingLevel.DWT) for mix in mixes])
         for mix, results in zip(mixes, batch):
             self.pair_slowdowns[mix] = tuple(
                 result["cycles"] / self.profiles[name].ideal_cycles
@@ -90,7 +98,7 @@ class MappingStudy:
             )
         self.predictor = SlowdownPredictor()
         if train_predictor:
-            self.predictor.train(runner)
+            self.predictor.train(ctx, runner)
 
     # ------------------------------------------------------------------ #
 

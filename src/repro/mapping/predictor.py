@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -24,10 +24,12 @@ from repro.compute.requestgen import RequestGenerator
 from repro.config import presets
 from repro.core.sharing import SharingLevel
 from repro.errors import RunFailedError
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import PlanContext, RunSpec
 from repro.models.layers import Network
 from repro.models.random_net import random_network
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentRunner
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ def run_all(
     The mapping study needs every run, so the first failed spec raises
     its :class:`RunFailedError` instead of leaving a gap.
     """
-    planned = [runner.plan(spec) for spec in specs]
+    planned = [spec.resolve() for spec in specs]
     results = runner.run_many(planned)
     for spec in planned:
         if spec not in results:
@@ -57,7 +59,10 @@ def run_all(
 
 
 def profile_workloads(
-    runner: ExperimentRunner, networks: Sequence[Network], num_cores: int = 2
+    ctx: PlanContext,
+    runner: ExperimentRunner,
+    networks: Sequence[Network],
+    num_cores: int = 2,
 ) -> dict[str, WorkloadProfile]:
     """Profile workloads: request-generator statistics + Ideal runs.
 
@@ -65,10 +70,9 @@ def profile_workloads(
     """
     for network in networks:
         runner.register_network(network)
-    arch = presets.cloud_arch(runner.scale)
+    arch = presets.cloud_arch(ctx.scale)
     ideals = run_all(
-        runner,
-        [runner.plan_ideal(network.name, num_cores) for network in networks],
+        runner, [ctx.ideal(network.name, num_cores) for network in networks]
     )
     profiles = {}
     for network, (ideal,) in zip(networks, ideals):
@@ -109,6 +113,7 @@ class SlowdownPredictor:
 
     def train(
         self,
+        ctx: PlanContext,
         runner: ExperimentRunner,
         *,
         num_random_nets: int = 12,
@@ -123,15 +128,13 @@ class SlowdownPredictor:
             random_network(seed + index, name=f"rand{seed + index}")
             for index in range(num_random_nets)
         ]
-        profiles = profile_workloads(runner, networks)
+        profiles = profile_workloads(ctx, runner, networks)
         pairs = [
             (left.name, right.name)
             for i, left in enumerate(networks)
             for right in networks[i:]
         ]
-        mixes = run_all(
-            runner, [runner.plan_mix(pair, SharingLevel.DWT) for pair in pairs]
-        )
+        mixes = run_all(runner, [ctx.mix(pair, SharingLevel.DWT) for pair in pairs])
         rows: list[list[float]] = []
         targets: list[float] = []
         for pair, results in zip(pairs, mixes):

@@ -332,7 +332,7 @@ class SweepService:
         resolved.  Raises :class:`ServiceUnavailableError` (draining or
         breaker open) or :class:`ServerOverloadedError` (queue full).
         """
-        spec = self.runner.plan(spec)
+        spec = spec.resolve()
         key = spec.cache_key()
         self._requests.inc()
         with self._cond:

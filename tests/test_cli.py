@@ -97,6 +97,7 @@ class TestMixCommand:
         # cycle counts must match exactly for identical parameters.
         from repro.core.sharing import SharingLevel
         from repro.experiments.runner import ExperimentRunner
+        from repro.experiments.spec import RunSpec
 
         assert main(["mix", "ncf", "ncf", "--sharing", "DW"]) == 0
         out = capsys.readouterr().out
@@ -104,7 +105,7 @@ class TestMixCommand:
             int(line.split()[2]) for line in out.splitlines() if "cycles" in line
         ]
         runner = ExperimentRunner(cache_dir=tmp_path)
-        results = runner.run(runner.plan_mix(("ncf", "ncf"), SharingLevel.DW))
+        results = runner.run(RunSpec.mix(("ncf", "ncf"), SharingLevel.DW))
         assert cli_cycles == [result["cycles"] for result in results]
 
     def test_uncontended_sharing_rejected(self):
@@ -262,6 +263,14 @@ class TestFigureCommand:
         # Still unknown-figure, but after --jobs parsing: the flag exists.
         with pytest.raises(SystemExit, match="unknown figure"):
             main(["figure", "fig99", "--jobs", "4", "--cache-dir", str(tmp_path)])
+
+    def test_dataflow_flag_reaches_every_planned_spec(self, tmp_path):
+        args = ["figure", "fig16", "--mixes", "1", "--dataflow", "ws", "--quiet"]
+        assert main([*args, "--cache-dir", str(tmp_path)]) == 0
+        shards = list(tmp_path.glob("*.json"))
+        assert len(shards) == 27
+        for shard in shards:
+            assert json.loads(shard.read_text())["descriptor"]["dataflow"] == "ws"
 
 
 class TestSweepCommand:

@@ -73,9 +73,9 @@ def _tiny(name="tiny"):
 class TestRunnerCaching:
     def test_solo_cached_on_second_call(self, runner):
         runner.register_network(_tiny())
-        first = runner.run(runner.plan_solo("tiny"))[0]
+        first = runner.run(RunSpec.solo("tiny"))[0]
         executed = runner.runs_executed
-        second = runner.run(runner.plan_solo("tiny"))[0]
+        second = runner.run(RunSpec.solo("tiny"))[0]
         assert second == first
         assert runner.runs_executed == executed
         assert runner.cache_hits >= 1
@@ -83,27 +83,27 @@ class TestRunnerCaching:
     def test_cache_persists_across_runner_instances(self, tmp_path):
         a = ExperimentRunner(cache_dir=tmp_path / "c")
         a.register_network(_tiny())
-        result = a.run(a.plan_solo("tiny"))[0]
+        result = a.run(RunSpec.solo("tiny"))[0]
         b = ExperimentRunner(cache_dir=tmp_path / "c")
         b.register_network(_tiny())
-        assert b.run(b.plan_solo("tiny"))[0] == result
+        assert b.run(RunSpec.solo("tiny"))[0] == result
         assert b.runs_executed == 0
 
     def test_distinct_params_distinct_cache_entries(self, runner):
         runner.register_network(_tiny())
-        a = runner.run(runner.plan_solo("tiny", channels=1))[0]
-        b = runner.run(runner.plan_solo("tiny", channels=8))[0]
+        a = runner.run(RunSpec.solo("tiny", channels=1))[0]
+        b = runner.run(RunSpec.solo("tiny", channels=8))[0]
         assert a["cycles"] >= b["cycles"]
         assert runner.runs_executed == 2
 
     def test_mix_requires_contended_level(self, runner):
         with pytest.raises(ValueError, match="no dynamic contention"):
-            runner.plan_mix(("tiny", "tiny"), SharingLevel.STATIC)
+            RunSpec.mix(("tiny", "tiny"), SharingLevel.STATIC)
 
     def test_mix_returns_per_core_results(self, runner):
         runner.register_network(_tiny("a"))
         runner.register_network(_tiny("b"))
-        results = runner.run(runner.plan_mix(("a", "b"), SharingLevel.DWT))
+        results = runner.run(RunSpec.mix(("a", "b"), SharingLevel.DWT))
         assert len(results) == 2
         assert results[0]["workload"] == "a"
         assert results[1]["workload"] == "b"
@@ -112,20 +112,28 @@ class TestRunnerCaching:
         runner.register_network(_tiny("a"))
         runner.register_network(_tiny("b"))
         with pytest.raises(ValueError, match="per core"):
-            runner.plan_mix(("a", "b"), SharingLevel.D, ptw_split=(1,))
+            RunSpec.mix(("a", "b"), SharingLevel.D, ptw_split=(1,))
 
     def test_ideal_and_static_are_distinct_runs(self, runner):
         runner.register_network(_tiny())
-        ideal = runner.run(runner.plan_ideal("tiny", 2))[0]
-        static = runner.run(runner.plan_static_equal("tiny"))[0]
+        ideal = runner.run(RunSpec.ideal("tiny", 2))[0]
+        static = runner.run(RunSpec.solo("tiny"))[0]
         # Ideal owns twice the resources, so it is a different simulation
         # (tiny latency-bound nets may not *benefit* from extra channels).
         assert runner.runs_executed == 2
         assert ideal["cycles"] > 0 and static["cycles"] > 0
 
+    def test_zoo_workloads_resolve_at_the_spec_scale(self, runner):
+        # A runner simulates (and fingerprints) the network its spec names,
+        # so a full-scale spec must never run the mini topology under the
+        # full-scale cache key.
+        (network,) = runner._networks_for(RunSpec.solo("ncf", scale="full"))
+        assert network == zoo.get("ncf", "full")
+        assert network != zoo.get("ncf", "mini")
+
     def test_cache_files_are_json(self, runner):
         runner.register_network(_tiny())
-        runner.run(runner.plan_solo("tiny"))[0]
+        runner.run(RunSpec.solo("tiny"))[0]
         files = list(runner.cache_dir.glob("*.json"))
         assert files
         payload = json.loads(files[0].read_text())

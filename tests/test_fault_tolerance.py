@@ -18,6 +18,7 @@ from repro.errors import RunFailedError
 from repro.experiments import faults, figures
 from repro.experiments.report import format_failures
 from repro.experiments.runner import ExperimentRunner, JOURNAL_NAME, QUARANTINE_DIR
+from repro.experiments.spec import PlanContext, RunSpec
 from repro.models.layers import DenseLayer, Network
 from repro.storage import atomic_write_bytes, checksum_path
 
@@ -38,8 +39,8 @@ def _make_runner(cache_dir, **kwargs):
     return runner
 
 
-def _specs(runner, names):
-    return [runner.plan(runner.plan_solo(name)) for name in names]
+def _specs(names):
+    return [RunSpec.solo(name) for name in names]
 
 
 # --------------------------------------------------------------------- #
@@ -52,7 +53,7 @@ class TestCacheQuarantine:
     def test_corrupt_shard_is_quarantined_and_rerun(self, tmp_path, caplog, mode):
         cache = tmp_path / "cache"
         first = _make_runner(cache)
-        (spec,) = _specs(first, ["a"])
+        (spec,) = _specs(["a"])
         expected = first.run(spec)
 
         faults.corrupt_shard(first._cache_path(spec), mode)
@@ -79,7 +80,7 @@ class TestCacheQuarantine:
     def test_shard_without_checksum_sidecar_still_reads(self, tmp_path):
         cache = tmp_path / "cache"
         first = _make_runner(cache)
-        (spec,) = _specs(first, ["a"])
+        (spec,) = _specs(["a"])
         expected = first.run(spec)
         checksum_path(first._cache_path(spec)).unlink()
 
@@ -104,7 +105,7 @@ def _sweep_in_child(cache_dir, names):
     runner = ExperimentRunner(cache_dir=cache_dir, retry_backoff=0.0)
     for name in names:
         runner.register_network(_tiny(name))
-    runner.run_many([runner.plan(runner.plan_solo(name)) for name in names])
+    runner.run_many([RunSpec.solo(name) for name in names])
 
 
 class TestAtomicWrites:
@@ -145,7 +146,7 @@ class TestAtomicWrites:
             proc.join()
             assert proc.exitcode == 0
         checker = _make_runner(cache)
-        results = checker.run_many(_specs(checker, names))
+        results = checker.run_many(_specs(names))
         assert len(results) == len(names)
         assert checker.cache_hits == len(names)
         assert checker.quarantined == 0
@@ -159,7 +160,7 @@ class TestAtomicWrites:
 class TestInjectedFailures:
     def test_failed_specs_are_isolated_not_fatal(self, tmp_path):
         runner = _make_runner(tmp_path / "cache", max_attempts=2)
-        specs = _specs(runner, ["a", "b", "c", "d"])
+        specs = _specs(["a", "b", "c", "d"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {specs[1]: faults.Fault("crash"), specs[3]: faults.Fault("error")}
         )
@@ -178,7 +179,7 @@ class TestInjectedFailures:
 
     def test_retry_recovers_transient_crashes(self, tmp_path):
         runner = _make_runner(tmp_path / "flaky", max_attempts=3)
-        (spec,) = _specs(runner, ["a"])
+        (spec,) = _specs(["a"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {spec: faults.Fault("crash", fail_attempts=2)}
         )
@@ -186,11 +187,11 @@ class TestInjectedFailures:
         assert not runner.failures
 
         clean = _make_runner(tmp_path / "clean")
-        assert recovered == clean.run(_specs(clean, ["a"])[0])
+        assert recovered == clean.run(_specs(["a"])[0])
 
     def test_run_raises_typed_error_for_failed_spec(self, tmp_path):
         runner = _make_runner(tmp_path / "cache")
-        specs = _specs(runner, ["a", "b"])
+        specs = _specs(["a", "b"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {specs[1]: faults.Fault("error")}
         )
@@ -200,7 +201,7 @@ class TestInjectedFailures:
 
     def test_timeout_fault_classified_as_timeout(self, tmp_path):
         runner = _make_runner(tmp_path / "cache", run_timeout=0.2, max_attempts=1)
-        (spec,) = _specs(runner, ["a"])
+        (spec,) = _specs(["a"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {spec: faults.Fault("timeout")}
         )
@@ -210,7 +211,7 @@ class TestInjectedFailures:
 
     def test_stall_fault_classified_as_stall(self, tmp_path):
         runner = _make_runner(tmp_path / "cache", max_attempts=1)
-        (spec,) = _specs(runner, ["a"])
+        (spec,) = _specs(["a"])
         runner.fault_plan = faults.FaultPlan.for_specs({spec: faults.Fault("stall")})
         runner.run_many([spec])
         failure = runner.failures[spec]
@@ -219,7 +220,7 @@ class TestInjectedFailures:
 
     def test_pool_mode_attributes_crash_to_culprit(self, tmp_path):
         runner = _make_runner(tmp_path / "cache", max_attempts=2)
-        specs = _specs(runner, ["a", "b", "c"])
+        specs = _specs(["a", "b", "c"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {specs[1]: faults.Fault("crash")}
         )
@@ -242,14 +243,14 @@ class TestJournalAndResume:
     def test_resumed_sweep_reruns_only_missing_specs(self, tmp_path):
         cache = tmp_path / "cache"
         first = _make_runner(cache, max_attempts=1)
-        specs = _specs(first, ["a", "b", "c"])
+        specs = _specs(["a", "b", "c"])
         first.fault_plan = faults.FaultPlan.for_specs(
             {specs[1]: faults.Fault("error")}
         )
         assert len(first.run_many(specs)) == 2
 
         resumed = _make_runner(cache)
-        results = resumed.run_many(_specs(resumed, ["a", "b", "c"]))
+        results = resumed.run_many(_specs(["a", "b", "c"]))
         assert len(results) == 3
         assert resumed.cache_hits == 2
         assert resumed.runs_executed == 1
@@ -258,7 +259,7 @@ class TestJournalAndResume:
     def test_journal_records_sweep_lifecycle(self, tmp_path):
         cache = tmp_path / "cache"
         runner = _make_runner(cache, max_attempts=2)
-        specs = _specs(runner, ["a", "b"])
+        specs = _specs(["a", "b"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {specs[1]: faults.Fault("crash")}
         )
@@ -277,7 +278,7 @@ class TestJournalAndResume:
     def test_journal_reader_skips_corrupt_lines(self, tmp_path):
         cache = tmp_path / "cache"
         runner = _make_runner(cache)
-        runner.run_many(_specs(runner, ["a"]))
+        runner.run_many(_specs(["a"]))
         journal_path = cache / JOURNAL_NAME
         with journal_path.open("a") as handle:
             handle.write("{truncated\n")
@@ -289,7 +290,7 @@ class TestJournalAndResume:
         # Journaling must never take the sweep down with it.
         runner = _make_runner(tmp_path / "cache")
         runner.journal.path = tmp_path / "missing" / "journal.jsonl"
-        results = runner.run_many(_specs(runner, ["a"]))
+        results = runner.run_many(_specs(["a"]))
         assert len(results) == 1
 
 
@@ -326,10 +327,9 @@ MIXES = [("res", "yt"), ("alex", "gpt2")]
 CONTENDED = ("+D", "+DW", "+DWT")
 
 
-def _degraded_fig4(tmp_path):
+def _degraded_fig4():
     """Fig 4's synthetic results with every ("res", "yt") mix run missing."""
-    planner = ExperimentRunner(cache_dir=tmp_path / "plan")
-    results = synthetic_results(figures.sharing_sweep_specs(planner, MIXES))
+    results = synthetic_results(figures.sharing_sweep_specs(PlanContext(), MIXES))
     for level in CONTENDED:
         del results["mix", MIXES[0], level]
     return results
@@ -343,22 +343,22 @@ def crashing_runner(tmp_path, monkeypatch):
     monkeypatch.setattr(zoo, "NAMES", ("a", "b"))
     runner = _make_runner(tmp_path / "cache")
     runner.fault_plan = faults.FaultPlan.for_specs(
-        {runner.plan_mix(("a", "b"), SharingLevel.DWT): faults.Fault("crash")}
+        {RunSpec.mix(("a", "b"), SharingLevel.DWT): faults.Fault("crash")}
     )
     return runner
 
 
 class TestFigureDegradation:
-    def test_mix_speedups_empty_for_failed_mix(self, tmp_path):
-        results = _degraded_fig4(tmp_path)
+    def test_mix_speedups_empty_for_failed_mix(self):
+        results = _degraded_fig4()
         ideal = {name: results["ideal", name][0]["cycles"] for name in MIXES[0]}
         static = {name: results["static", name][0]["cycles"] for name in MIXES[0]}
         assert figures.mix_speedups(
             results, MIXES[0], SharingLevel.DWT, ideal, static
         ) == []
 
-    def test_fig4_marks_failed_mix_missing_not_fatal(self, tmp_path):
-        data = figures.reduce_fig4(_degraded_fig4(tmp_path), MIXES)
+    def test_fig4_marks_failed_mix_missing_not_fatal(self):
+        data = figures.reduce_fig4(_degraded_fig4(), MIXES)
 
         bad = data["per_mix"]["res+yt"]
         good = data["per_mix"]["alex+gpt2"]
@@ -372,7 +372,9 @@ class TestFigureDegradation:
         assert data["overall"]["+DWT"] is not None
 
     def test_entry_point_attaches_runner_failures(self, crashing_runner):
-        data = figures.fig4_dual_performance(crashing_runner, [("a", "b"), ("a", "a")])
+        data = figures.fig4_dual_performance(
+            PlanContext(), crashing_runner, [("a", "b"), ("a", "a")]
+        )
         assert "+DWT" not in data["per_mix"]["a+b"]
         assert "+DW" in data["per_mix"]["a+b"]
         assert "+DWT" in data["per_mix"]["a+a"]
@@ -384,12 +386,21 @@ class TestFigureDegradation:
 
         monkeypatch.setattr(zoo, "NAMES", ("a", "b"))
         data = figures.fig4_dual_performance(
-            _make_runner(tmp_path / "cache"), [("a", "b")]
+            PlanContext(), _make_runner(tmp_path / "cache"), [("a", "b")]
         )
         assert "failures" not in data
 
+    def test_later_figure_omits_earlier_figures_failures(self, crashing_runner):
+        ctx = PlanContext()
+        data = figures.fig4_dual_performance(ctx, crashing_runner, [("a", "b")])
+        assert len(data["failures"]) == 1
+        data = figures.fig15_pagesize_single(ctx, crashing_runner)
+        assert "failures" not in data
+
     def test_format_failures_renders_summaries(self, crashing_runner):
-        data = figures.fig4_dual_performance(crashing_runner, [("a", "b")])
+        data = figures.fig4_dual_performance(
+            PlanContext(), crashing_runner, [("a", "b")]
+        )
         text = format_failures(data["failures"])
         assert "crash" in text
         assert "1 run(s) failed" in text
@@ -440,7 +451,7 @@ class TestBackoffJitterAndBudget:
             retry_jitter=0.0,
             retry_budget=5.0,
         )
-        (spec,) = _specs(runner, ["a"])
+        (spec,) = _specs(["a"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {spec: faults.Fault("transient")}
         )
@@ -457,7 +468,7 @@ class TestBackoffJitterAndBudget:
             retry_jitter=0.0,
             retry_budget=5.0,
         )
-        (spec,) = _specs(runner, ["a"])
+        (spec,) = _specs(["a"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {spec: faults.Fault("crash")}
         )
@@ -471,7 +482,7 @@ class TestBackoffJitterAndBudget:
             tmp_path / "cache", max_attempts=3, retry_backoff=10.0,
             retry_jitter=0.0,
         )
-        (spec,) = _specs(runner, ["a"])
+        (spec,) = _specs(["a"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {spec: faults.Fault("transient")}
         )
@@ -488,7 +499,7 @@ class TestBackoffJitterAndBudget:
             retry_jitter=0.25,
             retry_budget=60.0,
         )
-        (spec,) = _specs(runner, ["a"])
+        (spec,) = _specs(["a"])
         runner.fault_plan = faults.FaultPlan.for_specs(
             {spec: faults.Fault("transient", fail_attempts=2)}
         )
@@ -513,7 +524,7 @@ class TestJournalTruncation:
     ):
         cache = tmp_path / "cache"
         runner = _make_runner(cache)
-        runner.run_many(_specs(runner, ["a", "b"]))
+        runner.run_many(_specs(["a", "b"]))
         intact = runner.journal.read()
         self._truncate_final_line(cache / JOURNAL_NAME)
 
@@ -528,11 +539,11 @@ class TestJournalTruncation:
     def test_resume_after_truncation_appends_cleanly(self, tmp_path):
         cache = tmp_path / "cache"
         first = _make_runner(cache)
-        first.run_many(_specs(first, ["a"]))
+        first.run_many(_specs(["a"]))
         self._truncate_final_line(cache / JOURNAL_NAME)
 
         resumed = _make_runner(cache)
-        results = resumed.run_many(_specs(resumed, ["a", "b"]))
+        results = resumed.run_many(_specs(["a", "b"]))
         assert len(results) == 2
         assert resumed.cache_hits == 1  # cache survived the torn journal
         events = [record["event"] for record in resumed.journal.read()]

@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.sharing import SharingLevel
 from repro.experiments import figures
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.spec import PlanContext
+from repro.mapping import MappingStudy
 from repro.models import zoo
 
 #: Synthetic solo cycles on the equal Static slice (4 channels).
@@ -57,9 +58,9 @@ def synthetic_results(plan):
 
 
 @pytest.fixture(scope="module")
-def planner(tmp_path_factory):
-    """A runner used only to plan specs; nothing is executed."""
-    return ExperimentRunner(cache_dir=tmp_path_factory.mktemp("plan"))
+def planner():
+    """The default plan context; nothing is executed."""
+    return PlanContext()
 
 
 def reduce(planner, name, *params):
@@ -158,3 +159,27 @@ class TestRegistry:
         data = figures.FIGURES["fig11"].reducer(results)
         assert "res" not in data["speedup"]
         assert [count for count, _ in data["speedup"]["yt"]] == [1, 2, 4, 6]
+
+
+class _SyntheticExecutor:
+    """Executes nothing: synthetic results for every spec it is handed."""
+
+    failures = {}
+
+    def register_network(self, network):
+        pass
+
+    def run_many(self, specs):
+        return {spec: synthetic_run(spec) for spec in specs}
+
+
+def test_planning_opens_no_cache(tmp_path, monkeypatch):
+    """Every figure and the mapping study plan from a context alone."""
+    monkeypatch.chdir(tmp_path)
+    ctx = PlanContext()
+    params = {None: (), 2: (MIXES2,), 4: ([("res", "yt", "alex", "gpt2")],)}
+    for name, figure in figures.FIGURES.items():
+        assert figure.planner(ctx, *params[figure.cores])
+    study = MappingStudy(ctx, _SyntheticExecutor(), train_predictor=False)
+    assert len(study.pair_slowdowns) == len(zoo.NAMES) * (len(zoo.NAMES) + 1) // 2
+    assert list(tmp_path.iterdir()) == []

@@ -172,7 +172,7 @@ def snapshot(spec: RunSpec, cache_dir: Path) -> dict:
     the same spec into ``cache_dir``.
     """
     mix = simulate(spec)
-    runner = ExperimentRunner(scale=spec.scale, cache_dir=cache_dir)
+    runner = ExperimentRunner(cache_dir=cache_dir)
     runner.run(spec)
     shard = (cache_dir / f"{spec.cache_key()}.json").read_bytes()
     return {
@@ -321,7 +321,7 @@ def test_trace_cache_modes_are_byte_equivalent(name, snapshots, tmp_path):
     def shard_digest(mode: str, trace_cache: bool) -> str:
         cache_dir = tmp_path / mode
         runner = ExperimentRunner(
-            scale=spec.scale, cache_dir=cache_dir, trace_cache=trace_cache
+            cache_dir=cache_dir, trace_cache=trace_cache
         )
         runner.run(spec)
         shard = (cache_dir / f"{spec.cache_key()}.json").read_bytes()

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import RunFailedError
 from repro.experiments import faults
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.spec import PlanContext, RunSpec
 from repro.mapping.mapper import pairings
 from repro.mapping.predictor import (
     SlowdownPredictor,
@@ -67,7 +68,7 @@ class TestPredictor:
     def test_training_on_tiny_runner(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path / "c")
         predictor = SlowdownPredictor()
-        predictor.train(runner, num_random_nets=4, seed=11)
+        predictor.train(PlanContext(), runner, num_random_nets=4, seed=11)
         assert predictor.is_trained
         assert predictor.training_error is not None
         assert predictor.training_error < 1.0  # slowdowns are O(1)
@@ -80,7 +81,7 @@ class TestPredictor:
     def test_profile_workload_features(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path / "c")
         network = Network("prof", (DenseLayer("l0", 32, 64, 32),))
-        profile = profile_workloads(runner, [network])["prof"]
+        profile = profile_workloads(PlanContext(), runner, [network])["prof"]
         assert profile.name == "prof"
         assert 0 < profile.pe_utilization <= 1
         assert profile.traffic_per_cycle > 0
@@ -92,9 +93,9 @@ class TestPredictor:
         runner = ExperimentRunner(cache_dir=tmp_path / "c", retry_backoff=0.0)
         for name in ("ok", "bad"):
             runner.register_network(Network(name, (DenseLayer("l0", 16, 32, 16),)))
-        good, bad = runner.plan_solo("ok"), runner.plan_solo("bad")
+        good, bad = RunSpec.solo("ok"), RunSpec.solo("bad")
         runner.fault_plan = faults.FaultPlan.for_specs(
-            {runner.plan(bad): faults.Fault("error")}
+            {bad: faults.Fault("error")}
         )
         with pytest.raises(RunFailedError, match="injected"):
             run_all(runner, [good, bad])

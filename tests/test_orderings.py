@@ -10,6 +10,7 @@ import pytest
 from repro.core.metrics import fairness, geomean
 from repro.core.sharing import SharingLevel
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.spec import RunSpec
 
 
 @pytest.fixture(scope="module")
@@ -21,15 +22,15 @@ MIX = ("ncf", "dlrm")  # two small, memory-sensitive workloads: fast to run
 
 
 def _ideal(runner, name):
-    return runner.run(runner.plan_ideal(name, 2))[0]["cycles"]
+    return runner.run(RunSpec.ideal(name, 2))[0]["cycles"]
 
 
 def _static(runner, name):
-    return runner.run(runner.plan_static_equal(name))[0]["cycles"]
+    return runner.run(RunSpec.solo(name))[0]["cycles"]
 
 
 def _mix(runner, level, **kwargs):
-    return runner.run(runner.plan_mix(MIX, level, **kwargs))
+    return runner.run(RunSpec.mix(MIX, level, **kwargs))
 
 
 class TestSharingOrderings:

@@ -201,7 +201,7 @@ def test_runner_results_identical_across_modes(tmp_path):
     keys = {}
     for mode in REPLAY_MODES:
         spec = dataclasses.replace(base, replay_mode=mode)
-        runner = ExperimentRunner(scale="mini", cache_dir=tmp_path / mode)
+        runner = ExperimentRunner(cache_dir=tmp_path / mode)
         # run() returns the serialized per-workload result rows — the
         # exact payload the cache shard stores.
         results[mode] = runner.run(spec)

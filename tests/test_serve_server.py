@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.experiments import faults
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.spec import RunSpec
 from repro.models.layers import DenseLayer, Network
 from repro.serve import protocol
 from repro.serve.client import ServeClient
@@ -118,7 +119,7 @@ class TestCircuitBreaker:
 class TestAdmission:
     def test_single_flight_dedup_under_concurrent_submitters(self, tmp_path):
         service = _make_service(tmp_path / "cache")
-        spec = service.runner.plan_solo("a")
+        spec = RunSpec.solo("a")
         service.start()
         try:
             outcomes = []
@@ -143,7 +144,7 @@ class TestAdmission:
 
     def test_payload_matches_an_independent_cold_run(self, tmp_path):
         service = _make_service(tmp_path / "cache")
-        spec = service.runner.plan_solo("a")
+        spec = RunSpec.solo("a")
         service.start()
         try:
             future, source = service.submit(spec)
@@ -161,7 +162,7 @@ class TestAdmission:
     def test_memo_then_disk_hits_without_recompute(self, tmp_path):
         cache = tmp_path / "cache"
         service = _make_service(cache)
-        spec = service.runner.plan_solo("a")
+        spec = RunSpec.solo("a")
         service.start()
         try:
             first, _ = service.submit(spec)
@@ -191,14 +192,14 @@ class TestAdmission:
         )
         runner = service.runner
         try:
-            _, source = service.submit(runner.plan_solo("a"))
+            _, source = service.submit(RunSpec.solo("a"))
             assert source == "cold"
             with pytest.raises(ServerOverloadedError) as excinfo:
-                service.submit(runner.plan_solo("b"))
+                service.submit(RunSpec.solo("b"))
             assert excinfo.value.retry_after == 2.5
             assert service.registry.value("serve.shed") == 1
             # Identical specs still dedup instead of shedding.
-            _, source = service.submit(runner.plan_solo("a"))
+            _, source = service.submit(RunSpec.solo("a"))
             assert source == "dedup"
         finally:
             runner.close()
@@ -206,7 +207,7 @@ class TestAdmission:
     def test_deadline_expires_while_queued(self, tmp_path):
         clock = FakeClock()
         service = _make_service(tmp_path / "cache", clock=clock)
-        spec = service.runner.plan_solo("a")
+        spec = RunSpec.solo("a")
         future, _ = service.submit(spec, deadline_seconds=5.0)
         clock.advance(10.0)
         service.start()
@@ -222,7 +223,7 @@ class TestAdmission:
         service.begin_drain()
         try:
             with pytest.raises(ServiceUnavailableError):
-                service.submit(service.runner.plan_solo("a"))
+                service.submit(RunSpec.solo("a"))
             assert not service.ready()
         finally:
             service.runner.close()
@@ -243,7 +244,7 @@ class TestBreakerIntegration:
             runner_kwargs={"max_attempts": 1},
         )
         runner = service.runner
-        bad = runner.plan_solo("a")
+        bad = RunSpec.solo("a")
         runner.fault_plan = faults.FaultPlan.for_specs(
             {bad: faults.Fault("crash")}
         )
@@ -257,12 +258,12 @@ class TestBreakerIntegration:
             assert not service.ready()
 
             with pytest.raises(ServiceUnavailableError) as unavailable:
-                service.submit(runner.plan_solo("b"))
+                service.submit(RunSpec.solo("b"))
             assert unavailable.value.retry_after is not None
             assert service.registry.value("serve.unavailable") == 1
 
             clock.advance(150.0)  # cooldown over: next job is the probe
-            probe, source = service.submit(runner.plan_solo("b"))
+            probe, source = service.submit(RunSpec.solo("b"))
             assert source == "cold"
             assert probe.result(timeout=60)
             assert service.breaker.state == "closed"
@@ -275,7 +276,7 @@ class TestBreakerIntegration:
             tmp_path / "cache", runner_kwargs={"max_attempts": 1}
         )
         runner = service.runner
-        bad = runner.plan_solo("a")
+        bad = RunSpec.solo("a")
         runner.fault_plan = faults.FaultPlan.for_specs(
             {bad: faults.Fault("error")}
         )
@@ -302,7 +303,7 @@ class TestDrainAndResume:
         # Never started: the queued job cannot run, so shutdown must
         # abandon it — journaled, and its waiter gets a retriable error.
         service = _make_service(tmp_path / "cache")
-        spec = service.runner.plan_solo("a")
+        spec = RunSpec.solo("a")
         future, _ = service.submit(spec)
         service.shutdown(drain_timeout=0.2)
         with pytest.raises(ServiceUnavailableError):
@@ -315,7 +316,7 @@ class TestDrainAndResume:
     def test_restart_serves_completed_work_from_cache(self, tmp_path):
         cache = tmp_path / "cache"
         service = _make_service(cache)
-        specs = [service.runner.plan_solo(n) for n in ("a", "b")]
+        specs = [RunSpec.solo(n) for n in ("a", "b")]
         service.start()
         try:
             futures = [service.submit(spec)[0] for spec in specs]
@@ -341,7 +342,7 @@ class TestDrainAndResume:
 
     def test_stats_reports_state_and_hit_rate(self, tmp_path):
         service = _make_service(tmp_path / "cache")
-        spec = service.runner.plan_solo("a")
+        spec = RunSpec.solo("a")
         service.start()
         try:
             service.submit(spec)[0].result(timeout=60)
@@ -372,7 +373,7 @@ class TestHTTPDaemon:
         daemon.stop(drain_timeout=10)
 
     def test_concurrent_clients_share_one_cold_run(self, daemon):
-        spec = daemon.service.runner.plan_solo("a")
+        spec = RunSpec.solo("a")
         client = ServeClient(daemon.url, deadline_seconds=60.0)
         assert client.wait_ready(10.0)
 
@@ -397,7 +398,7 @@ class TestHTTPDaemon:
     def test_keep_alive_memo_requests_do_not_stall(self, daemon):
         # Headers and body leave as two writes; with Nagle on, every
         # kept-alive response waits ~40 ms on the client's delayed ACK.
-        spec = daemon.service.runner.plan_solo("a")
+        spec = RunSpec.solo("a")
         client = ServeClient(daemon.url, deadline_seconds=60.0)
         assert client.wait_ready(10.0)
         client.run(spec)  # warms the memo

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.sharing import SharingLevel
 from repro.experiments.runner import JOURNAL_NAME, ExperimentRunner
-from repro.experiments.spec import RESULTS_VERSION, RunSpec
+from repro.experiments.spec import RESULTS_VERSION, PlanContext, RunSpec
 from repro.models.layers import DenseLayer, Network
 from repro.models.serving import ServingParams
 
@@ -119,12 +119,12 @@ class TestCacheKey:
         ).system()
         assert all(arch.dataflow == "is" for arch in mix.arch)
 
-    def test_unresolved_solo_refuses_key(self, tmp_path):
+    def test_unresolved_solo_refuses_key(self):
         bare = RunSpec(kind="solo", workloads=("ncf",))
         assert not bare.is_resolved
         with pytest.raises(ValueError, match="unresolved"):
             bare.cache_key()
-        resolved = ExperimentRunner(cache_dir=tmp_path).plan(bare)
+        resolved = bare.resolve()
         assert resolved == RunSpec.solo("ncf")
 
 
@@ -241,20 +241,16 @@ class TestServingSpec:
         with pytest.raises(ValueError, match="unknown phase"):
             RunSpec.solo("gpt2", phase="warmup")
 
-    def test_runner_defaults_bind_only_to_serving_workloads(self, tmp_path):
-        runner = ExperimentRunner(
-            cache_dir=tmp_path,
-            phase="decode",
-            serving=ServingParams(moe_skew="zipf"),
-        )
-        bound = runner.plan_solo("gpt2")
+    def test_runner_defaults_bind_only_to_serving_workloads(self):
+        ctx = PlanContext(phase="decode", serving=ServingParams(moe_skew="zipf"))
+        bound = ctx.solo("gpt2")
         assert bound.phase == "decode"
         assert bound.serving == ServingParams(moe_skew="zipf")
-        # Non-serving workloads planned through the same runner must not
+        # Non-serving workloads planned through the same context must not
         # inherit the defaults (they would fail RunSpec validation).
-        plain = runner.plan_solo("ncf")
+        plain = ctx.solo("ncf")
         assert plain.phase is None and plain.serving is None
-        qualified = runner.plan_mix(
+        qualified = ctx.mix(
             ("gpt2:prefill", "gpt2:decode"), SharingLevel.DWT
         )
         assert qualified.phase is None
@@ -266,15 +262,15 @@ def _sweep_specs(runner, dims=(16, 32, 16)):
     for name in ("wa", "wb"):
         runner.register_network(_tiny(name, dims))
     specs = [
-        runner.plan_mix(("wa", "wb"), level)
+        RunSpec.mix(("wa", "wb"), level)
         for level in (SharingLevel.D, SharingLevel.DW, SharingLevel.DWT)
     ]
     specs += [
-        runner.plan_mix(("wa", "wa"), SharingLevel.DWT),
-        runner.plan_mix(("wb", "wb"), SharingLevel.DWT),
-        runner.plan_solo("wa"),
-        runner.plan_solo("wb"),
-        runner.plan_ideal("wa", 2),
+        RunSpec.mix(("wa", "wa"), SharingLevel.DWT),
+        RunSpec.mix(("wb", "wb"), SharingLevel.DWT),
+        RunSpec.solo("wa"),
+        RunSpec.solo("wb"),
+        RunSpec.ideal("wa", 2),
     ]
     return specs
 
@@ -342,24 +338,25 @@ class TestRunMany:
         for name in ("wa", "wb"):
             runner.register_network(_tiny(name))
         mixes = [("wa", "wa"), ("wa", "wb")]
-        plan = figures.sharing_sweep_specs(runner, mixes)
+        ctx = PlanContext()
+        plan = figures.sharing_sweep_specs(ctx, mixes)
         runner.run_many(plan.values(), jobs=1)
         executed = runner.runs_executed
-        data = figures.fig4_dual_performance(runner, mixes)
+        data = figures.fig4_dual_performance(ctx, runner, mixes)
         assert runner.runs_executed == executed
         assert set(data["overall"]) == {"Static", "+D", "+DW", "+DWT"}
 
-    def test_runner_dataflow_default_applies_to_planned_specs(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path, dataflow="ws")
-        assert runner.plan_solo("ncf").dataflow == "ws"
-        assert runner.plan_ideal("ncf", 2).dataflow == "ws"
-        assert runner.plan_mix(("ncf", "gpt2"), SharingLevel.DWT).dataflow == "ws"
-        # Explicit per-spec engines always win over the runner default.
-        assert runner.plan_solo("ncf", dataflow="is").dataflow == "is"
-        # plan() must not touch an already-specified dataflow, or batch
-        # re-planning inside run_many would clobber per-spec engines.
+    def test_runner_dataflow_default_applies_to_planned_specs(self):
+        ctx = PlanContext(dataflow="ws")
+        assert ctx.solo("ncf").dataflow == "ws"
+        assert ctx.ideal("ncf", 2).dataflow == "ws"
+        assert ctx.mix(("ncf", "gpt2"), SharingLevel.DWT).dataflow == "ws"
+        # Explicit per-spec engines always win over the context default.
+        assert ctx.solo("ncf", dataflow="is").dataflow == "is"
+        # resolve() must not touch an already-specified dataflow, or
+        # batch resolution inside run_many would clobber per-spec engines.
         explicit = RunSpec.solo("ncf", dataflow="is")
-        assert runner.plan(explicit).dataflow == "is"
+        assert explicit.resolve().dataflow == "is"
 
     def test_dataflow_compare_reduces_cached_batch(self, tmp_path, monkeypatch):
         from repro.compute.dataflow import registered_dataflows
@@ -370,7 +367,8 @@ class TestRunMany:
         runner = ExperimentRunner(cache_dir=tmp_path)
         for name in ("wa", "wb"):
             runner.register_network(_tiny(name))
-        data = figures.dataflow_compare(runner)
+        ctx = PlanContext()
+        data = figures.dataflow_compare(ctx, runner)
         engines = list(registered_dataflows())
         assert data["dataflows"] == engines
         assert runner.runs_executed == 2 * len(engines)
@@ -379,7 +377,7 @@ class TestRunMany:
             assert data["speedup_vs_os"][name]["os"] == 1.0
         assert data["overall"]["os"] == 1.0
         # Re-reducing is served entirely from cache.
-        again = figures.dataflow_compare(runner)
+        again = figures.dataflow_compare(ctx, runner)
         assert again == data
         assert runner.runs_executed == 2 * len(engines)
 

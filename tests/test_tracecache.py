@@ -507,7 +507,7 @@ class TestRunnerIntegration:
     def test_memory_side_sweep_compiles_each_frontend_once(
         self, tmp_path, process_cache_state
     ):
-        runner = ExperimentRunner(scale="mini", cache_dir=tmp_path, journal=True)
+        runner = ExperimentRunner(cache_dir=tmp_path, journal=True)
         runner.run_many(list(self.SPECS))
         stats = runner.last_trace_stats
         assert stats is not None
@@ -518,17 +518,17 @@ class TestRunnerIntegration:
         assert "trace_cache" in events
 
     def test_warm_runner_loads_from_disk(self, tmp_path, process_cache_state):
-        first = ExperimentRunner(scale="mini", cache_dir=tmp_path)
+        first = ExperimentRunner(cache_dir=tmp_path)
         first.run_many([self.SPECS[0]])
         tracecache.process_cache().clear_memo()  # simulate a new process
-        second = ExperimentRunner(scale="mini", cache_dir=tmp_path)
+        second = ExperimentRunner(cache_dir=tmp_path)
         second.run_many([self.SPECS[1]])  # cold result, same frontend
         assert second.last_trace_stats.disk_hits == 1
         assert second.last_trace_stats.compiles == 0
 
     def test_trace_cache_off_runs_live(self, tmp_path, process_cache_state):
         runner = ExperimentRunner(
-            scale="mini", cache_dir=tmp_path, trace_cache=False
+            cache_dir=tmp_path, trace_cache=False
         )
         results = runner.run_many([self.SPECS[0]])
         assert len(results) == 1
@@ -538,9 +538,9 @@ class TestRunnerIntegration:
     def test_parallel_and_serial_results_identical(
         self, tmp_path, process_cache_state
     ):
-        serial = ExperimentRunner(scale="mini", cache_dir=tmp_path / "serial")
+        serial = ExperimentRunner(cache_dir=tmp_path / "serial")
         parallel = ExperimentRunner(
-            scale="mini", cache_dir=tmp_path / "parallel", jobs=2
+            cache_dir=tmp_path / "parallel", jobs=2
         )
         specs = list(self.SPECS)
         want = serial.run_many(specs)
@@ -591,7 +591,7 @@ class TestReplayModeIsReplaySide:
                 "dlrm", scale="mini", channels=1,
                 translation=False, replay_mode=mode,
             )
-            runner = ExperimentRunner(scale="mini", cache_dir=tmp_path)
+            runner = ExperimentRunner(cache_dir=tmp_path)
             runner.run_many([spec])
             stats = runner.last_trace_stats
             compiles += stats.compiles
