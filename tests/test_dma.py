@@ -3,8 +3,10 @@
 from array import array
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.config.dram import DramConfig
+from repro.config.dram import DramConfig, DramTiming
 from repro.config.npumem import NpuMemConfig
 from repro.core.clock import ClockDomain
 from repro.core.dma import DmaEngine
@@ -130,3 +132,137 @@ class TestDmaEngine:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             _fixture(max_outstanding=0)
+
+
+# --------------------------------------------------------------------- #
+# Closed-form streaming timing.  A refresh-free channel owned by one
+# core, streaming a row-hitting read transfer with ``M`` transactions in
+# flight and a DMA issue gap below one burst, settles into a rigid
+# cycle: each completion frees a slot, the pump issues the next
+# transaction at that tick, and the data bus (booked ``M - 1`` bursts
+# ahead) bounds its data start.  These are the exact timing formulas of
+# that steady state, checked against the per-event DMA and channel.
+
+
+def _streaming_fixture(*, burst, gap, max_outstanding, timing, refresh=False):
+    engine = Engine()
+    cfg = DramConfig(
+        channels=1,
+        channel_bytes_per_cycle=TXN // burst,
+        row_bytes=1 << 16,
+        timing=timing,
+        refresh_enabled=refresh,
+    )
+    controller = DramController(
+        cfg, engine, transaction_bytes=TXN, channels_per_core={0: (0,)},
+        expect_walks=False,
+    )
+    layout = PhysicalLayout(capacity_bytes=1 << 30, num_cores=1)
+    tables = {0: PageTable(0, 1 << 21, 4, layout)}
+    walkers = WalkerPool(
+        engine, 1, tables, dram=None,
+        fixed_level_ticks={0: 5}, pwc_entries={0: 0},
+    )
+    mmu = Mmu(
+        {0: NpuMemConfig(tlb_entries=16, tlb_assoc=4, translation_enabled=False)},
+        tables, walkers, shared_tlb=False,
+    )
+    dma = DmaEngine(
+        engine, 0, mmu, controller, ClockDomain(1000, 1000 * gap),
+        max_outstanding=max_outstanding, transaction_bytes=TXN,
+    )
+    assert dma._issue_gap == gap
+    assert controller.channels[0].burst_ticks == burst
+    # Record each transaction's arrival and data-end tick.
+    log = []
+    submit = dma._dram_submit
+
+    def recording_submit(core, paddr, write, callback):
+        entry = [engine.now, None]
+        log.append(entry)
+
+        def done():
+            entry[1] = engine.now
+            callback()
+
+        submit(core, paddr, write, done)
+
+    dma._dram_submit = recording_submit
+    return engine, dma, controller, log
+
+
+_timings = st.builds(
+    DramTiming,
+    tCL=st.integers(1, 40),
+    tRCD=st.integers(1, 34),
+    tCCD=st.integers(1, 4),
+)
+
+
+class TestStreamingClosedForm:
+    @given(
+        burst=st.sampled_from([2, 4, 8, 16]),
+        gap=st.integers(1, 15),
+        max_outstanding=st.integers(1, 12),
+        count=st.integers(1, 200),
+        timing=_timings,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_saturated_stream_matches_closed_form(
+        self, burst, gap, max_outstanding, count, timing
+    ):
+        assume(gap < burst)
+        m = max_outstanding
+        # The bus, not bank preparation, bounds a row hit issued on a
+        # completion: column access fits inside the M - 1 booked bursts.
+        assume(timing.tCL <= (m - 1) * burst and timing.tCCD <= burst)
+        engine, dma, controller, log = _streaming_fixture(
+            burst=burst, gap=gap, max_outstanding=m, timing=timing
+        )
+        dma.transfer(_runs((0, count)), lambda: None)
+        engine.run()
+        assert len(log) == count
+        assert controller.stats.row_misses == 1  # one row, opened once
+        ends = [end for _, end in log]
+        # Once the bus saturates, completions land exactly one burst
+        # apart ...
+        first = timing.tRCD + timing.tCL + burst
+        assert ends == [first + burst * i for i in range(count)]
+        # ... and the pump, paced one gap behind its last issue, catches
+        # up with them: from then on each transaction issues at the tick
+        # of the completion that freed its slot and spends exactly M
+        # bursts from arrival to data end.
+        steady = [
+            k for k in range(m, count) if log[k][0] == ends[k - m]
+        ]
+        assert steady == list(range(count - len(steady), count))
+        catch_up = m + -(-m * gap // (burst - gap))
+        assert count - len(steady) <= max(m, catch_up)
+        for k in steady:
+            assert ends[k] - log[k][0] == m * burst
+
+    @given(
+        burst=st.sampled_from([1, 2, 4, 8, 16]),
+        gap=st.integers(1, 20),
+        max_outstanding=st.integers(1, 16),
+        runs=st.lists(
+            st.tuples(st.integers(0, 1 << 14), st.integers(1, 40)),
+            min_size=1, max_size=6,
+        ),
+        write=st.booleans(),
+        refresh=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_never_exceed_bus_capacity(
+        self, burst, gap, max_outstanding, runs, write, refresh
+    ):
+        engine, dma, controller, _ = _streaming_fixture(
+            burst=burst, gap=gap, max_outstanding=max_outstanding,
+            timing=DramTiming(), refresh=refresh,
+        )
+        flat = _runs(*((addr * TXN, count) for addr, count in runs))
+        (dma.write_back if write else dma.transfer)(flat, lambda: None)
+        engine.run()
+        total = controller.stats.total_bytes
+        assert total == sum(count for _, count in runs) * TXN
+        assert total <= -(-engine.now // burst) * TXN
