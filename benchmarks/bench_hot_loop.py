@@ -122,56 +122,6 @@ def run_benchmarks(repeats: int) -> dict[str, dict]:
     return results
 
 
-def measure_replay_modes(repeats: int) -> dict[str, dict]:
-    """Per-mode wall clock for every scenario (the ``replay_modes`` block).
-
-    ``events_per_second_equivalent`` divides the *pinned* event count —
-    identical across modes, because batched/auto credit every elided
-    micro-event back to the engine — by the measured wall, so all three
-    modes are comparable on one scale.  Only the exclusive streaming
-    scenario can honestly clear 1M ev/s-equivalent: shared-channel mixes
-    are statically ineligible for batching (cross-core FR-FCFS
-    arbitration makes every transaction order-dependent) and fall back
-    to per-event replay by design, which the ``eligible_cores`` field
-    makes visible.  CI gates the throughput floor on
-    ``solo_1ch_stream``/``auto`` only.
-    """
-    from repro.core.replay import REPLAY_MODES, TurboDma
-
-    results: dict[str, dict] = {}
-    for name, (description, spec) in SCENARIOS.items():
-        networks = _networks(spec)
-        modes: dict[str, dict] = {}
-        for mode in REPLAY_MODES:
-            mode_spec = dataclasses.replace(spec, replay_mode=mode)
-            best_wall = None
-            events = total_ticks = eligible = ff_ticks = 0
-            for _ in range(repeats):
-                sim = MultiCoreNPUSim(mode_spec.system(), networks)
-                start = time.perf_counter()
-                result = sim.run(max_ticks=MAX_TICKS)
-                wall = time.perf_counter() - start
-                if best_wall is None or wall < best_wall:
-                    best_wall = wall
-                events = sim.engine.events_processed
-                total_ticks = result.total_ticks
-                eligible = len(sim.replay_plan.eligible_cores())
-                ff_ticks = sum(
-                    dma.rstats.fast_forwarded_ticks
-                    for dma in sim.dmas.values()
-                    if isinstance(dma, TurboDma)
-                )
-            modes[mode] = {
-                "wall_seconds": round(best_wall, 6),
-                "events_per_second_equivalent": round(events / best_wall, 1),
-                "eligible_cores": eligible,
-                "fast_forwarded_ticks": ff_ticks,
-                "total_ticks": total_ticks,
-            }
-        results[name] = {"description": description, "modes": modes}
-    return results
-
-
 #: The sweep-scale scenario: a memory-side sweep whose specs all share a
 #: handful of frontends, exactly the shape the trace cache exists for.
 #: Twelve solo specs (two workloads x {1,2,4} channels x {4K,64K} pages)
@@ -391,7 +341,6 @@ def main(argv: list[str] | None = None) -> int:
 
     current = run_benchmarks(repeats)
     sweep = measure_sweep(repeats)
-    replay_modes = measure_replay_modes(repeats)
     data = {}
     if args.out.exists():
         data = json.loads(args.out.read_text())
@@ -401,7 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     # prints "-" until a ``--set-baseline`` run records a real baseline.
     data["current"] = current
     data["sweep"] = sweep
-    data["replay_modes"] = replay_modes
     data["speedup"] = {
         name: round(
             data["baseline"][name]["wall_seconds"] / current[name]["wall_seconds"], 3
@@ -439,12 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         f"memo {sweep['memo_runs']} runs at {sweep['memo_bytes_per_run']} B/run, "
         f"encode peak {sweep['encode_peak_bytes_per_run']} B/run"
     )
-    for name, entry in replay_modes.items():
-        per_mode = ", ".join(
-            f"{mode} {stats['events_per_second_equivalent']:,.0f} ev/s"
-            for mode, stats in entry["modes"].items()
-        )
-        print(f"replay {name}: {per_mode}")
     print(f"wrote {args.out}")
     return 0
 

@@ -31,7 +31,6 @@ from pathlib import Path
 
 from repro.compute import tracecache
 from repro.compute.dataflow import registered_dataflows
-from repro.core.replay import REPLAY_MODES
 from repro.compute.requestgen import RequestGenerator
 from repro.config import (
     load_arch_config,
@@ -114,10 +113,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("arch, network and npumem lists must have one line per core")
     dram = load_dram_config(args.dram_config)
     misc = load_misc_config(args.misc_config)
-    if args.replay_mode is not None:
-        # --replay-mode overrides the misc_config file's choice (all
-        # modes are byte-identical; see repro.core.replay).
-        misc = dataclasses.replace(misc, replay_mode=args.replay_mode)
     arch_configs = tuple(load_arch_config(path) for path in arch_paths)
     if args.dataflow is not None:
         # --dataflow overrides whatever the arch_config files chose, on
@@ -188,7 +183,6 @@ def _cmd_mix(args: argparse.Namespace) -> int:
             scale=args.scale,
             page_bytes=args.page_bytes,
             dataflow=args.dataflow,
-            replay_mode=args.replay_mode,
             phase=args.phase,
             serving=_serving_params(args),
         )
@@ -307,9 +301,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _sweep_with(runner, args: argparse.Namespace, names) -> int:
     """Plan, execute and reduce ``names`` on a caller-built runner.
 
-    The plan defaults (scale, dataflow, replay mode, serving axes) come
-    from ``args`` as a :class:`PlanContext`.  Every figure's specs
-    execute in a single
+    The plan defaults (scale, dataflow, serving axes) come from ``args``
+    as a :class:`PlanContext`.  Every figure's specs execute in a single
     :meth:`ExperimentRunner.run_many` call (see
     :func:`repro.experiments.figures.run_figures`); the figures' headline
     tables go to stdout.
@@ -325,7 +318,6 @@ def _sweep_with(runner, args: argparse.Namespace, names) -> int:
     ctx = PlanContext(
         scale=args.scale,
         dataflow=args.dataflow,
-        replay_mode=args.replay_mode,
         phase=args.phase,
         serving=_serving_params(args),
     )
@@ -416,11 +408,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         "--dataflow", default="os", choices=registered_dataflows(),
         help="dataflow engine the planned runs default to (dataflow_compare "
              "sweeps all registered engines regardless)",
-    )
-    parser.add_argument(
-        "--replay-mode", default="event", choices=REPLAY_MODES,
-        help="replay kernel the planned runs default to (all modes "
-             "byte-identical; auto fast-forwards exclusive streaming)",
     )
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument(
@@ -797,12 +784,6 @@ def main(argv: list[str] | None = None) -> int:
         help="override the arch_config files' dataflow engine on every core",
     )
     run.add_argument(
-        "--replay-mode", default=None, choices=REPLAY_MODES,
-        help="override the misc_config file's replay kernel (event = "
-             "per-event baseline, batched = private-heap batching, auto "
-             "= batched + analytic fast-forward; all byte-identical)",
-    )
-    run.add_argument(
         "--static-dram", action="store_true", help="partition channels statically"
     )
     run.add_argument(
@@ -836,11 +817,6 @@ def main(argv: list[str] | None = None) -> int:
     mix.add_argument(
         "--dataflow", default="os", choices=registered_dataflows(),
         help="dataflow engine compiling every core's traces (default: os)",
-    )
-    mix.add_argument(
-        "--replay-mode", default="event", choices=REPLAY_MODES,
-        help="replay kernel (default: event; batched/auto are proven "
-             "byte-identical and faster on exclusively-owned resources)",
     )
     mix.add_argument("--result-path", default=None)
     mix.add_argument(

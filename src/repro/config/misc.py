@@ -34,12 +34,6 @@ class MiscConfig:
         trace_dram_requests: Record per-request DRAM logs (the artifact's
             ``DRAMREQ_NPU_TRACE``); needed by Figures 2(b) and 12.
         trace_window_cycles: Aggregation window for bandwidth traces.
-        replay_mode: Replay kernel selection — ``event`` (per-event
-            baseline), ``batched`` (private-heap micro-event batching on
-            exclusively-owned resources) or ``auto`` (batched plus the
-            analytic steady-state fast-forward).  All three are proven
-            byte-identical by the differential suite; see
-            :mod:`repro.core.replay`.
     """
 
     start_cycle: int = 0
@@ -49,7 +43,6 @@ class MiscConfig:
     ptw_upper_bound: int = 0
     trace_dram_requests: bool = False
     trace_window_cycles: int = 1000
-    replay_mode: str = "event"
 
     def __post_init__(self) -> None:
         if self.start_cycle < 0:
@@ -64,8 +57,3 @@ class MiscConfig:
             raise ValueError("PTW upper bound must be >= lower bound")
         if self.trace_window_cycles <= 0:
             raise ValueError("trace window must be positive")
-        if self.replay_mode not in ("event", "batched", "auto"):
-            raise ValueError(
-                f"unknown replay mode {self.replay_mode!r}; "
-                "choose from event, batched, auto"
-            )

@@ -83,19 +83,6 @@ class Engine:
         self.events_processed += processed
         return self.now
 
-    def credit_events(self, count: int) -> None:
-        """Fold ``count`` elided events into :attr:`events_processed`.
-
-        The batched replay kernel (:mod:`repro.core.replay`) retires
-        micro-events off a private heap instead of this one; crediting
-        them here keeps ``events_processed`` — a pinned observable of the
-        golden suite and the throughput denominator of the benchmarks —
-        byte-identical to per-event replay.  Negative counts back out the
-        governor's own real wakeup events, which per-event replay never
-        schedules.
-        """
-        self.events_processed += count
-
     @property
     def pending(self) -> int:
         """Number of scheduled-but-unprocessed events."""

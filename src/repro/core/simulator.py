@@ -23,7 +23,6 @@ from repro.errors import (
 from repro.core.clock import ClockDomain
 from repro.core.dma import DmaEngine
 from repro.core.engine import Engine
-from repro.core.replay import TurboDma, plan_replay
 from repro.core.npu_core import NpuCore
 from repro.core.tracing import TraceLogger
 from repro.dram.controller import DramController
@@ -40,6 +39,14 @@ from repro.models.layers import Network
 #: so a window this wide never fires on legitimate runs yet catches a
 #: livelock ~5000x earlier than the runner's 50-billion-tick ceiling.
 DEFAULT_STALL_WINDOW_TICKS = 10_000_000
+
+
+def plan_replay(*args, **kwargs) -> None:
+    """Never called; only the e2e benchmark ledger reads this name.
+
+    ``benchmarks/e2e/ledger.py`` wraps it when tracing.  Delete it with
+    that wrapper (see the benchmark follow-ups in ROADMAP.md).
+    """
 
 
 @dataclass(frozen=True)
@@ -204,35 +211,19 @@ class MultiCoreNPUSim:
             core: trace_source(self.networks[core], system.arch[core])
             for core in cores
         }
-        #: Static per-core batching decisions for the replay kernel
-        #: (``misc.replay_mode``); ineligible cores fall back to the
-        #: per-event :class:`DmaEngine`, which is byte-identical.
-        self.replay_plan = plan_replay(
-            system,
-            logging_active=logger is not None or trace_window is not None,
-        )
-        eligible = set(self.replay_plan.eligible_cores())
-        self.dmas = {}
-        for core in cores:
-            args = (self.engine, core, self.mmu, self.dram, self.clocks[core])
-            kwargs = dict(
+        self.dmas = {
+            core: DmaEngine(
+                self.engine,
+                core,
+                self.mmu,
+                self.dram,
+                self.clocks[core],
                 max_outstanding=system.dram.queue_depth,
                 issue_per_cycle=system.arch[core].dma_issue_per_cycle,
                 transaction_bytes=self._txn_bytes,
             )
-            if core in eligible:
-                self.dmas[core] = TurboDma(
-                    *args,
-                    channels={
-                        index: self.dram.channels[index]
-                        for index in system.channels_for_core(core)
-                    },
-                    page_table=self.page_tables[core],
-                    fast_forward=self.replay_plan.mode == "auto",
-                    **kwargs,
-                )
-            else:
-                self.dmas[core] = DmaEngine(*args, **kwargs)
+            for core in cores
+        }
         self.cores = {
             core: NpuCore(
                 self.engine,
@@ -269,25 +260,6 @@ class MultiCoreNPUSim:
         registry.bind_counter(
             "engine.events_processed", lambda: self.engine.events_processed
         )
-        # Replay-kernel observability: eligibility per core plus governor
-        # outcomes.  The schema is uniform across cores — per-event cores
-        # report zeros (TurboDma instances additionally bind the same
-        # paths from live ReplayStats via their register_counters).
-        for decision in self.replay_plan.decisions:
-            prefix = f"replay.core{decision.core}"
-            registry.bind_gauge(
-                f"{prefix}.eligible", lambda d=decision: int(d.eligible)
-            )
-            if not isinstance(self.dmas[decision.core], TurboDma):
-                registry.bind_many(
-                    prefix,
-                    {
-                        "batched_events": lambda: 0,
-                        "wakeup_events": lambda: 0,
-                        "fast_forwards": lambda: 0,
-                        "fast_forwarded_ticks": lambda: 0,
-                    },
-                )
 
     def _build_walker_pool(self) -> WalkerPool:
         system = self.system

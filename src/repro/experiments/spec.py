@@ -35,7 +35,6 @@ from repro.config import presets
 from repro.config.arch import ArchConfig
 from repro.config.misc import MiscConfig
 from repro.config.system import SystemConfig
-from repro.core.replay import DEFAULT_REPLAY_MODE, REPLAY_MODES
 from repro.core.sharing import SharingLevel
 from repro.digest import sha256
 from repro.models import serving as serving_module
@@ -79,7 +78,6 @@ class RunSpec:
     num_ptw_per_core: int | None = None
     tlb_entries_per_core: int | None = None
     dataflow: str = DEFAULT_DATAFLOW
-    replay_mode: str = DEFAULT_REPLAY_MODE
     phase: str | None = None
     serving: ServingParams | None = None
     version: int = RESULTS_VERSION
@@ -89,11 +87,6 @@ class RunSpec:
             raise ValueError(
                 f"unknown dataflow {self.dataflow!r}; registered engines: "
                 + ", ".join(registered_dataflows())
-            )
-        if self.replay_mode not in REPLAY_MODES:
-            raise ValueError(
-                f"unknown replay mode {self.replay_mode!r}; choose from "
-                + ", ".join(REPLAY_MODES)
             )
         object.__setattr__(self, "workloads", tuple(self.workloads))
         if self.ptw_split is not None:
@@ -189,7 +182,6 @@ class RunSpec:
         page_bytes: int = 4096,
         translation: bool = True,
         dataflow: str = DEFAULT_DATAFLOW,
-        replay_mode: str = DEFAULT_REPLAY_MODE,
         phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> "RunSpec":
@@ -205,7 +197,6 @@ class RunSpec:
             page_bytes=page_bytes,
             translation=translation,
             dataflow=dataflow,
-            replay_mode=replay_mode,
             phase=phase,
             serving=serving,
         ).resolve()
@@ -220,7 +211,6 @@ class RunSpec:
         page_bytes: int = 4096,
         translation: bool = True,
         dataflow: str = DEFAULT_DATAFLOW,
-        replay_mode: str = DEFAULT_REPLAY_MODE,
         phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> "RunSpec":
@@ -235,7 +225,6 @@ class RunSpec:
             page_bytes=page_bytes,
             translation=translation,
             dataflow=dataflow,
-            replay_mode=replay_mode,
             phase=phase,
             serving=serving,
         )
@@ -253,7 +242,6 @@ class RunSpec:
         num_ptw_per_core: int | None = None,
         tlb_entries_per_core: int | None = None,
         dataflow: str = DEFAULT_DATAFLOW,
-        replay_mode: str = DEFAULT_REPLAY_MODE,
         phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> "RunSpec":
@@ -271,7 +259,6 @@ class RunSpec:
             num_ptw_per_core=num_ptw_per_core,
             tlb_entries_per_core=tlb_entries_per_core,
             dataflow=dataflow,
-            replay_mode=replay_mode,
             phase=phase,
             serving=serving,
         )
@@ -304,8 +291,6 @@ class RunSpec:
             label = f"mix {names} {self.sharing_level.label}"
         if self.dataflow != DEFAULT_DATAFLOW:
             label += f" df={self.dataflow}"
-        if self.replay_mode != DEFAULT_REPLAY_MODE:
-            label += f" rm={self.replay_mode}"
         if self.phase is not None:
             label += f" ph={self.phase}"
         if self.serving is not None:
@@ -363,12 +348,6 @@ class RunSpec:
             # shard) written before the dataflow axis existed stays
             # byte-identical — the golden shard hashes pin this.
             descriptor["dataflow"] = self.dataflow
-        if self.replay_mode != DEFAULT_REPLAY_MODE:
-            # Same omission rule as ``dataflow``: pre-axis shards keep
-            # their keys, and each non-default mode gets a distinct one.
-            # (Results are proven byte-identical across modes, but a
-            # shard must record how it was produced to stay auditable.)
-            descriptor["replay_mode"] = self.replay_mode
         if self.phase is not None:
             # Serving axes follow the same omission rule: every
             # descriptor written before the serving frontend existed —
@@ -418,7 +397,7 @@ class RunSpec:
                 page_bytes=spec.page_bytes,
                 translation_enabled=spec.translation,
                 dataflow=spec.dataflow,
-                misc=MiscConfig(iterations=1, replay_mode=spec.replay_mode),
+                misc=MiscConfig(iterations=1),
             )
         return presets.mix_system(
             len(self.workloads),
@@ -433,7 +412,6 @@ class RunSpec:
             misc=MiscConfig(
                 iterations=1,
                 start_stagger_cycles=presets.MIX_STAGGER_CYCLES,
-                replay_mode=self.replay_mode,
             ),
         )
 
@@ -442,16 +420,15 @@ class RunSpec:
 class PlanContext:
     """The defaults every spec of a figure sweep is planned with.
 
-    The CLI's ``--scale``, ``--dataflow``, ``--replay-mode``, ``--phase``
-    and serving flags build one context; figure planners and the mapping
-    study call :meth:`solo`, :meth:`ideal` and :meth:`mix` on it, passing
-    only the fields their figure varies.  Explicit fields win over the
+    The CLI's ``--scale``, ``--dataflow``, ``--phase`` and serving flags
+    build one context; figure planners and the mapping study call
+    :meth:`solo`, :meth:`ideal` and :meth:`mix` on it, passing only the
+    fields their figure varies.  Explicit fields win over the
     context's defaults.  Planning needs no runner and touches no cache.
     """
 
     scale: str = "mini"
     dataflow: str = DEFAULT_DATAFLOW
-    replay_mode: str = DEFAULT_REPLAY_MODE
     phase: str | None = None
     serving: ServingParams | None = None
 
@@ -493,7 +470,6 @@ class PlanContext:
         fields = {
             "scale": self.scale,
             "dataflow": self.dataflow,
-            "replay_mode": self.replay_mode,
             **fields,
         }
         bare_base = any(

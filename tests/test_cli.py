@@ -130,6 +130,22 @@ class TestMixCommand:
             ])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mix", "ncf", "dlrm", "--replay-mode", "auto"],
+        ["figure", "fig15", "--replay-mode", "event"],
+        ["sweep", "fig15", "--replay-mode", "batched"],
+        ["run", "a", "n", "d", "m", "out", "misc", "--replay-mode", "event"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_unrecognized_option_exits_2(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
 class TestDataflowOptions:
     def test_mix_dataflow_flag_changes_cycles(self, capsys):
         assert main(["mix", "ncf", "ncf", "--sharing", "DWT"]) == 0

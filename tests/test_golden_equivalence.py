@@ -61,35 +61,6 @@ CORPUS: tuple[tuple[str, RunSpec], ...] = (
         "solo-ncf-2ch-is",
         RunSpec.solo("ncf", scale="mini", channels=2, dataflow="is"),
     ),
-    # Per-replay-mode goldens on the same slice as solo-dlrm-1ch-notrans
-    # (the scenario ``auto`` actually fast-forwards), so any divergence
-    # is the replay kernel alone.  Their integer metrics must stay equal
-    # to the event-mode entry; only the cache key and shard differ.
-    (
-        "solo-dlrm-1ch-notrans-batched",
-        RunSpec.solo(
-            "dlrm",
-            scale="mini",
-            channels=1,
-            translation=False,
-            replay_mode="batched",
-        ),
-    ),
-    (
-        "solo-dlrm-1ch-notrans-auto",
-        RunSpec.solo(
-            "dlrm",
-            scale="mini",
-            channels=1,
-            translation=False,
-            replay_mode="auto",
-        ),
-    ),
-    # Auto must fall back byte-identically under sharing — pin the mix.
-    (
-        "mix-ncf-dlrm-D-auto",
-        RunSpec.mix(("ncf", "dlrm"), "D", scale="mini", replay_mode="auto"),
-    ),
     # LLM-serving goldens: both phases solo, a prefill/decode co-location
     # under a shared TLB, and a zipf-routed decode pair under private
     # TLBs.  These pin the seeded arrival + MoE routing traces end to
@@ -249,15 +220,6 @@ def test_corpus_covers_required_axes():
     assert pinned_dataflows == set(registered_dataflows()), (
         "every registered dataflow engine needs a pinned golden run"
     )
-    from repro.core.replay import REPLAY_MODES
-
-    pinned_modes = {s.replay_mode for s in specs.values()}
-    assert pinned_modes == set(REPLAY_MODES), (
-        "every replay mode needs a pinned golden run"
-    )
-    assert any(
-        s.kind == "mix" and s.replay_mode == "auto" for s in specs.values()
-    ), "need a mix where auto must fall back to per-event replay"
     pinned_phases = {
         phase
         for s in specs.values()
@@ -270,32 +232,6 @@ def test_corpus_covers_required_axes():
     assert any(s.serving is not None for s in specs.values()), (
         "need a non-default ServingParams golden (seeded MoE routing)"
     )
-
-
-@pytest.mark.parametrize(
-    "name, baseline",
-    [
-        ("solo-dlrm-1ch-notrans-batched", "solo-dlrm-1ch-notrans"),
-        ("solo-dlrm-1ch-notrans-auto", "solo-dlrm-1ch-notrans"),
-        ("mix-ncf-dlrm-D-auto", "mix-ncf-dlrm-D"),
-    ],
-)
-def test_replay_mode_goldens_match_event_baseline(name, baseline, snapshots):
-    """The mode-tagged goldens are the *same simulation* as their event-
-    mode sibling: every pinned integer metric must be equal, while the
-    cache key (and hence the result shard) must differ so the modes can
-    never silently share a cache entry.
-    """
-
-    def payload(entry: dict) -> dict:
-        return {
-            key: value
-            for key, value in entry.items()
-            if key not in ("cache_key", "shard_sha256")
-        }
-
-    assert payload(snapshots[name]) == payload(snapshots[baseline])
-    assert snapshots[name]["cache_key"] != snapshots[baseline]["cache_key"]
 
 
 @pytest.mark.parametrize("name", ["solo-ncf-2ch", "mix-ncf-dlrm-DWT"])

@@ -55,6 +55,24 @@ class TestLoaders:
         with pytest.raises(ValueError, match="unknown ArchConfig key"):
             load_arch_config(path)
 
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            (load_npumem_config, "tlb_entriez = 4\n", "unknown NpuMemConfig key"),
+            (
+                load_misc_config,
+                "replay_mode = event\n",
+                "unknown MiscConfig key 'replay_mode'",
+            ),
+        ],
+        ids=["npumem-typo", "misc-replay_mode"],
+    )
+    def test_unknown_key_names_its_config(self, tmp_path, loader, text, message):
+        path = tmp_path / "x.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            loader(path)
+
     def test_npumem_booleans(self, tmp_path):
         path = tmp_path / "m.cfg"
         path.write_text("translation_enabled = false\nwalk_in_dram = yes\n")

@@ -96,12 +96,22 @@ class TestRequestFraming:
             protocol.decode_request(json.dumps(body).encode())
 
     @pytest.mark.parametrize(
-        "raw",
-        [b"", b"not json", b"[]", b'{"no_spec": 1}'],
-        ids=["empty", "garbage", "array", "missing-spec"],
+        "raw, message",
+        [
+            (b"", "not valid JSON"),
+            (b"not json", "not valid JSON"),
+            (b"[]", "must be"),
+            (b'{"no_spec": 1}', "must be"),
+            (
+                b'{"spec": {"kind": "solo", "workloads": ["ncf"],'
+                b' "replay_mode": "auto"}}',
+                r"unknown spec field\(s\): replay_mode",
+            ),
+        ],
+        ids=["empty", "garbage", "array", "missing-spec", "spec-replay-mode"],
     )
-    def test_malformed_body_rejected(self, raw):
-        with pytest.raises(ProtocolError):
+    def test_malformed_body_rejected(self, raw, message):
+        with pytest.raises(ProtocolError, match=message):
             protocol.decode_request(raw)
 
     def test_unknown_request_field_rejected(self):

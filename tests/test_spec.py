@@ -176,7 +176,7 @@ class TestValidation:
 
 class TestServingSpec:
     """Serving fields ride the same descriptor-omission contract as
-    dataflow/replay_mode: absent at defaults, so every pre-serving cache
+    dataflow: absent at defaults, so every pre-serving cache
     key survives; present (and key-changing) whenever set."""
 
     def test_defaults_are_omitted_from_descriptor(self):

@@ -1,10 +1,10 @@
 """The default start-up path stays light.
 
 Every ``mnpusim`` process pays for what it imports, and most of them are
-short.  numpy is needed only by the vectorized replay kernel
-(``TurboDma``, built under ``--replay-mode batched|auto``) and the
-process-pool machinery only when a pool is actually made (``--jobs N``
-with N > 1, and always under ``mnpusim serve``).  OpenSSL is never
+short.  numpy is loaded only by the mapping study's predictor
+(``repro.mapping.predictor``), and the process-pool machinery only when
+a pool is actually made (``--jobs N`` with N > 1, and always under
+``mnpusim serve``).  OpenSSL is never
 needed: ``repro.digest`` takes sha256 and blake2b from CPython's builtin
 hash modules, so no simulating process loads ``_hashlib`` or ``_ssl``
 (and with them ``libcrypto``, about 3.6 MB resident).  These tests run
@@ -23,7 +23,7 @@ import pytest
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
-#: Modules the default (event-mode, in-process) path must never load.
+#: Modules the default (in-process) path must never load.
 HEAVY = (
     "numpy",
     "concurrent.futures.process",
@@ -93,36 +93,6 @@ def test_default_run_and_figure_skip_numpy_and_pool(tmp_path):
     assert json.loads(_python(script, cwd=tmp_path)) == []
     assert (tmp_path / "out" / "result" / "summary.json").exists()
     assert list((tmp_path / "cache").glob("*.json"))  # simulated, not warm
-
-
-def test_auto_replay_still_builds_turbo_and_matches_event(tmp_path):
-    script = """
-import json, sys
-from repro.core.replay import TurboDma
-from repro.core.simulator import MultiCoreNPUSim
-from repro.experiments.runner import _result_dict
-from repro.experiments.spec import RunSpec
-from repro.models import zoo
-
-out = {}
-for mode in ("event", "auto"):
-    spec = RunSpec.solo("dlrm", channels=1, translation=False, replay_mode=mode)
-    sim = MultiCoreNPUSim(spec.system(), [zoo.get("dlrm", "mini")])
-    rows = [_result_dict(result) for result in sim.run().workloads]
-    out[mode] = {
-        "turbo": isinstance(sim.dmas[0], TurboDma),
-        "numpy": "numpy" in sys.modules,
-        "events": sim.engine.events_processed,
-        "rows": json.dumps(rows, sort_keys=True),
-    }
-print(json.dumps(out))
-"""
-    out = json.loads(_python(script, cwd=tmp_path))
-    event, auto = out["event"], out["auto"]
-    assert not event["turbo"] and not event["numpy"]
-    assert auto["turbo"] and auto["numpy"]
-    assert auto["rows"] == event["rows"]
-    assert auto["events"] == event["events"]
 
 
 def test_serve_loads_the_pool_before_the_daemon_is_ready(tmp_path):

@@ -554,56 +554,8 @@ class TestRunnerIntegration:
 
 
 # ---------------------------------------------------------------------- #
-# Replay modes and legacy shards
+# Legacy shards
 # ---------------------------------------------------------------------- #
-
-
-class TestReplayModeIsReplaySide:
-    """``replay_mode`` lives in :class:`MiscConfig`, never in the arch,
-    so trace fingerprints — and therefore the compiled-trace shards on
-    disk — are shared across all replay modes by construction.  These
-    tests are the regression pin for that invariant: a refactor that
-    moved the knob into :class:`ArchConfig` would recompile (and double-
-    store) every trace for no semantic reason.
-    """
-
-    def test_fingerprint_identical_across_replay_modes(self, network):
-        from repro.core.replay import REPLAY_MODES
-
-        fingerprints = set()
-        for mode in REPLAY_MODES:
-            spec = RunSpec.solo("ncf", scale="mini", replay_mode=mode)
-            system = spec.system()
-            assert system.misc.replay_mode == mode
-            fingerprints.add(frontend_fingerprint(network, system.arch[0]))
-        assert len(fingerprints) == 1
-
-    def test_modes_share_one_trace_shard(self, tmp_path, process_cache_state):
-        """Three runner passes (one per mode) compile exactly once and
-        leave exactly one trace shard; the two later modes hit disk or
-        memo instead of recompiling."""
-        from repro.core.replay import REPLAY_MODES
-
-        compiles = 0
-        result_shards = set()
-        for index, mode in enumerate(REPLAY_MODES):
-            spec = RunSpec.solo(
-                "dlrm", scale="mini", channels=1,
-                translation=False, replay_mode=mode,
-            )
-            runner = ExperimentRunner(cache_dir=tmp_path)
-            runner.run_many([spec])
-            stats = runner.last_trace_stats
-            compiles += stats.compiles
-            if index:
-                assert stats.compiles == 0, f"{mode} recompiled the trace"
-            result_shards.add(f"{spec.cache_key()}.json")
-        assert compiles == 1
-        assert len(result_shards) == len(REPLAY_MODES)
-        for name in result_shards:
-            assert (tmp_path / name).exists()
-        trace_shards = list((tmp_path / "traces").glob("*.json"))
-        assert len(trace_shards) == 1
 
 
 class TestLegacyShards:
