@@ -11,7 +11,9 @@ from the outside:
    run of the same spec writes, so served results are indistinguishable
    from local ones;
 3. a warm resubmission is served from cache with zero recompute;
-4. SIGTERM drains the daemon and it exits 0.
+4. on Linux, the daemon has mapped neither ``libssl`` nor ``libcrypto``
+   (it speaks HTTP without ``http.client``); its ``VmHWM`` is printed;
+5. SIGTERM drains the daemon and it exits 0.
 
 Usage (from the repository root)::
 
@@ -43,6 +45,26 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
+def check_no_openssl(pid: int) -> None:
+    """Fail if process ``pid`` maps OpenSSL; print its peak RSS (Linux)."""
+    proc = Path(f"/proc/{pid}")
+    if not (proc / "maps").exists():
+        print("no /proc: OpenSSL check skipped")
+        return
+    mapped = sorted({
+        line.rsplit("/", 1)[-1]
+        for line in (proc / "maps").read_text().splitlines()
+        if "libssl" in line or "libcrypto" in line
+    })
+    if mapped:
+        fail(f"daemon maps OpenSSL: {', '.join(mapped)}")
+    status = (proc / "status").read_text().splitlines()
+    hwm = next(
+        line.split(":", 1)[1].strip() for line in status if line.startswith("VmHWM")
+    )
+    print(f"daemon maps no OpenSSL; VmHWM {hwm}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=".ci_serve", help="scratch directory")
@@ -66,6 +88,9 @@ def main() -> int:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        # Its own process group, so a failed check can kill the pool
+        # workers too: they hold the daemon's pipes open.
+        start_new_session=True,
     )
     try:
         banner = daemon.stdout.readline().strip()
@@ -129,6 +154,8 @@ def main() -> int:
             fail("served payload does not match an independent cold run")
         print(f"payload sha256 matches independent cold run: {served_sha[:16]}")
 
+        check_no_openssl(daemon.pid)
+
         # Graceful shutdown on SIGTERM.
         daemon.send_signal(signal.SIGTERM)
         stdout, stderr = daemon.communicate(timeout=120)
@@ -139,7 +166,7 @@ def main() -> int:
         print("daemon drained and exited 0")
     finally:
         if daemon.poll() is None:
-            daemon.kill()
+            os.killpg(daemon.pid, signal.SIGKILL)
             daemon.communicate()
     print("serve smoke ok")
     return 0

@@ -21,11 +21,17 @@ Quickstart::
     print(result.cycles_per_core)
 """
 
-from repro.core.metrics import fairness, geomean, slowdown, speedup
-from repro.core.sharing import SharingLevel
-from repro.core.simulator import MixResult, MultiCoreNPUSim, WorkloadResult
-from repro.config import presets
-from repro.models import zoo
+from repro._lazy import lazy_exports
+
+# Re-exports load on first use, so importing one submodule (a RunSpec
+# client, say) does not load the simulator.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.metrics": ("fairness", "geomean", "slowdown", "speedup"),
+    "repro.core.sharing": ("SharingLevel",),
+    "repro.core.simulator": ("MixResult", "MultiCoreNPUSim", "WorkloadResult"),
+    "repro.config.presets": ("presets",),
+    "repro.models.zoo": ("zoo",),
+})
 
 __version__ = "1.0.0"
 

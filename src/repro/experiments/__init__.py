@@ -1,10 +1,16 @@
 """Experiment harness regenerating every table and figure of the paper."""
 
-from repro.experiments.mixes import all_mixes, mix_label, mixes_for
-from repro.experiments.runner import ExperimentRunner, RunProgress
-from repro.experiments.spec import PlanContext, RunSpec
-from repro.experiments import figures
-from repro.experiments.report import format_table
+from repro._lazy import lazy_exports
+
+# Re-exports load on first use: a spec needs neither the runner nor the
+# figures, and with them the simulator.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.experiments.mixes": ("all_mixes", "mix_label", "mixes_for"),
+    "repro.experiments.runner": ("ExperimentRunner", "RunProgress"),
+    "repro.experiments.spec": ("PlanContext", "RunSpec"),
+    "repro.experiments.figures": ("figures",),
+    "repro.experiments.report": ("format_table",),
+})
 
 __all__ = [
     "all_mixes",

@@ -10,9 +10,15 @@
   ``Retry-After`` aware, deadline-bounded).
 """
 
-from repro.serve.client import ServeClient, ServeResult
-from repro.serve.protocol import PROTOCOL
-from repro.serve.server import CircuitBreaker, ServeDaemon, SweepService
+from repro._lazy import lazy_exports
+
+# Re-exports load on first use: the daemon never loads the client (and
+# with it http.client and OpenSSL), and a client never loads the daemon.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.serve.client": ("ServeClient", "ServeResult"),
+    "repro.serve.protocol": ("PROTOCOL",),
+    "repro.serve.server": ("CircuitBreaker", "ServeDaemon", "SweepService"),
+})
 
 __all__ = [
     "PROTOCOL",

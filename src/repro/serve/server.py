@@ -1,7 +1,7 @@
 """The sweep-as-a-service daemon behind ``mnpusim serve``.
 
 Architecture — one :class:`SweepService` (transport-independent core)
-fronted by a thin stdlib HTTP layer (:class:`ServeDaemon`):
+fronted by a thin HTTP/1.1 layer on :mod:`socketserver` (:class:`ServeDaemon`):
 
 * **Cache-first, three levels.**  A bounded in-process memo of payload
   bytes, then the runner's crash-safe disk :class:`~repro.storage.ShardStore`,
@@ -41,15 +41,16 @@ from __future__ import annotations
 # loads the pool machinery only when it makes one.  Load it here, before
 # the daemon reports ready, so the first cold request does not pay for it.
 import concurrent.futures.process  # noqa: F401
+import http  # HTTPStatus only; http.server would load http.client and OpenSSL
 import json
 import logging
+import socketserver
 import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
 from repro.errors import (
@@ -544,13 +545,50 @@ class SweepService:
 # ---------------------------------------------------------------------- #
 
 
-class _ServeHandler(BaseHTTPRequestHandler):
-    """Routes the wire protocol onto a :class:`SweepService`."""
+#: Longest request or header line, and most header lines per request
+#: (the limits ``http.server`` applies).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
+
+def _http_date() -> str:
+    """The current time as an HTTP ``Date`` value (IMF-fixdate)."""
+    now = time.gmtime()
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        _DAYS[now.tm_wday], now.tm_mday, _MONTHS[now.tm_mon - 1],
+        now.tm_year, now.tm_hour, now.tm_min, now.tm_sec,
+    )
+
+
+class _Rejected(Exception):
+    """A request the transport refuses before routing it."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _ServeHandler(socketserver.StreamRequestHandler):
+    """A small HTTP/1.1 server routing the wire protocol onto a
+    :class:`SweepService`.
+
+    It parses what the protocol uses: a request line, bounded header
+    lines, a ``Content-Length`` body and keep-alive.  ``http.server``
+    would do the same, but it imports ``http.client`` and with it
+    ``email`` and OpenSSL, in the daemon and in every pool worker it
+    forks.
+    """
 
     server_version = "mnpusim-serve/1"
-    protocol_version = "HTTP/1.1"
-    #: Headers and body go out as two writes; with Nagle on, a kept-alive
-    #: client's delayed ACK would hold the body back ~40 ms per request.
+    #: Each response leaves in one send, but one longer than a segment
+    #: ends in a short one, which Nagle would hold until the client's
+    #: delayed ACK (~40 ms).
     disable_nagle_algorithm = True
     #: Socket read timeout: a stalled client costs one thread for at most
     #: this long, never forever.
@@ -560,8 +598,61 @@ class _ServeHandler(BaseHTTPRequestHandler):
     def service(self) -> SweepService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        _LOG.debug("%s %s", self.address_string(), format % args)
+    def handle(self) -> None:
+        try:
+            # Set per request: close the connection after the response.
+            self.close_connection = False
+            while not self.close_connection:
+                self._handle_one()
+        except (ConnectionError, TimeoutError) as error:
+            _LOG.debug("%s: connection dropped: %r", self.client_address[0], error)
+
+    def _handle_one(self) -> None:
+        """Read one request and answer it."""
+        self.close_connection = True
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return  # the client closed the connection
+        if not line.strip():
+            self.close_connection = False  # a stray CRLF between requests
+            return
+        self.requestline = line.decode("latin-1").rstrip("\r\n")
+        try:
+            if len(line) > _MAX_LINE:
+                raise _Rejected(414, "request line too long")
+            words = self.requestline.split()
+            if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+                raise _Rejected(
+                    400, f"malformed request line: {self.requestline[:80]!r}"
+                )
+            method, self.path, version = words
+            self.headers = self._read_headers()
+            route = {"GET": self.do_GET, "POST": self.do_POST}.get(method)
+            if route is None:
+                raise _Rejected(501, f"unsupported method: {method[:80]}")
+        except _Rejected as rejection:
+            self._respond_error("protocol", str(rejection), status=rejection.status)
+            return
+        tokens = self.headers.get("connection", "").lower().split(",")
+        self.close_connection = version == "HTTP/1.0" or "close" in map(
+            str.strip, tokens
+        )
+        route()
+
+    def _read_headers(self) -> dict[str, str]:
+        """The request's header fields, names lower-cased."""
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _Rejected(431, "header line too long")
+            if not line.strip():
+                return headers
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not name or name != name.strip():
+                raise _Rejected(400, "malformed header line")
+            headers[name.lower()] = value.strip()
+        raise _Rejected(431, f"more than {_MAX_HEADERS} header lines")
 
     # -- responses ----------------------------------------------------- #
 
@@ -572,14 +663,20 @@ class _ServeHandler(BaseHTTPRequestHandler):
         *,
         headers: dict[str, str] | None = None,
     ) -> None:
-        self.send_response(status)
-        self.send_header(protocol.PROTOCOL_HEADER, protocol.PROTOCOL)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        lines = [
+            f"HTTP/1.1 {status} {http.HTTPStatus(status).phrase}",
+            f"Server: {self.server_version}",
+            f"Date: {_http_date()}",
+            f"{protocol.PROTOCOL_HEADER}: {protocol.PROTOCOL}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
+        lines.extend(f"{name}: {value}" for name, value in (headers or {}).items())
+        if self.close_connection:
+            lines.append("Connection: close")
+        lines.append("\r\n")
+        self.wfile.write("\r\n".join(lines).encode("latin-1") + body)
+        _LOG.debug('%s "%s" %d', self.client_address[0], self.requestline, status)
 
     def _respond_error(
         self,
@@ -603,9 +700,16 @@ class _ServeHandler(BaseHTTPRequestHandler):
             headers=headers,
         )
 
+    def _refuse_body(self, message: str, status: int) -> None:
+        """A typed protocol error sent without reading the request body;
+        the unread body would garble the next request, so the connection
+        closes."""
+        self.close_connection = True
+        self._respond_error("protocol", message, status=status)
+
     # -- routes -------------------------------------------------------- #
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+    def do_GET(self) -> None:  # noqa: N802 - the HTTP method name
         if self.path == protocol.HEALTH_PATH:
             self._respond(200, b'{"status": "ok"}')
         elif self.path == protocol.READY_PATH:
@@ -630,24 +734,21 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 "protocol", f"no such path: {self.path}", status=404
             )
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+    def do_POST(self) -> None:  # noqa: N802 - the HTTP method name
         if self.path != protocol.RUN_PATH:
-            self._respond_error(
-                "protocol", f"no such path: {self.path}", status=404
-            )
+            self._refuse_body(f"no such path: {self.path}", 404)
             return
         try:
-            length = int(self.headers.get("Content-Length", ""))
+            length = int(self.headers.get("content-length", ""))
         except ValueError:
-            self._respond_error(
-                "protocol", "Content-Length required", status=411
-            )
+            self._refuse_body("Content-Length required", 411)
+            return
+        if length < 0:
+            self._refuse_body("Content-Length must not be negative", 400)
             return
         if length > protocol.MAX_BODY_BYTES:
-            self._respond_error(
-                "protocol",
-                f"body exceeds {protocol.MAX_BODY_BYTES} bytes",
-                status=413,
+            self._refuse_body(
+                f"body exceeds {protocol.MAX_BODY_BYTES} bytes", 413
             )
             return
         try:
@@ -709,7 +810,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
         )
 
 
-class _ServeHTTPServer(ThreadingHTTPServer):
+class _ServeHTTPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
     service: SweepService

@@ -4,10 +4,16 @@ The transport-independent :class:`SweepService` is exercised directly
 (single-flight dedup, load shedding, deadline expiry, circuit breaker,
 drain-then-resume), then one HTTP slice proves the daemon end to end:
 concurrent clients, byte-identical payloads, typed errors on the wire.
+Raw-socket tests pin the HTTP/1.1 transport itself: pipelining,
+connection close, refusals and client hang-ups.
 """
 
 import hashlib
 import http.client
+import json
+import logging
+import socket
+import struct
 import threading
 import time
 
@@ -364,14 +370,15 @@ class TestDrainAndResume:
 # --------------------------------------------------------------------- #
 
 
-class TestHTTPDaemon:
-    @pytest.fixture()
-    def daemon(self, tmp_path):
-        daemon = ServeDaemon(_make_service(tmp_path / "cache"))
-        daemon.start()
-        yield daemon
-        daemon.stop(drain_timeout=10)
+@pytest.fixture()
+def daemon(tmp_path):
+    daemon = ServeDaemon(_make_service(tmp_path / "cache"))
+    daemon.start()
+    yield daemon
+    daemon.stop(drain_timeout=10)
 
+
+class TestHTTPDaemon:
     def test_concurrent_clients_share_one_cold_run(self, daemon):
         spec = RunSpec.solo("a")
         client = ServeClient(daemon.url, deadline_seconds=60.0)
@@ -396,8 +403,9 @@ class TestHTTPDaemon:
         assert hashlib.sha256(cached).hexdigest() == digest
 
     def test_keep_alive_memo_requests_do_not_stall(self, daemon):
-        # Headers and body leave as two writes; with Nagle on, every
-        # kept-alive response waits ~40 ms on the client's delayed ACK.
+        # Each response leaves in one send with TCP_NODELAY set; a
+        # kept-alive response held back for the client's delayed ACK
+        # would cost ~40 ms each.
         spec = RunSpec.solo("a")
         client = ServeClient(daemon.url, deadline_seconds=60.0)
         assert client.wait_ready(10.0)
@@ -449,3 +457,123 @@ class TestHTTPDaemon:
         assert daemon.wait_for_stop(1.0)
         assert daemon.stop(drain_timeout=10)
         assert not client.healthy()
+
+
+# --------------------------------------------------------------------- #
+# The HTTP transport over raw sockets
+# --------------------------------------------------------------------- #
+
+
+def _read_response(stream):
+    """``(status, headers, body)`` of one response; names lower-cased."""
+    status_line = stream.readline()
+    assert status_line, "connection closed before a response"
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
+def _run_request(spec, version=b"HTTP/1.1", extra=b""):
+    body = protocol.encode_request(protocol.RunRequest(spec, None))
+    return (
+        b"POST /v1/run " + version + b"\r\nContent-Length: %d\r\n" % len(body)
+        + extra + b"\r\n" + body
+    )
+
+
+def _protocol_error(body):
+    return json.loads(body)["error"]["code"] == "protocol"
+
+
+class TestHTTPTransport:
+    @pytest.fixture()
+    def connection(self, daemon):
+        """A raw socket to the daemon and a reader over it."""
+        address = (daemon.host, daemon.port)
+        with socket.create_connection(address, timeout=10) as sock:
+            yield sock, sock.makefile("rb")
+
+    def test_pipelined_requests_are_answered_in_order(self, connection):
+        sock, stream = connection
+        sock.sendall(
+            _run_request(RunSpec.solo("a")) + b"GET /healthz HTTP/1.1\r\n\r\n"
+        )
+        status, headers, payload = _read_response(stream)
+        assert (status, headers[protocol.SOURCE_HEADER.lower()]) == (200, "cold")
+        assert json.loads(payload)  # the result shard
+        status, headers, body = _read_response(stream)
+        assert (status, body) == (200, b'{"status": "ok"}')
+        assert "connection" not in headers  # still open
+        sock.sendall(b"GET /readyz HTTP/1.1\r\n\r\n")
+        assert _read_response(stream)[0] == 200
+
+    @pytest.mark.parametrize(
+        "version, extra",
+        [(b"HTTP/1.0", b""), (b"HTTP/1.1", b"Connection: close\r\n")],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_connection_closes_after_the_response(self, connection, version, extra):
+        sock, stream = connection
+        sock.sendall(b"GET /healthz " + version + b"\r\n" + extra + b"\r\n")
+        status, headers, _ = _read_response(stream)
+        assert (status, headers["connection"]) == (200, "close")
+        assert stream.read(1) == b""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"garbage\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 400),
+            (b"PUT /v1/run HTTP/1.1\r\n\r\n", 501),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n", 431),
+            (b"POST /v1/run HTTP/1.1\r\n\r\n{}", 411),
+            (
+                b"POST /v1/run HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (protocol.MAX_BODY_BYTES + 1),
+                413,
+            ),
+            (b"POST /v1/nonsense HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 404),
+        ],
+        ids=["request-line", "version", "method", "headers", "length", "body", "path"],
+    )
+    def test_rejections_are_typed_and_close(self, connection, request_bytes, status):
+        sock, stream = connection
+        sock.sendall(request_bytes)
+        got, headers, body = _read_response(stream)
+        assert (got, headers["connection"]) == (status, "close")
+        assert _protocol_error(body)
+        assert stream.read(1) == b""
+
+    @pytest.mark.parametrize("length", [-1, -5])
+    def test_negative_content_length_is_a_typed_400(self, daemon, connection, length):
+        # A negative length once reached rfile.read: -1 read until EOF,
+        # so the reply waited on the client or the socket timeout, and
+        # -5 raised and dropped the connection without a response.
+        sock, stream = connection
+        sock.sendall(
+            b"POST /v1/run HTTP/1.1\r\nContent-Length: %d\r\n\r\n{}" % length
+        )
+        status, _, body = _read_response(stream)
+        assert status == 400 and _protocol_error(body)
+        assert b"negative" in body
+        assert ServeClient(daemon.url).healthy()
+
+    def test_client_hangup_leaves_the_daemon_serving(self, daemon, caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="repro.serve")
+        sock = socket.create_connection((daemon.host, daemon.port), timeout=10)
+        sock.sendall(_run_request(RunSpec.solo("b")))
+        # Reset instead of closing, so the daemon's next read or write
+        # on the connection fails at once.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        deadline = time.monotonic() + 10.0
+        while not any(
+            "connection dropped" in record.getMessage() for record in caplog.records
+        ):
+            assert time.monotonic() < deadline, "hang-up never reached the handler"
+            time.sleep(0.02)
+        assert ServeClient(daemon.url).healthy()
+        assert "Traceback" not in capsys.readouterr().err

@@ -7,8 +7,11 @@ a pool is actually made (``--jobs N`` with N > 1, and always under
 ``mnpusim serve``).  OpenSSL is never
 needed: ``repro.digest`` takes sha256 and blake2b from CPython's builtin
 hash modules, so no simulating process loads ``_hashlib`` or ``_ssl``
-(and with them ``libcrypto``, about 3.6 MB resident).  These tests run
-fresh interpreters, because ``sys.modules`` in the pytest process
+(and with them ``libcrypto``, about 3.6 MB resident).  The serve daemon
+speaks HTTP through ``socketserver``, so it loads neither ``http.client``
+nor OpenSSL, and a client that builds requests from a ``RunSpec`` never
+loads the simulator: package re-exports load on first use.  These tests
+run fresh interpreters, because ``sys.modules`` in the pytest process
 already holds whatever earlier tests imported.
 """
 
@@ -101,3 +104,65 @@ def test_serve_loads_the_pool_before_the_daemon_is_ready(tmp_path):
     loaded = json.loads(_python("import repro.serve.server; " + _LOADED, cwd=tmp_path))
     assert "concurrent.futures.process" in loaded
     assert "numpy" not in loaded
+
+
+def _loaded(script: str, modules, cwd: Path) -> list[str]:
+    """Which of ``modules`` (a trailing ``.*`` matches a package's
+    submodules) a fresh interpreter has loaded after ``script``."""
+    probe = (
+        "import json, sys\n"
+        f"patterns = {list(modules)!r}\n"
+        "print(json.dumps(sorted(m for m in sys.modules for p in patterns\n"
+        "    if m == p or p.endswith('.*') and m.startswith(p[:-1]))))"
+    )
+    return json.loads(_python(script + "\n" + probe, cwd=cwd))
+
+
+def test_serve_daemon_loads_no_openssl_or_http_client(tmp_path):
+    loaded = _loaded(
+        "import repro.serve.server",
+        ("_ssl", "ssl", "http.client", "http.server", "email.parser",
+         "concurrent.futures.process"),
+        cwd=tmp_path,
+    )
+    assert loaded == ["concurrent.futures.process"]
+
+
+def test_run_spec_clients_skip_the_simulator(tmp_path):
+    script = (
+        "from repro.experiments.spec import RunSpec\n"
+        "import repro.serve.protocol"
+    )
+    heavy = (
+        "repro.core.simulator", "repro.compute.tracecache", "repro.dram.*",
+        "repro.mmu.*", "repro.serve.server",
+    )
+    assert _loaded(script, heavy, cwd=tmp_path) == []
+
+
+def test_lazy_exports_resolve_to_their_home_objects(tmp_path):
+    # Each exported object must be the one its defining module holds:
+    # a module is its own sys.modules entry, a class or function is
+    # found under its name in ``__module__``, and the one exported
+    # constant is checked by hand.
+    script = """
+import importlib, json, types
+from repro.serve import protocol
+problems = []
+for package_name in ("repro", "repro.compute", "repro.experiments", "repro.serve"):
+    package = importlib.import_module(package_name)
+    missing = set(package.__all__) - set(dir(package))
+    problems += [f"{package_name}: dir() lacks {name}" for name in sorted(missing)]
+    for name in package.__all__:
+        value = getattr(package, name)
+        if isinstance(value, types.ModuleType):
+            home = importlib.import_module(value.__name__)
+        elif hasattr(value, "__module__"):
+            home = getattr(importlib.import_module(value.__module__), name)
+        else:
+            home = {"PROTOCOL": protocol.PROTOCOL, "__version__": value}[name]
+        if value is not home:
+            problems.append(f"{package_name}.{name} is not its home object")
+print(json.dumps(problems))
+"""
+    assert json.loads(_python(script, cwd=tmp_path)) == []
