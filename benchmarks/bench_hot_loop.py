@@ -55,9 +55,9 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_hotloop.json"
 MAX_TICKS = 50_000_000_000
 
 #: Scenarios span the hot path's regimes: the flagship contended mix
-#: (walk traffic + walk priority + refresh), a translation-off mix (the
-#: streaming regime where batched FR-FCFS issue applies), and a bandwidth-
-#: starved single-channel solo (deep queues, long drains).
+#: (walk traffic + walk priority + refresh), a translation-off mix (DMA
+#: streaming straight into the channel queues), and a bandwidth-starved
+#: single-channel solo (deep queues, long drains).
 SCENARIOS: dict[str, tuple[str, RunSpec]] = {
     "mix_dwt": (
         "dual-core ncf+dlrm, fully shared (+DWT), translation on",

@@ -146,10 +146,6 @@ class RequestGenerator:
         """Span of the allocated virtual address range."""
         return self._va_end - self._layouts[0].a_base
 
-    def layer_shape(self, layer_index: int) -> TileShape:
-        """The tile shape chosen for a layer."""
-        return self._layouts[layer_index].shape
-
     def summary(self) -> dict[str, float]:
         """Pre-run statistics (no simulation): traffic, MACs, ideal cycles.
 

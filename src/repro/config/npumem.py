@@ -29,7 +29,6 @@ class NpuMemConfig:
         tlb_assoc: TLB set associativity (8-way in the paper, which it
             reports is needed to avoid inter-NPU conflict misses when the
             TLB is shared, section 4.4.2).
-        tlb_latency_cycles: TLB lookup latency in core cycles.
         num_ptw: Page-table walkers owned by this core.
         page_bytes: Page size; must be one of :data:`PAGE_WALK_LEVELS`.
         walk_in_dram: When True (default, NeuMMU-style) each page-walk
@@ -51,7 +50,6 @@ class NpuMemConfig:
 
     tlb_entries: int = 2048
     tlb_assoc: int = 8
-    tlb_latency_cycles: int = 1
     num_ptw: int = 8
     page_bytes: int = 4 * 1024
     walk_in_dram: bool = True
@@ -64,8 +62,6 @@ class NpuMemConfig:
             raise ValueError("TLB must have at least one entry")
         if self.tlb_assoc <= 0 or self.tlb_entries % self.tlb_assoc:
             raise ValueError("TLB entries must be a positive multiple of associativity")
-        if self.tlb_latency_cycles < 0:
-            raise ValueError("TLB latency cannot be negative")
         if self.num_ptw <= 0:
             raise ValueError("each core needs at least one page-table walker")
         if self.page_bytes not in PAGE_WALK_LEVELS:

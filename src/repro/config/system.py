@@ -17,15 +17,12 @@ paper's ``Static`` / ``+D`` / ``+DW`` / ``+DWT`` levels (section 4.1.3):
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 
 from repro.config.arch import ArchConfig
 from repro.config.dram import DramConfig
 from repro.config.misc import MiscConfig
 from repro.config.npumem import NpuMemConfig
-from repro.digest import sha256
 
 
 def _round_robin_split(items: int, parts: int) -> tuple[tuple[int, ...], ...]:
@@ -113,8 +110,3 @@ class SystemConfig:
             return tuple(range(self.dram.channels))
         assert self.channel_assignment is not None
         return self.channel_assignment[core]
-
-    def cache_key(self) -> str:
-        """Stable hash of this configuration, for result caching."""
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
-        return sha256(payload.encode()).hexdigest()[:20]

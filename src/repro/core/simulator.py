@@ -174,9 +174,6 @@ class MultiCoreNPUSim:
                 # the artifact-style text logs.
                 self.timeline.attach(self.tracer)
             logger = self.timeline
-        walk_traffic = any(cfg.translation_enabled for cfg in system.npumem) and all(
-            cfg.walk_in_dram for cfg in system.npumem
-        )
         self.dram = DramController(
             system.dram,
             self.engine,
@@ -184,7 +181,6 @@ class MultiCoreNPUSim:
             channels_per_core={core: system.channels_for_core(core) for core in cores},
             trace_window_ticks=trace_window,
             logger=logger,
-            expect_walks=walk_traffic,
         )
         #: The request logger every component records into: the timeline
         #: when observing, else the plain TraceLogger (or ``None``).

@@ -8,48 +8,12 @@ tCCD/tWR; the channel's single data bus serializes bursts, which is what
 caps a channel at its peak bandwidth.  Periodic all-bank refresh blocks
 the channel for tRFC every tREFI.
 
-Hot-path design — batched issue with credit kicks.  The baseline
-scheduler issues one request per engine event and reschedules itself at
-``t' = max(now + 1, data_end - burst)``.  When the bus is saturated the
-issue *time* is immaterial: ``data_start = max(col_ready + tCL,
-bus_free_at, now)`` and every such ``t'`` is <= ``bus_free_at``, so the
-``now`` term never binds.  ``_kick`` therefore drains a run of requests
-in one event, advancing a *virtual* kick time, as long as each step is
-provably identical to what per-event scheduling would have done:
-
-* the virtual kick time must stay short of ``next_refresh_at`` (a real
-  kick would have refreshed instead of issuing);
-* the selection must be *arrival-stable* — no request arriving after the
-  real kick could have won it.  New arrivals append at the queue tail,
-  so a selected walk is stable (walks are scanned front-to-back), a
-  row-hit found in the reorder window is stable (the window is scanned
-  front-to-back and bank state only changes with our own issues), and
-  the oldest-request fallback is stable only when the queue already
-  fills the reorder window.  If prioritized walk traffic is possible at
-  all (``expect_walks``), any non-walk selection can be preempted by an
-  arriving walk and ends the batch.
-
-Draining alone is not enough for exact equivalence: under per-event
-scheduling each kick — including kicks pulled forward by arrivals and
-stale kicks left in the event heap — issues exactly one request, so the
-*number* of kicks that have fired bounds how far the queue has advanced
-at any instant.  If the drain consumed that progress up front, a kick
-arriving mid-batch would issue the first *un*-drained request early and
-diverge.  The drain therefore banks one *credit* per pre-issued request
-(beyond the first): the burst's completion callback and the follow-on
-kick time are deferred onto ``_chain``, and every kick that fires while
-credits remain pops one entry and performs exactly the bookkeeping the
-per-event kick would have done — push the completion callback, schedule
-the next kick.  The event-push sequence, and with it every same-tick
-ordering downstream, is identical to the baseline's.  The deferred kick
-times themselves are kick-time-independent (``data_end - burst`` exceeds
-any possible real kick time once ``burst_ticks >= 2``, the condition
-under which batching engages).
+The scheduler issues one request per engine event (a *kick*) and
+reschedules itself at ``max(now + 1, data_end - burst)``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,10 +23,6 @@ from repro.dram.stats import DramStats
 
 #: How deep into the queue FR-FCFS may reorder to find a row hit.
 FR_WINDOW = 16
-
-#: Batched FR-FCFS issue (see module docstring).  Module-level so the
-#: equivalence tests can A/B the per-event and batched schedulers.
-BATCH_ISSUE = True
 
 
 @dataclass(slots=True, eq=False)
@@ -113,10 +73,6 @@ class Channel:
     #: controller to build per-core bandwidth traces (Figures 2b and 12).
     trace: Callable[[int, int, int], None] | None = None
     transaction_bytes: int = 64
-    #: Whether prioritized page-table-walk traffic can reach this channel
-    #: at all (translation enabled and walks routed through DRAM).  When
-    #: False, batched issue need not fear walk preemption.
-    expect_walks: bool = True
 
     banks: list[Bank] = field(init=False)
     queue: list[DramRequest] = field(init=False, default_factory=list)
@@ -124,12 +80,6 @@ class Channel:
     next_refresh_at: int = field(init=False)
     _kick_at: int | None = field(init=False, default=None)
     _pending_walks: int = field(init=False, default=0)
-    _walk_preempt: bool = field(init=False)
-    _batch: bool = field(init=False)
-    #: Deferred bookkeeping of pre-issued requests, one ``(data_end,
-    #: callback, next_kick_time)`` credit per drained issue beyond the
-    #: first (see module docstring).
-    _chain: deque = field(init=False, default_factory=deque)
     _kick_cb: Callable[[], None] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -137,8 +87,6 @@ class Channel:
         # Stagger refresh across channels so they do not blink in lockstep.
         offset = (self.index * self.cfg.timing.tREFI) // max(1, self.cfg.channels)
         self.next_refresh_at = self.cfg.timing.tREFI + offset
-        self._walk_preempt = self.cfg.prioritize_walks and self.expect_walks
-        self._batch = BATCH_ISSUE and self.burst_ticks >= 2
         # One bound method, reused for every scheduling push (``self._kick``
         # would allocate a fresh bound method per transaction).
         self._kick_cb = self._kick
@@ -185,35 +133,15 @@ class Channel:
 
     def _kick(self) -> None:
         self._kick_at = None
-        engine = self.engine
-        chain = self._chain
-        if chain:
-            # Credit kick: a batched drain pre-issued the request this
-            # kick would have issued under per-event scheduling.  Replay
-            # the bookkeeping that kick would have done — push the
-            # completion callback and the follow-on kick — so the event
-            # pushes and the kick supply stay identical to the baseline.
-            # (The baseline only reschedules while its queue still holds
-            # requests; the pre-issued ones it would still hold are
-            # exactly the remaining chain entries.)
-            data_end, callback, next_time = chain.popleft()
-            engine.at(data_end, callback)
-            if chain or self.queue:
-                # ``_kick_at`` is None here (cleared on entry), so the
-                # dedup check in ``_ensure_kick`` would always pass.
-                self._kick_at = next_time
-                engine.at(next_time, self._kick_cb)
-            return
         queue = self.queue
         if not queue:
             return
+        engine = self.engine
         now = engine.now
-        refresh = self._refresh_on
-        if refresh and now >= self.next_refresh_at:
+        if self._refresh_on and now >= self.next_refresh_at:
             self._refresh(now)
             return
-        burst = self.burst_ticks
-        index, _ = self._select_index()
+        index = self._select_index()
         request = queue[index]
         if request.is_walk:
             self._pending_walks -= 1
@@ -224,29 +152,9 @@ class Channel:
             return
         # The next issue decision happens when the bus commits to this
         # burst; bank preparation of the next request overlaps it.
-        next_time = data_end - burst
+        next_time = data_end - self.burst_ticks
         if next_time <= now:
             next_time = now + 1
-        if self._batch and not (refresh and next_time >= self.next_refresh_at):
-            # Drain ahead at virtual kick times while each selection is
-            # arrival-stable, banking one credit per pre-issued request.
-            virtual = next_time
-            while True:
-                index, stable = self._select_index()
-                if not stable:
-                    break
-                request = queue[index]
-                if request.is_walk:
-                    self._pending_walks -= 1
-                data_end = self._issue(request, now)
-                del queue[index]
-                after = data_end - burst
-                if after <= virtual:
-                    after = virtual + 1
-                chain.append((data_end, request.callback, after))
-                if not queue or (refresh and after >= self.next_refresh_at):
-                    break
-                virtual = after
         # Direct push: ``_kick_at`` is None and ``next_time > now``.
         self._kick_at = next_time
         engine.at(next_time, self._kick_cb)
@@ -267,35 +175,31 @@ class Channel:
         self.stats.refreshes += 1
         self._ensure_kick(end)
 
-    def _select_index(self) -> tuple[int, bool]:
+    def _select_index(self) -> int:
         """FR-FCFS with optional walk priority.
 
         Page-table-walk reads (when ``prioritize_walks``) go first — one
         pending walk gates many data transactions.  Otherwise the oldest
         row-hit within the reorder window wins, falling back to the
-        oldest request.  Returns ``(index, stable)`` where ``stable``
-        means no later arrival could have won this selection (see the
-        module docstring on batched issue).
+        oldest request.  Returns the queue index of the winner.
         """
         queue = self.queue
         if self._pending_walks and self._prioritize:
             for index, request in enumerate(queue):
                 if request.is_walk:
-                    return index, True
+                    return index
         banks = self.banks
         size = len(queue)
         for index in range(size if size < FR_WINDOW else FR_WINDOW):
             request = queue[index]
             if banks[request.bank].open_row == request.row:
-                return index, not self._walk_preempt
-        return 0, not self._walk_preempt and size >= FR_WINDOW
+                return index
+        return 0
 
     def _issue(self, request: DramRequest, now: int) -> int:
         """Advance bank/bus state for ``request``; returns data-end tick.
 
-        The caller schedules the completion callback: immediately for a
-        request issued at a real kick, deferred onto the credit chain
-        for a drained one (see module docstring).
+        The caller schedules the completion callback.
 
         Command timing is floored at the request's *arrival*, not at the
         scheduling instant: a real controller issues ACT/RD commands for

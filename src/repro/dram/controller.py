@@ -38,14 +38,11 @@ class DramController:
         channels_per_core: dict[int, tuple[int, ...]],
         trace_window_ticks: int | None = None,
         logger: "TraceLogger | None" = None,
-        expect_walks: bool = True,
     ) -> None:
         """``channels_per_core`` maps core index -> allowed channel tuple.
 
         Shared DRAM is expressed by giving every core the full channel
-        range; static partitions give disjoint subsets.  ``expect_walks``
-        tells the channels whether prioritized page-table-walk traffic is
-        possible at all (it bounds batched issue; see ``Channel``).
+        range; static partitions give disjoint subsets.
         """
         if not channels_per_core:
             raise ValueError("at least one core must be wired to the controller")
@@ -81,7 +78,6 @@ class DramController:
                 stats=channel_stats[index],
                 trace=trace_fn,
                 transaction_bytes=transaction_bytes,
-                expect_walks=expect_walks,
             )
             for index in range(cfg.channels)
         ]

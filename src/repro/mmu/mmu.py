@@ -132,10 +132,6 @@ class Mmu:
             "mmu.pending_walk_pages", lambda: len(self._pending)
         )
 
-    def lookup_latency(self, core: int) -> int:
-        """TLB lookup latency in the core's local cycles."""
-        return self.cfg[core].tlb_latency_cycles
-
     def direct_paddr(self, core: int) -> Callable[[int], int] | None:
         """A bare ``vaddr -> paddr`` function when ``core`` skips the TLB.
 

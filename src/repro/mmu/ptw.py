@@ -240,11 +240,6 @@ class WalkerPool:
         """Walks waiting for a walker."""
         return self._queued_count
 
-    @property
-    def total_inflight(self) -> int:
-        """Walks currently holding a walker, over all cores."""
-        return self._total_inflight
-
     def queued_for(self, core: int) -> int:
         """Walks of one core still waiting for a walker."""
         return len(self._queues[core])

@@ -168,11 +168,6 @@ def split_name(name: str) -> tuple[str, str | None]:
     return (base, phase) if sep else (name, None)
 
 
-def is_serving_name(name: str) -> bool:
-    """True when ``name`` is (or can be phase-qualified into) a serving shape."""
-    return split_name(name)[0] in SERVING_BASES
-
-
 # --------------------------------------------------------------------- #
 # MoE expert routing
 # --------------------------------------------------------------------- #

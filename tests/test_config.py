@@ -183,10 +183,3 @@ class TestSystemConfig:
                 arch=(arch,), npumem=(NpuMemConfig(), NpuMemConfig()),
                 dram=DramConfig(),
             )
-
-    def test_cache_key_stable_and_distinct(self):
-        a = self._system()
-        b = self._system()
-        c = self._system(share_dram=False)
-        assert a.cache_key() == b.cache_key()
-        assert a.cache_key() != c.cache_key()

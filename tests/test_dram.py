@@ -176,6 +176,29 @@ class TestChannelTiming:
         # The walk entered last but must complete before most data bursts.
         assert done.index("walk") < FR_WINDOW // 2
 
+    @pytest.mark.parametrize("position", [1, FR_WINDOW - 1, FR_WINDOW, FR_WINDOW + 4])
+    def test_row_hit_overtakes_older_miss_only_within_window(self, position):
+        engine = Engine()
+        controller = _controller(engine, channels=1, refresh_enabled=False)
+        cfg = controller.cfg
+
+        def addr(bank, row):
+            address = (row * cfg.banks_per_channel + bank) * cfg.row_bytes
+            assert controller.decompose(0, address) == (0, bank, row)
+            return address
+
+        _drain(engine, controller, [(0, addr(0, 0), False)])  # opens bank 0, row 0
+        # An older row miss at the head, misses to a closed bank behind
+        # it, and a younger hit to the open row at queue index ``position``.
+        queue = [(0, addr(0, 1), False)]
+        queue += [(0, addr(1, 0), False)] * (position - 1)
+        queue.append((0, addr(0, 0), False))
+        done = _drain(engine, controller, queue)
+        if position < FR_WINDOW:
+            assert done[position] < done[0]
+        else:
+            assert done[position] > done[0]
+
 
 class TestStats:
     def test_bandwidth_trace_windows(self):

@@ -322,26 +322,3 @@ def test_observability_is_byte_invisible(name, snapshots):
         if path.startswith("dram.ch") and path.endswith(".reads")
     )
     assert channel_reads == mix.dram.reads
-
-
-@pytest.mark.parametrize(
-    "name", ["solo-dlrm-1ch-notrans", "mix-ncf-dlrm-D", "mix-ncf-dlrm-DWT"]
-)
-def test_per_event_scheduler_matches_batched_issue(name, snapshots, monkeypatch):
-    """A/B the channel's batched drain against one-request-per-event.
-
-    The batch guards (refresh horizon, arrival-stable selection) claim
-    the two schedulers are observationally identical; re-simulating a
-    slice of the corpus with ``BATCH_ISSUE`` off checks that claim on
-    real end-to-end traffic, not just the synthetic property tests.
-    """
-    import repro.dram.channel as channel_mod
-
-    monkeypatch.setattr(channel_mod, "BATCH_ISSUE", False)
-    got = metrics(simulate(dict(CORPUS)[name]))
-    want = {
-        key: value
-        for key, value in snapshots[name].items()
-        if key not in ("cache_key", "shard_sha256")
-    }
-    assert got == want

@@ -13,7 +13,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.dram.channel as channel_mod
 from repro.config.dram import DramConfig
 from repro.core.engine import Engine
 from repro.dram.channel import Channel, DramRequest
@@ -112,7 +111,7 @@ def _requests():
 
 
 class TestChannelBusInvariants:
-    def _drive(self, requests, *, prioritize_walks, refresh_enabled, batch=True):
+    def _drive(self, requests, *, prioritize_walks, refresh_enabled):
         engine = Engine()
         cfg = DramConfig(
             channels=1,
@@ -121,20 +120,15 @@ class TestChannelBusInvariants:
             refresh_enabled=refresh_enabled,
         )
         bursts: list[tuple[int, int, int]] = []
-        saved = channel_mod.BATCH_ISSUE
-        channel_mod.BATCH_ISSUE = batch
-        try:
-            channel = Channel(
-                index=0,
-                cfg=cfg,
-                engine=engine,
-                burst_ticks=cfg.burst_cycles(TXN),
-                stats=DramStats(),
-                trace=lambda end, nbytes, core: bursts.append((end, nbytes, core)),
-                transaction_bytes=TXN,
-            )
-        finally:
-            channel_mod.BATCH_ISSUE = saved
+        channel = Channel(
+            index=0,
+            cfg=cfg,
+            engine=engine,
+            burst_ticks=cfg.burst_cycles(TXN),
+            stats=DramStats(),
+            trace=lambda end, nbytes, core: bursts.append((end, nbytes, core)),
+            transaction_bytes=TXN,
+        )
         completions = []
         arrival = 0
         for index, (bank, row, write, is_walk, gap) in enumerate(requests):
@@ -152,7 +146,7 @@ class TestChannelBusInvariants:
         engine.run()
         assert len(completions) == len(requests)
         assert channel.occupancy == 0
-        return channel, bursts, completions
+        return channel, bursts
 
     @given(
         _requests(),
@@ -163,7 +157,7 @@ class TestChannelBusInvariants:
     def test_no_two_bursts_overlap_on_the_bus(
         self, requests, prioritize_walks, refresh_enabled
     ):
-        channel, bursts, _ = self._drive(
+        channel, bursts = self._drive(
             requests,
             prioritize_walks=prioritize_walks,
             refresh_enabled=refresh_enabled,
@@ -180,7 +174,7 @@ class TestChannelBusInvariants:
     def test_bytes_per_tick_never_exceed_peak_bandwidth(
         self, requests, prioritize_walks
     ):
-        channel, bursts, _ = self._drive(
+        channel, bursts = self._drive(
             requests, prioritize_walks=prioritize_walks, refresh_enabled=True
         )
         peak = channel.cfg.channel_bytes_per_cycle
@@ -199,42 +193,10 @@ class TestChannelBusInvariants:
     @given(_requests())
     @settings(max_examples=40, deadline=None)
     def test_every_request_counted_exactly_once(self, requests):
-        channel, _, _ = self._drive(
+        channel, _ = self._drive(
             requests, prioritize_walks=True, refresh_enabled=False
         )
         stats = channel.stats
         assert stats.reads + stats.writes == len(requests)
         assert stats.row_hits + stats.row_misses == len(requests)
         assert sum(stats.bytes_per_core.values()) == len(requests) * TXN
-
-    @given(_requests(), st.booleans(), st.booleans())
-    @settings(max_examples=80, deadline=None)
-    def test_batched_issue_matches_per_event_scheduling(
-        self, requests, prioritize_walks, refresh_enabled
-    ):
-        """The batched drain must be *observationally equivalent* to the
-        one-request-per-event scheduler on arbitrary traffic: identical
-        burst trace (timing, sizes, attribution), identical completion
-        order, identical stats."""
-        batched = self._drive(
-            requests,
-            prioritize_walks=prioritize_walks,
-            refresh_enabled=refresh_enabled,
-            batch=True,
-        )
-        per_event = self._drive(
-            requests,
-            prioritize_walks=prioritize_walks,
-            refresh_enabled=refresh_enabled,
-            batch=False,
-        )
-        assert batched[1] == per_event[1], "burst traces diverge"
-        assert batched[2] == per_event[2], "completion order diverges"
-        for field in ("reads", "writes", "row_hits", "row_misses", "refreshes",
-                      "queueing_ticks_total"):
-            assert getattr(batched[0].stats, field) == getattr(
-                per_event[0].stats, field
-            ), field
-        assert dict(batched[0].stats.bytes_per_core) == dict(
-            per_event[0].stats.bytes_per_core
-        )

@@ -64,8 +64,13 @@ class TestLoaders:
                 "replay_mode = event\n",
                 "unknown MiscConfig key 'replay_mode'",
             ),
+            (
+                load_npumem_config,
+                "tlb_latency_cycles = 1\n",
+                "unknown NpuMemConfig key 'tlb_latency_cycles'",
+            ),
         ],
-        ids=["npumem-typo", "misc-replay_mode"],
+        ids=["npumem-typo", "misc-replay_mode", "npumem-tlb_latency_cycles"],
     )
     def test_unknown_key_names_its_config(self, tmp_path, loader, text, message):
         path = tmp_path / "x.cfg"
