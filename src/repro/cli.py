@@ -29,7 +29,6 @@ import sys
 import threading
 from pathlib import Path
 
-from repro.compute import tracecache
 from repro.compute.dataflow import registered_dataflows
 from repro.compute.requestgen import RequestGenerator
 from repro.config import (
@@ -47,7 +46,7 @@ from repro.core.simulator import (
 )
 from repro.errors import SimulationStallError
 from repro.experiments.runner import DEFAULT_MAX_TICKS
-from repro.experiments.spec import PlanContext, RunSpec
+from repro.experiments.spec import DEFAULT_DATAFLOW, PlanContext, RunSpec
 from repro.models import zoo
 from repro.models import serving as serving_models
 from repro.models.serving import ServingParams
@@ -135,7 +134,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         network_names, args.scale,
         params=_serving_params(args), default_phase=args.phase,
     )
-    tracecache.configure(enabled=not args.no_trace_cache)
     sim = MultiCoreNPUSim(
         system,
         networks,
@@ -166,35 +164,48 @@ def _run_sim(sim: MultiCoreNPUSim, max_ticks: int) -> MixResult:
         raise SystemExit(f"simulation aborted: {error}") from error
 
 
-def _cmd_mix(args: argparse.Namespace) -> int:
-    names = args.workloads
+def _run_mix(
+    args: argparse.Namespace, *, dataflow: str, observe: bool = False
+) -> tuple[MultiCoreNPUSim, MixResult]:
+    """Build and run the mix ``args`` names; the simulator and its result.
+
+    The same frozen descriptor the experiment runner plans from, so CLI
+    mixes and cached figure sweeps simulate the identical system
+    (iterations=1, staggered launch — see presets.mix_system).
+    ``observe=True`` registers every component into the counter registry
+    and has the timeline tracer record spans.
+    """
     sharing = (
         SharingLevel[args.sharing.upper().lstrip("+")]
         if args.sharing
         else SharingLevel.DWT
     )
-    # The same frozen descriptor the experiment runner plans from, so CLI
-    # mixes and cached figure sweeps simulate the identical system
-    # (iterations=1, staggered launch — see presets.mix_system).
     try:
         spec = RunSpec.mix(
-            names,
+            args.workloads,
             sharing,
             scale=args.scale,
             page_bytes=args.page_bytes,
-            dataflow=args.dataflow,
+            dataflow=dataflow,
             phase=args.phase,
             serving=_serving_params(args),
         )
     except ValueError as error:
         raise SystemExit(str(error)) from error
-    system = spec.system()
     networks = _serving_networks(
-        names, args.scale, params=spec.serving, default_phase=spec.phase
+        args.workloads, args.scale, params=spec.serving, default_phase=spec.phase
     )
-    tracecache.configure(enabled=not args.no_trace_cache)
-    sim = MultiCoreNPUSim(system, networks, stall_window_ticks=args.stall_window)
-    result = _run_sim(sim, args.max_ticks)
+    sim = MultiCoreNPUSim(
+        spec.system(),
+        networks,
+        observe=observe,
+        stall_window_ticks=args.stall_window,
+    )
+    return sim, _run_sim(sim, args.max_ticks)
+
+
+def _cmd_mix(args: argparse.Namespace) -> int:
+    sim, result = _run_mix(args, dataflow=args.dataflow)
     for workload in result.workloads:
         print(
             f"core{workload.core} {workload.workload}: {workload.cycles} cycles, "
@@ -202,7 +213,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
             f"TLB miss rate {workload.tlb_miss_rate:.3f}, walks {workload.walks}"
         )
     if args.result_path:
-        _write_results(result, system, Path(args.result_path), networks)
+        _write_results(result, sim.system, Path(args.result_path), sim.networks)
     return 0
 
 
@@ -230,18 +241,13 @@ def _print_cache_summary(runner, quiet: bool) -> None:
         return
     outcome = runner.last_outcome
     trace = runner.last_trace_stats
-    if trace is None:
-        trace_part = "trace-cache off"
-    else:
-        trace_part = (
-            f"traces {trace.requests} distinct: {trace.hits} hit "
-            f"(memo {trace.memo_hits}, disk {trace.disk_hits}), "
-            f"{trace.compiles} compiled, hit-rate {trace.hit_rate:.2f}"
-        )
     print(
         f"cache: results {outcome.cache_hits}/{outcome.total} cached, "
         f"{_disk_usage(runner.cache_usage())}; "
-        f"{trace_part}, {_disk_usage(runner.trace_usage())}",
+        f"traces {trace.requests} distinct: {trace.hits} hit "
+        f"(memo {trace.memo_hits}, disk {trace.disk_hits}), "
+        f"{trace.compiles} compiled, hit-rate {trace.hit_rate:.2f}, "
+        f"{_disk_usage(runner.trace_usage())}",
         file=sys.stderr,
     )
 
@@ -283,7 +289,6 @@ def _make_runner(args: argparse.Namespace, *, profile: bool = False):
         jobs=args.jobs,
         progress=None if args.quiet else _print_progress,
         run_timeout=args.run_timeout,
-        trace_cache=not args.no_trace_cache,
         profile=profile,
     )
 
@@ -423,14 +428,18 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         help="per-run wall-clock budget; overruns fail the spec, not the sweep",
     )
     _add_serving_options(parser)
-    _add_no_trace_cache_option(parser)
 
 
-def _add_no_trace_cache_option(parser: argparse.ArgumentParser) -> None:
+def _add_run_limit_options(parser: argparse.ArgumentParser) -> None:
+    """The tick safety valve and stall watchdog of one simulation."""
     parser.add_argument(
-        "--no-trace-cache", action="store_true",
-        help="disable the compiled-frontend trace cache (escape hatch: "
-             "every run regenerates its request traces live)",
+        "--max-ticks", type=int, default=DEFAULT_MAX_TICKS,
+        help="abort a run exceeding this many global ticks (safety valve)",
+    )
+    parser.add_argument(
+        "--stall-window", type=int, default=DEFAULT_STALL_WINDOW_TICKS,
+        help="livelock watchdog: abort when no core retires work for this "
+             "many global ticks (0 disables)",
     )
 
 
@@ -608,7 +617,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         progress=None,
         run_timeout=args.run_timeout,
-        trace_cache=not args.no_trace_cache,
         keep_pool=True,
     )
     service = SweepService(
@@ -639,46 +647,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0 if drained else 1
 
 
-def _run_observed(args: argparse.Namespace):
-    """Build and run the requested mix with observability armed.
-
-    The same :class:`RunSpec` path as ``mnpusim mix``, but the simulator
-    is constructed with ``observe=True`` so every component registers
-    into the counter registry and the timeline tracer records spans.
-    """
-    sharing = (
-        SharingLevel[args.sharing.upper().lstrip("+")]
-        if args.sharing
-        else SharingLevel.DWT
-    )
-    try:
-        spec = RunSpec.mix(
-            args.workloads,
-            sharing,
-            scale=args.scale,
-            page_bytes=args.page_bytes,
-            phase=args.phase,
-            serving=_serving_params(args),
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-    networks = _serving_networks(
-        args.workloads, args.scale, params=spec.serving, default_phase=spec.phase
-    )
-    tracecache.configure(enabled=not args.no_trace_cache)
-    sim = MultiCoreNPUSim(
-        spec.system(),
-        networks,
-        observe=True,
-        stall_window_ticks=args.stall_window,
-    )
-    result = _run_sim(sim, args.max_ticks)
-    return sim, result
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run a mix with observability on and render the counter tree."""
-    sim, result = _run_observed(args)
+    sim, result = _run_mix(args, dataflow=DEFAULT_DATAFLOW, observe=True)
     snapshot = result.counters
     assert snapshot is not None  # observe=True guarantees a registry
     if args.json:
@@ -692,7 +663,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_profile_run(args: argparse.Namespace) -> int:
     """One observed run: counter tree, span summary, Perfetto export."""
-    sim, result = _run_observed(args)
+    sim, result = _run_mix(args, dataflow=DEFAULT_DATAFLOW, observe=True)
     for workload in result.workloads:
         print(
             f"core{workload.core} {workload.workload}: {workload.cycles} cycles, "
@@ -740,21 +711,12 @@ def _add_observed_mix_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sharing", default="DWT", help="D, DW or DWT")
     parser.add_argument("--scale", default="mini", choices=("mini", "full"))
     parser.add_argument("--page-bytes", type=int, default=4096)
-    parser.add_argument(
-        "--max-ticks", type=int, default=DEFAULT_MAX_TICKS,
-        help="abort a run exceeding this many global ticks (safety valve)",
-    )
-    parser.add_argument(
-        "--stall-window", type=int, default=DEFAULT_STALL_WINDOW_TICKS,
-        help="livelock watchdog: abort when no core retires work for this "
-             "many global ticks (0 disables)",
-    )
+    _add_run_limit_options(parser)
     parser.add_argument(
         "--depth", type=int, default=None, metavar="N",
         help="truncate the counter tree below this depth",
     )
     _add_serving_options(parser)
-    _add_no_trace_cache_option(parser)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -794,17 +756,8 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", action="store_true",
         help="write dram/tlb/ptw request logs (the artifact's DRAMREQ_NPU_TRACE)",
     )
-    run.add_argument(
-        "--max-ticks", type=int, default=DEFAULT_MAX_TICKS,
-        help="abort a run exceeding this many global ticks (safety valve)",
-    )
-    run.add_argument(
-        "--stall-window", type=int, default=DEFAULT_STALL_WINDOW_TICKS,
-        help="livelock watchdog: abort when no core retires work for this "
-             "many global ticks (0 disables)",
-    )
+    _add_run_limit_options(run)
     _add_serving_options(run)
-    _add_no_trace_cache_option(run)
     run.set_defaults(func=_cmd_run)
 
     mix = sub.add_parser("mix", help="co-run named benchmarks under a sharing level")
@@ -819,17 +772,8 @@ def main(argv: list[str] | None = None) -> int:
         help="dataflow engine compiling every core's traces (default: os)",
     )
     mix.add_argument("--result-path", default=None)
-    mix.add_argument(
-        "--max-ticks", type=int, default=DEFAULT_MAX_TICKS,
-        help="abort a run exceeding this many global ticks (safety valve)",
-    )
-    mix.add_argument(
-        "--stall-window", type=int, default=DEFAULT_STALL_WINDOW_TICKS,
-        help="livelock watchdog: abort when no core retires work for this "
-             "many global ticks (0 disables)",
-    )
+    _add_run_limit_options(mix)
     _add_serving_options(mix)
-    _add_no_trace_cache_option(mix)
     mix.set_defaults(func=_cmd_mix)
 
     models = sub.add_parser("models", help="list the bundled benchmark zoo")
@@ -953,7 +897,6 @@ def main(argv: list[str] | None = None) -> int:
         "--breaker-cooldown", type=float, default=30.0, metavar="SECONDS",
         help="seconds the breaker stays open before a half-open probe",
     )
-    _add_no_trace_cache_option(serve)
     serve.set_defaults(func=_cmd_serve)
 
     args = parser.parse_args(argv)

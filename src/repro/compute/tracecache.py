@@ -37,20 +37,18 @@ one compiled frontend across every configuration they try:
 Workloads whose trace would exceed the memo budget are *not*
 materialized: :meth:`TraceCache.get` returns ``None`` and callers fall
 back to the bounded-memory stream-and-discard
-:class:`RequestGenerator` path, exactly as before this cache existed.
+:class:`RequestGenerator` path.  That oversize fallback is the only way
+the live generator reaches the replay loop.
 
-The process-level cache used by :class:`~repro.core.simulator.
-MultiCoreNPUSim` is managed with :func:`configure` /
-:func:`trace_source`; set the environment variable
-``REPRO_NO_TRACE_CACHE=1`` (or pass ``--no-trace-cache`` to the CLI) to
-disable it entirely.
+Every frontend of :class:`~repro.core.simulator.MultiCoreNPUSim`
+resolves through the process-level cache, managed with
+:func:`configure` / :func:`trace_source`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -76,10 +74,6 @@ TRACE_VERSION = 1
 #: full-scale runs cannot balloon memory through the cache.  This is the
 #: budget formerly enforced per-``RequestGenerator``.
 MEMO_MAX_OBJECTS = 1 << 20
-
-#: Environment escape hatch: any non-empty value disables the process
-#: cache (the CLI's ``--no-trace-cache`` sets the same switch).
-DISABLE_ENV = "REPRO_NO_TRACE_CACHE"
 
 #: Arch fields that shape the generated traffic/compute trace.  Clock
 #: frequency and DMA issue width deliberately excluded: they change
@@ -585,13 +579,10 @@ class TraceCache:
 
 
 # ---------------------------------------------------------------------- #
-# The process-level cache (what the simulator uses by default)
+# The process-level cache (what every simulator frontend resolves through)
 # ---------------------------------------------------------------------- #
 
-_UNSET = object()
-
 _process_cache = TraceCache()
-_process_enabled = not os.environ.get(DISABLE_ENV)
 
 
 def process_cache() -> TraceCache:
@@ -599,29 +590,14 @@ def process_cache() -> TraceCache:
     return _process_cache
 
 
-def is_enabled() -> bool:
-    """Whether the process cache currently serves compiled traces."""
-    return _process_enabled
+def configure(directory: str | Path | None) -> TraceCache:
+    """(Re)point the process-level cache's disk level; returns it.
 
-
-def configure(
-    directory: str | Path | None | object = _UNSET,
-    *,
-    enabled: bool | None = None,
-) -> TraceCache:
-    """(Re)configure the process-level cache; returns it.
-
-    ``directory`` attaches the disk level (``None`` detaches it); omit
-    the argument to leave it unchanged.  ``enabled=False`` makes
-    :func:`trace_source` fall back to live request generators — the
-    ``--no-trace-cache`` escape hatch.  Re-pointing the directory keeps
-    the memo: entries are content-addressed and can never go stale.
+    ``directory`` attaches the disk level (``None`` detaches it).
+    Re-pointing the directory keeps the memo: entries are
+    content-addressed and can never go stale.
     """
-    global _process_enabled
-    if directory is not _UNSET:
-        _process_cache.set_directory(directory)  # type: ignore[arg-type]
-    if enabled is not None:
-        _process_enabled = enabled
+    _process_cache.set_directory(directory)
     return _process_cache
 
 
@@ -630,12 +606,11 @@ def trace_source(
 ) -> Union[CompiledTrace, RequestGenerator]:
     """The frontend the replay loop should consume for one core.
 
-    A :class:`CompiledTrace` from the process cache when enabled and
-    within budget; otherwise a live stream-and-discard
-    :class:`RequestGenerator`.  Both are observationally identical.
+    A :class:`CompiledTrace` from the process cache when within budget;
+    otherwise a live stream-and-discard :class:`RequestGenerator`.  Both
+    are observationally identical.
     """
-    if _process_enabled:
-        trace = _process_cache.get(network, arch)
-        if trace is not None:
-            return trace
+    trace = _process_cache.get(network, arch)
+    if trace is not None:
+        return trace
     return RequestGenerator(network, arch)

@@ -13,8 +13,7 @@ simulator feeds it when constructed with ``trace_requests=True``, and
 the artifact's "time (cycle), address, NPU index, channel number"
 convention.
 
-Since the observability layer landed, the entry types are aliases of the
-:mod:`repro.obs.spans` span types (identical field layout), and the
+The log entries are the :mod:`repro.obs.spans` span types, and the
 logger doubles as a :class:`~repro.obs.spans.SpanSink`: when a
 :class:`~repro.obs.timeline.TimelineTracer` drives the simulation, it
 fans the same span stream into an attached ``TraceLogger`` through
@@ -28,13 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.spans import DramSpan, TlbEvent, WalkSpan
-
-#: Back-compat aliases: the legacy log-entry names now *are* the span
-#: types (same fields, same order), so either import path works.
-DramLogEntry = DramSpan
-TlbLogEntry = TlbEvent
-PtwLogEntry = WalkSpan
-
 
 @dataclass
 class TraceLogger:

@@ -143,7 +143,7 @@ TRACE_DIR_NAME = "traces"
 _UNSET: Any = object()
 
 
-def _configure_worker_trace_cache(directory: str | None, enabled: bool) -> None:
+def _configure_worker_trace_cache(directory: str) -> None:
     """Pool initializer: point each worker at the shared trace store.
 
     Under the default ``fork`` start method workers additionally inherit
@@ -151,9 +151,7 @@ def _configure_worker_trace_cache(directory: str | None, enabled: bool) -> None:
     level at all; under ``spawn``/``forkserver`` they load the shards the
     parent published during planning instead of recompiling.
     """
-    tracecache.configure(
-        directory=Path(directory) if directory else None, enabled=enabled
-    )
+    tracecache.configure(directory=Path(directory))
 
 
 def _result_dict(result: WorkloadResult) -> dict[str, Any]:
@@ -363,7 +361,6 @@ class ExperimentRunner:
         stall_window_ticks: int | None = DEFAULT_STALL_WINDOW_TICKS,
         fault_plan: "faults_module.FaultPlan | None" = None,
         journal: bool = True,
-        trace_cache: bool = True,
         profile: bool = False,
         keep_pool: bool = False,
     ) -> None:
@@ -380,10 +377,7 @@ class ExperimentRunner:
         ``keep_pool=True`` keeps the supervised worker pool alive across
         :meth:`run_many` batches (the ``mnpusim serve`` daemon's warm
         pool — call :meth:`close` when done; a broken pool is still
-        rebuilt transparently);
-        ``trace_cache=False`` disables the compiled-frontend cache (the
-        ``--no-trace-cache`` escape hatch — every run regenerates its
-        request traces live); ``profile=True`` arms :attr:`profiler` (a
+        rebuilt transparently); ``profile=True`` arms :attr:`profiler` (a
         :class:`~repro.obs.profiling.PhaseProfiler`) so runs and sweeps
         account per-phase wall time — cache reads, frontend compilation,
         simulation, cache writes — surfaced by ``mnpusim profile`` and a
@@ -410,12 +404,11 @@ class ExperimentRunner:
         self._result_store = ShardStore(
             self.cache_dir, on_quarantine=self._on_result_quarantine
         )
-        self.trace_cache = trace_cache
         self.trace_dir = self.cache_dir / TRACE_DIR_NAME
         # The compile phase resolves through the process-level cache; the
         # runner points its disk level under its own cache directory so
         # result shards and trace shards travel together.
-        tracecache.configure(directory=self.trace_dir, enabled=trace_cache)
+        tracecache.configure(directory=self.trace_dir)
         self.journal: SweepJournal | None = (
             SweepJournal(self.cache_dir / JOURNAL_NAME) if journal else None
         )
@@ -483,10 +476,7 @@ class ExperimentRunner:
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_configure_worker_trace_cache,
-            initargs=(
-                str(self.trace_dir) if self.trace_cache else None,
-                self.trace_cache,
-            ),
+            initargs=(str(self.trace_dir),),
         )
 
     def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -567,10 +557,6 @@ class ExperimentRunner:
             return None, "descriptor does not match spec"
         return payload["results"], None
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt shard (and its sidecar) out of the cache."""
-        self._result_store.quarantine(path.name, reason)
-
     def _cached(self, spec: RunSpec) -> list[dict[str, Any]] | None:
         results = self._result_store.read_validated(
             self._shard_name(spec), lambda raw: self._validate_shard(spec, raw)
@@ -633,11 +619,9 @@ class ExperimentRunner:
         shards land next to its result shards.  The memo is content-
         addressed and survives re-pointing.
         """
-        tracecache.configure(directory=self.trace_dir, enabled=self.trace_cache)
+        tracecache.configure(directory=self.trace_dir)
 
-    def _precompile_frontends(
-        self, cold: Sequence[RunSpec]
-    ) -> "tracecache.TraceCacheStats | None":
+    def _precompile_frontends(self, cold: Sequence[RunSpec]) -> None:
         """Compile each distinct frontend of a batch exactly once, here.
 
         A sweep of S specs over C cores would otherwise regenerate
@@ -646,12 +630,8 @@ class ExperimentRunner:
         vary memory-side config only — are compiled (or loaded from the
         trace store) once in the parent instead.  Workers then inherit
         the warmed memo (``fork``) or load the just-published shards.
-        Returns the counter deltas of this pass, or ``None`` when the
-        cache is disabled.
+        The pass's counter deltas land in :attr:`last_trace_stats`.
         """
-        if not tracecache.is_enabled():
-            self.last_trace_stats = None
-            return None
         cache = tracecache.process_cache()
         before = cache.stats.snapshot()
         seen: set[str] = set()
@@ -667,7 +647,6 @@ class ExperimentRunner:
         self.last_trace_stats = delta
         if cold:
             self._journal("trace_cache", distinct=len(seen), **delta.summary())
-        return delta
 
     # ------------------------------------------------------------------ #
     # Supervision primitives

@@ -11,11 +11,10 @@ timeline.  The taxonomy mirrors the resources the paper studies:
 :class:`LayerSpan`  one layer's first-iteration activity on a core
 ===============  ====================================================
 
-:class:`DramSpan`, :class:`TlbEvent` and :class:`WalkSpan` carry exactly
-the field layout of the legacy ``core.tracing`` log entries — the legacy
-names are now aliases of these types, which is what lets the
-artifact-style :class:`~repro.core.tracing.TraceLogger` consume the same
-span stream as the Perfetto exporter without conversion.
+The artifact-style :class:`~repro.core.tracing.TraceLogger` records
+:class:`DramSpan`, :class:`TlbEvent` and :class:`WalkSpan` as its log
+entries, so it consumes the same span stream as the Perfetto exporter
+without conversion.
 
 Spans are buffered in :class:`RingBuffer`\\ s: append-only, bounded, and
 counting what they drop, so tracing a pathological run cannot exhaust
@@ -37,8 +36,7 @@ DEFAULT_RING_CAPACITY = 1_000_000
 
 @dataclass(frozen=True)
 class DramSpan:
-    """One DRAM transaction's lifetime (field-compatible with the legacy
-    ``DramLogEntry``)."""
+    """One DRAM transaction's lifetime."""
 
     start_tick: int
     end_tick: int
@@ -51,7 +49,7 @@ class DramSpan:
 
 @dataclass(frozen=True)
 class TlbEvent:
-    """One TLB access — an instant event (legacy ``TlbLogEntry``)."""
+    """One TLB access — an instant event."""
 
     tick: int
     core: int
@@ -61,7 +59,7 @@ class TlbEvent:
 
 @dataclass(frozen=True)
 class WalkSpan:
-    """One page-table walk's lifetime (legacy ``PtwLogEntry``)."""
+    """One page-table walk's lifetime."""
 
     enqueue_tick: int
     start_tick: int

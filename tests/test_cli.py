@@ -137,6 +137,19 @@ class TestMixCommand:
         ["figure", "fig15", "--replay-mode", "event"],
         ["sweep", "fig15", "--replay-mode", "batched"],
         ["run", "a", "n", "d", "m", "out", "misc", "--replay-mode", "event"],
+        *(
+            pytest.param([*command, "--no-trace-cache"], id=f"{name} --no-trace-cache")
+            for name, command in (
+                ("run", ["run", "a", "n", "d", "m", "out", "misc"]),
+                ("mix", ["mix", "ncf", "dlrm"]),
+                ("figure", ["figure", "fig15"]),
+                ("sweep", ["sweep", "fig15"]),
+                ("stats", ["stats", "ncf"]),
+                ("profile run", ["profile", "run", "ncf"]),
+                ("profile sweep", ["profile", "sweep", "fig15"]),
+                ("serve", ["serve"]),
+            )
+        ),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

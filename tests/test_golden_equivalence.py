@@ -236,8 +236,9 @@ def test_corpus_covers_required_axes():
 
 @pytest.mark.parametrize("name", ["solo-ncf-2ch", "mix-ncf-dlrm-DWT"])
 def test_trace_cache_modes_are_byte_equivalent(name, snapshots, tmp_path):
-    """Replay must be invisible: disabled, cold and warm trace caches all
-    produce the exact pinned metrics AND byte-identical result shards.
+    """Replay must be invisible: the live generator (the oversize
+    fallback), cold and warm trace caches all produce the exact pinned
+    metrics AND byte-identical result shards.
 
     This is the correctness pin of the compile/replay split — a compiled
     trace that drifted from live generation by even one request would
@@ -247,43 +248,48 @@ def test_trace_cache_modes_are_byte_equivalent(name, snapshots, tmp_path):
 
     spec = dict(CORPUS)[name]
     cache = tracecache.process_cache()
-    saved_store, saved_enabled = cache.store, tracecache.is_enabled()
+    saved_store, saved_max = cache.store, cache.max_memo_objects
     want = {
         key: value
         for key, value in snapshots[name].items()
         if key not in ("cache_key", "shard_sha256")
     }
 
-    def shard_digest(mode: str, trace_cache: bool) -> str:
+    def shard_digest(mode: str) -> str:
         cache_dir = tmp_path / mode
-        runner = ExperimentRunner(
-            cache_dir=cache_dir, trace_cache=trace_cache
-        )
-        runner.run(spec)
+        ExperimentRunner(cache_dir=cache_dir).run(spec)
         shard = (cache_dir / f"{spec.cache_key()}.json").read_bytes()
         return hashlib.sha256(shard).hexdigest()
 
     try:
+        # A zero memo budget makes every frontend oversize, so each core
+        # replays a live RequestGenerator, as a trace over budget does.
+        cache.max_memo_objects = 0
+        tracecache.configure(directory=None)
         cache.clear_memo()
-        tracecache.configure(enabled=False)
-        assert metrics(simulate(spec)) == want, "trace cache disabled"
-        digests = {shard_digest("disabled", trace_cache=False)}
+        oversize = cache.stats.oversize
+        assert metrics(simulate(spec)) == want, "oversize live generator"
+        digests = {shard_digest("oversize")}
+        assert cache.stats.oversize > oversize
+        assert not list((tmp_path / "oversize" / "traces").glob("*.json"))
 
-        tracecache.configure(directory=tmp_path / "traces", enabled=True)
+        cache.max_memo_objects = saved_max
+        tracecache.configure(directory=tmp_path / "traces")
         cache.clear_memo()
         assert metrics(simulate(spec)) == want, "cold trace cache"
-        digests.add(shard_digest("cold", trace_cache=True))
+        digests.add(shard_digest("cold"))
 
         cache.clear_memo()  # shards on disk now: the warm cross-process path
-        tracecache.configure(directory=tmp_path / "traces", enabled=True)
+        tracecache.configure(directory=tmp_path / "traces")
         assert metrics(simulate(spec)) == want, "warm disk trace cache"
         assert metrics(simulate(spec)) == want, "warm memo trace cache"
-        digests.add(shard_digest("warm", trace_cache=True))
+        digests.add(shard_digest("warm"))
 
         assert digests == {snapshots[name]["shard_sha256"]}
     finally:
         cache.store = saved_store
-        tracecache.configure(enabled=saved_enabled)
+        cache.max_memo_objects = saved_max
+        cache.clear_memo()  # forget the frontends flagged oversize above
 
 
 @pytest.mark.parametrize("name", CORPUS_IDS)

@@ -56,11 +56,9 @@ def process_cache_state():
     """Snapshot + restore the process-level cache around a test."""
     cache = tracecache.process_cache()
     store = cache.store
-    enabled = tracecache.is_enabled()
     cache.clear_memo()  # deterministic stats: no entries from earlier tests
     yield
     cache.store = store
-    tracecache.configure(enabled=enabled)
 
 
 # ---------------------------------------------------------------------- #
@@ -264,10 +262,18 @@ class TestTraceCache:
         assert len(cache._memo) == 1
 
     def test_trace_source_fallback_paths(self, network, arch, process_cache_state):
-        tracecache.configure(enabled=True)
+        cache = tracecache.process_cache()
+        tracecache.configure(directory=None)
         assert isinstance(trace_source(network, arch), CompiledTrace)
-        tracecache.configure(enabled=False)
-        assert isinstance(trace_source(network, arch), RequestGenerator)
+        saved_max, oversize = cache.max_memo_objects, cache.stats.oversize
+        cache.clear_memo()
+        cache.max_memo_objects = 0  # every trace is now over budget
+        try:
+            assert isinstance(trace_source(network, arch), RequestGenerator)
+            assert cache.stats.oversize == oversize + 1
+        finally:
+            cache.max_memo_objects = saved_max
+            cache.clear_memo()
 
 
 # ---------------------------------------------------------------------- #
@@ -525,15 +531,6 @@ class TestRunnerIntegration:
         second.run_many([self.SPECS[1]])  # cold result, same frontend
         assert second.last_trace_stats.disk_hits == 1
         assert second.last_trace_stats.compiles == 0
-
-    def test_trace_cache_off_runs_live(self, tmp_path, process_cache_state):
-        runner = ExperimentRunner(
-            cache_dir=tmp_path, trace_cache=False
-        )
-        results = runner.run_many([self.SPECS[0]])
-        assert len(results) == 1
-        assert runner.last_trace_stats is None
-        assert not list((tmp_path / "traces").glob("*.json"))
 
     def test_parallel_and_serial_results_identical(
         self, tmp_path, process_cache_state
