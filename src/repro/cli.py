@@ -44,6 +44,7 @@ from repro.core.simulator import (
     MixResult,
     MultiCoreNPUSim,
 )
+from repro.core.tracing import write_request_logs
 from repro.errors import SimulationStallError
 from repro.experiments.runner import DEFAULT_MAX_TICKS
 from repro.experiments.spec import DEFAULT_DATAFLOW, PlanContext, RunSpec
@@ -143,8 +144,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = _run_sim(sim, args.max_ticks)
     out_dir = Path(args.result_path)
     _write_results(result, system, out_dir, networks)
-    if args.trace and sim.tracer is not None:
-        sim.tracer.write_files(out_dir / "dramsim_output")
+    if args.trace:
+        assert sim.timeline is not None
+        write_request_logs(sim.timeline, out_dir / "dramsim_output")
     for workload in result.workloads:
         print(
             f"core{workload.core} {workload.workload}: {workload.cycles} cycles, "
@@ -241,13 +243,20 @@ def _print_cache_summary(runner, quiet: bool) -> None:
         return
     outcome = runner.last_outcome
     trace = runner.last_trace_stats
+    if trace.requests:
+        traces = (
+            f"traces {trace.requests} distinct: {trace.hits} hit "
+            f"(memo {trace.memo_hits}, disk {trace.disk_hits}), "
+            f"{trace.compiles} compiled, hit-rate {trace.hit_rate:.2f}"
+        )
+    else:
+        # Every result came from the cache, so no frontend was resolved;
+        # a 0.00 hit rate would read as a total miss.
+        traces = "traces none needed (every result cached)"
     print(
         f"cache: results {outcome.cache_hits}/{outcome.total} cached, "
         f"{_disk_usage(runner.cache_usage())}; "
-        f"traces {trace.requests} distinct: {trace.hits} hit "
-        f"(memo {trace.memo_hits}, disk {trace.disk_hits}), "
-        f"{trace.compiles} compiled, hit-rate {trace.hit_rate:.2f}, "
-        f"{_disk_usage(runner.trace_usage())}",
+        f"{traces}, {_disk_usage(runner.trace_usage())}",
         file=sys.stderr,
     )
 

@@ -31,8 +31,6 @@ class MiscConfig:
             pool is shared (0 = no reservation).
         ptw_upper_bound: Maximum walkers a core may hold concurrently
             when shared (0 = no cap, i.e. fully dynamic FCFS).
-        trace_dram_requests: Record per-request DRAM logs (the artifact's
-            ``DRAMREQ_NPU_TRACE``); needed by Figures 2(b) and 12.
         trace_window_cycles: Aggregation window for bandwidth traces.
     """
 
@@ -41,7 +39,6 @@ class MiscConfig:
     iterations: int = 0
     ptw_lower_bound: int = 0
     ptw_upper_bound: int = 0
-    trace_dram_requests: bool = False
     trace_window_cycles: int = 1000
 
     def __post_init__(self) -> None:

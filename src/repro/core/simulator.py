@@ -24,11 +24,11 @@ from repro.core.clock import ClockDomain
 from repro.core.dma import DmaEngine
 from repro.core.engine import Engine
 from repro.core.npu_core import NpuCore
-from repro.core.tracing import TraceLogger
 from repro.dram.controller import DramController
 from repro.dram.stats import DramStatsView
 from repro.mmu.mmu import Mmu
 from repro.obs.registry import CounterRegistry
+from repro.obs.spans import DEFAULT_RING_CAPACITY
 from repro.obs.timeline import TimelineTracer
 from repro.mmu.pagetable import PageTable, PhysicalLayout
 from repro.mmu.ptw import WalkerPool
@@ -130,6 +130,10 @@ class MultiCoreNPUSim:
         pure recording — it schedules no events and mutates no simulated
         state — so results are byte-identical with it on or off; when
         off (the default) the instrumentation costs nothing.
+
+        ``trace_requests=True`` records the same spans into
+        :attr:`timeline` with unbounded rings, for the artifact-style
+        request logs (:func:`repro.core.tracing.write_request_logs`).
         """
         if len(networks) != system.num_cores:
             raise ValueError(
@@ -160,31 +164,26 @@ class MultiCoreNPUSim:
             raise ValueError("heterogeneous DRAM transaction sizes are not supported")
         self._txn_bytes = txn_bytes.pop()
         trace_window = system.misc.trace_window_cycles if trace_bandwidth else None
-        self.tracer = TraceLogger() if trace_requests else None
-        #: Observability (``observe=True``): the counter registry and the
-        #: span timeline; ``None`` when off, so hot paths pay nothing.
-        self.registry: CounterRegistry | None = None
+        #: The counter registry (``observe=True``) and the span timeline
+        #: every component records into (``observe`` or
+        #: ``trace_requests``); ``None`` when off, so hot paths pay
+        #: nothing.  Request logs need every span, so ``trace_requests``
+        #: makes the rings unbounded.
+        self.registry = CounterRegistry() if observe else None
         self.timeline: TimelineTracer | None = None
-        logger: TraceLogger | TimelineTracer | None = self.tracer
-        if observe:
-            self.registry = CounterRegistry()
-            self.timeline = TimelineTracer(registry=self.registry)
-            if self.tracer is not None:
-                # One span stream feeds both the Perfetto exporter and
-                # the artifact-style text logs.
-                self.timeline.attach(self.tracer)
-            logger = self.timeline
+        if observe or trace_requests:
+            self.timeline = TimelineTracer(
+                capacity=None if trace_requests else DEFAULT_RING_CAPACITY,
+                registry=self.registry,
+            )
         self.dram = DramController(
             system.dram,
             self.engine,
             transaction_bytes=self._txn_bytes,
             channels_per_core={core: system.channels_for_core(core) for core in cores},
             trace_window_ticks=trace_window,
-            logger=logger,
+            timeline=self.timeline,
         )
-        #: The request logger every component records into: the timeline
-        #: when observing, else the plain TraceLogger (or ``None``).
-        self._logger = logger
 
         self.clocks = {
             core: ClockDomain(system.arch[core].freq_mhz, system.dram.freq_mhz)
@@ -196,7 +195,7 @@ class MultiCoreNPUSim:
             self.page_tables,
             self.walkers,
             shared_tlb=system.share_tlb and system.num_cores > 1,
-            logger=self._logger,
+            timeline=self.timeline,
         )
 
         # The compile phase: each core's frontend is resolved through the
@@ -291,7 +290,7 @@ class MultiCoreNPUSim:
             max_per_core=max_per_core,
             reserved_per_core=reserved,
             pwc_entries={core: system.npumem[core].pwc_entries for core in cores},
-            logger=self._logger,
+            timeline=self.timeline,
         )
 
     # ------------------------------------------------------------------ #

@@ -22,8 +22,8 @@ from repro.dram.channel import Channel, DramRequest
 from repro.dram.stats import BandwidthTrace, DramStats, DramStatsView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.tracing import TraceLogger
     from repro.obs.registry import CounterRegistry
+    from repro.obs.timeline import TimelineTracer
 
 
 class DramController:
@@ -37,7 +37,7 @@ class DramController:
         transaction_bytes: int,
         channels_per_core: dict[int, tuple[int, ...]],
         trace_window_ticks: int | None = None,
-        logger: "TraceLogger | None" = None,
+        timeline: "TimelineTracer | None" = None,
     ) -> None:
         """``channels_per_core`` maps core index -> allowed channel tuple.
 
@@ -58,7 +58,7 @@ class DramController:
         self.channels_per_core = dict(channels_per_core)
         channel_stats = [DramStats() for _ in range(cfg.channels)]
         self.stats = DramStatsView(channel_stats)
-        self.logger = logger
+        self.timeline = timeline
         self.traces: dict[int, BandwidthTrace] | None = None
         self.total_trace: BandwidthTrace | None = None
         trace_fn: Callable[[int, int, int], None] | None = None
@@ -106,7 +106,7 @@ class DramController:
         """Issue one transaction; ``callback`` fires when its burst completes."""
         channel_index, bank, row = self._decomposers[core](addr)
         now = self.engine.now
-        if self.logger is not None:
+        if self.timeline is not None:
             callback = self._logged(
                 callback, now, addr, core, channel_index, write, is_walk
             )
@@ -125,8 +125,8 @@ class DramController:
 
     def _logged(self, callback, start, addr, core, channel, write, is_walk):
         def wrapped() -> None:
-            assert self.logger is not None
-            self.logger.log_dram(
+            assert self.timeline is not None
+            self.timeline.log_dram(
                 start, self.engine.now, addr, core, channel, write, is_walk
             )
             callback()

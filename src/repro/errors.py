@@ -118,10 +118,6 @@ class InjectedFaultError(ReproError):
     """A deterministic failure injected by the fault harness."""
 
 
-class CacheIntegrityError(ReproError):
-    """A cache shard failed validation (normally quarantined, not raised)."""
-
-
 class ServeError(ReproError):
     """Base class of every error raised by the ``mnpusim serve`` stack."""
 

@@ -21,8 +21,8 @@ from repro.mmu.ptw import WalkerPool
 from repro.mmu.tlb import Tlb
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.tracing import TraceLogger
     from repro.obs.registry import CounterRegistry
+    from repro.obs.timeline import TimelineTracer
 
 
 @dataclass
@@ -55,7 +55,7 @@ class Mmu:
         walkers: WalkerPool,
         *,
         shared_tlb: bool,
-        logger: "TraceLogger | None" = None,
+        timeline: "TimelineTracer | None" = None,
     ) -> None:
         if set(npumem_per_core) != set(page_tables):
             raise ValueError("npumem configs and page tables must cover the same cores")
@@ -63,7 +63,7 @@ class Mmu:
         self.page_tables = dict(page_tables)
         self.walkers = walkers
         self.shared_tlb = shared_tlb
-        self.logger = logger
+        self.timeline = timeline
         self.stats = {core: TranslationStats() for core in self.cfg}
         self._tlbs: dict[int, Tlb] = {}
         if shared_tlb:
@@ -169,8 +169,8 @@ class Mmu:
             entry_set[key] = None
             tlb_stats.hits += 1
             stats.hits += 1
-            if self.logger is not None:
-                self.logger.log_tlb(self.walkers.engine.now, core, vpn, "hit")
+            if self.timeline is not None:
+                self.timeline.log_tlb(self.walkers.engine.now, core, vpn, "hit")
             return table.translate(vpn) * page_bytes + offset
         return None
 
@@ -187,14 +187,14 @@ class Mmu:
         waiters = self._pending.get(key)
         if waiters is not None:
             stats.coalesced += 1
-            if self.logger is not None:
-                self.logger.log_tlb(self.walkers.engine.now, core, vpn, "coalesced")
+            if self.timeline is not None:
+                self.timeline.log_tlb(self.walkers.engine.now, core, vpn, "coalesced")
             waiters.append((offset, on_miss_done))
             return
         self._pending[key] = [(offset, on_miss_done)]
         stats.walks_started += 1
-        if self.logger is not None:
-            self.logger.log_tlb(self.walkers.engine.now, core, vpn, "miss")
+        if self.timeline is not None:
+            self.timeline.log_tlb(self.walkers.engine.now, core, vpn, "miss")
         self.walkers.walk(core, vpn, lambda: self._walk_done(core, vpn))
 
     def translate(

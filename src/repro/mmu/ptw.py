@@ -40,8 +40,8 @@ from repro.dram.controller import DramController
 from repro.mmu.pagetable import PageTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.tracing import TraceLogger
     from repro.obs.registry import CounterRegistry
+    from repro.obs.timeline import TimelineTracer
 
 
 @dataclass
@@ -161,7 +161,7 @@ class WalkerPool:
         max_per_core: dict[int, int] | None = None,
         reserved_per_core: dict[int, int] | None = None,
         pwc_entries: dict[int, int] | None = None,
-        logger: "TraceLogger | None" = None,
+        timeline: "TimelineTracer | None" = None,
     ) -> None:
         """``dram=None`` switches to fixed-latency walks (then
         ``fixed_level_ticks[core]`` is the per-level cost)."""
@@ -202,7 +202,7 @@ class WalkerPool:
         self.pwc = {
             core: PageWalkCache((pwc_entries or {}).get(core, 0)) for core in cores
         }
-        self.logger = logger
+        self.timeline = timeline
 
     # ------------------------------------------------------------------ #
 
@@ -338,8 +338,8 @@ class WalkerPool:
         if self.inflight[walk.core] < self.reserved_per_core[walk.core]:
             self._owed_total += 1
         self.stats[walk.core].walk_ticks_total += self.engine.now - walk.start_time
-        if self.logger is not None:
-            self.logger.log_ptw(
+        if self.timeline is not None:
+            self.timeline.log_ptw(
                 walk.enqueue_time,
                 walk.start_time,
                 self.engine.now,

@@ -11,8 +11,8 @@ Three cooperating pieces, all zero-overhead when not enabled:
   typed spans (DRAM transactions, page walks, tile load/compute/write
   phases, per-core layer activity) recorded into bounded ring buffers
   and exported as Chrome trace-event JSON viewable in Perfetto.  The
-  artifact-style :class:`~repro.core.tracing.TraceLogger` is one
-  consumer of the same stream.
+  artifact-style request logs (:mod:`repro.core.tracing`) are a second
+  export of the same recording.
 * :mod:`repro.obs.profiling` — :class:`PhaseProfiler` wall-time/count
   accounting for the experiment runner's phases (compile, execute,
   cache I/O), surfaced through ``mnpusim profile`` and the sweep
@@ -41,7 +41,6 @@ from repro.obs.spans import (
     DramSpan,
     LayerSpan,
     RingBuffer,
-    SpanSink,
     TileSpan,
     TlbEvent,
     WalkSpan,
@@ -58,7 +57,6 @@ __all__ = [
     "LayerSpan",
     "PhaseProfiler",
     "RingBuffer",
-    "SpanSink",
     "TRACE_SCHEMA_NOTE",
     "TileSpan",
     "TimelineTracer",

@@ -11,21 +11,22 @@ timeline.  The taxonomy mirrors the resources the paper studies:
 :class:`LayerSpan`  one layer's first-iteration activity on a core
 ===============  ====================================================
 
-The artifact-style :class:`~repro.core.tracing.TraceLogger` records
-:class:`DramSpan`, :class:`TlbEvent` and :class:`WalkSpan` as its log
-entries, so it consumes the same span stream as the Perfetto exporter
-without conversion.
+The artifact-style request logs (:mod:`repro.core.tracing`) are an
+export of the :class:`DramSpan`, :class:`TlbEvent` and :class:`WalkSpan`
+rings, as the Perfetto trace is an export of all five.
 
 Spans are buffered in :class:`RingBuffer`\\ s: append-only, bounded, and
 counting what they drop, so tracing a pathological run cannot exhaust
 memory — the newest spans win, and the exporter reports the drop count.
+A ring built with ``capacity=None`` keeps every span; ``trace_requests``
+runs use that, so the artifact request logs are complete.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Generic, Iterator, Protocol, TypeVar
+from typing import Generic, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -91,34 +92,19 @@ class LayerSpan:
     name: str
 
 
-class SpanSink(Protocol):
-    """A consumer of the raw span stream.
-
-    :class:`~repro.obs.timeline.TimelineTracer` fans every recorded span
-    out to attached sinks; the artifact-style ``TraceLogger`` is the
-    canonical implementation.  All methods are optional in spirit —
-    implementors may treat any of them as a no-op.
-    """
-
-    def on_dram(self, span: DramSpan) -> None: ...
-
-    def on_tlb(self, event: TlbEvent) -> None: ...
-
-    def on_walk(self, span: WalkSpan) -> None: ...
-
-
 class RingBuffer(Generic[T]):
     """A bounded append-only buffer keeping the newest items.
 
     Backed by :class:`collections.deque` with ``maxlen``, plus a counter
     of how many items were evicted — exporters surface that count so a
-    truncated trace is never mistaken for a complete one.
+    truncated trace is never mistaken for a complete one.  ``capacity``
+    ``None`` means unbounded: every item is kept and none is dropped.
     """
 
     __slots__ = ("_items", "capacity", "pushed")
 
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
-        if capacity <= 0:
+    def __init__(self, capacity: int | None = DEFAULT_RING_CAPACITY) -> None:
+        if capacity is not None and capacity <= 0:
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
         self.pushed = 0

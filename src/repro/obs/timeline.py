@@ -1,13 +1,12 @@
 """Timeline tracer: typed span stream → Chrome trace-event JSON.
 
-:class:`TimelineTracer` exposes the same ``log_dram``/``log_tlb``/
-``log_ptw`` recording interface as the artifact-style
-:class:`~repro.core.tracing.TraceLogger`, so the simulator wires it in
-as *the* logger when observability is on.  Every recorded span lands in
-a bounded :class:`~repro.obs.spans.RingBuffer` and is fanned out to any
-attached :class:`~repro.obs.spans.SpanSink` consumers (the TraceLogger
-being the canonical one — artifact text logs and Perfetto traces come
-from a single stream).
+:class:`TimelineTracer` is the simulator's one span recorder: the DRAM
+controller, MMU, walker pool and NPU cores call its ``log_*`` hooks
+(``None``-guarded, so a run without it pays nothing), and every span
+lands in a :class:`~repro.obs.spans.RingBuffer`.  The recording has two
+exports: :meth:`TimelineTracer.export` writes a Perfetto trace, and
+:func:`repro.core.tracing.write_request_logs` writes the artifact-style
+request logs.
 
 Export follows the Chrome trace-event JSON format (the "JSON Object
 Format": ``{"traceEvents": [...]}``), which Perfetto's UI at
@@ -27,7 +26,6 @@ from repro.obs.spans import (
     DramSpan,
     LayerSpan,
     RingBuffer,
-    SpanSink,
     TileSpan,
     TlbEvent,
     WalkSpan,
@@ -56,6 +54,7 @@ class TimelineTracer:
     ----------
     capacity:
         Per-ring span cap; the newest spans are kept and drops counted.
+        ``None`` keeps every span (complete artifact logs).
     registry:
         Optional :class:`CounterRegistry` to receive the tracer's own
         derived distributions (``timeline.dram.latency_ticks``,
@@ -64,7 +63,7 @@ class TimelineTracer:
 
     def __init__(
         self,
-        capacity: int = DEFAULT_RING_CAPACITY,
+        capacity: int | None = DEFAULT_RING_CAPACITY,
         registry: CounterRegistry | None = None,
     ) -> None:
         self.dram: RingBuffer[DramSpan] = RingBuffer(capacity)
@@ -72,7 +71,6 @@ class TimelineTracer:
         self.ptw: RingBuffer[WalkSpan] = RingBuffer(capacity)
         self.tiles: RingBuffer[TileSpan] = RingBuffer(capacity)
         self.layers: RingBuffer[LayerSpan] = RingBuffer(capacity)
-        self._sinks: list[SpanSink] = []
         self._dram_latency: Histogram | None = None
         self._walk_latency: Histogram | None = None
         if registry is not None:
@@ -80,12 +78,8 @@ class TimelineTracer:
             self._walk_latency = registry.histogram("timeline.ptw.walk_ticks")
             registry.bind_gauge("timeline.spans.dropped", self.total_dropped)
 
-    def attach(self, sink: SpanSink) -> None:
-        """Fan recorded spans out to ``sink`` as well."""
-        self._sinks.append(sink)
-
     # -------------------------------------------------------------- #
-    # Recording interface (TraceLogger-compatible)
+    # Recording hooks (called by the simulator components)
     # -------------------------------------------------------------- #
 
     def log_dram(
@@ -99,19 +93,15 @@ class TimelineTracer:
         is_walk: bool,
     ) -> None:
         """Record one completed DRAM transaction."""
-        span = DramSpan(start_tick, end_tick, addr, core, channel, write, is_walk)
-        self.dram.append(span)
+        self.dram.append(
+            DramSpan(start_tick, end_tick, addr, core, channel, write, is_walk)
+        )
         if self._dram_latency is not None:
             self._dram_latency.record(end_tick - start_tick)
-        for sink in self._sinks:
-            sink.on_dram(span)
 
     def log_tlb(self, tick: int, core: int, vpn: int, outcome: str) -> None:
         """Record one TLB access."""
-        event = TlbEvent(tick, core, vpn, outcome)
-        self.tlb.append(event)
-        for sink in self._sinks:
-            sink.on_tlb(event)
+        self.tlb.append(TlbEvent(tick, core, vpn, outcome))
 
     def log_ptw(
         self,
@@ -123,12 +113,11 @@ class TimelineTracer:
         dram_reads: int,
     ) -> None:
         """Record one completed page-table walk."""
-        span = WalkSpan(enqueue_tick, start_tick, end_tick, core, vpn, dram_reads)
-        self.ptw.append(span)
+        self.ptw.append(
+            WalkSpan(enqueue_tick, start_tick, end_tick, core, vpn, dram_reads)
+        )
         if self._walk_latency is not None:
             self._walk_latency.record(end_tick - enqueue_tick)
-        for sink in self._sinks:
-            sink.on_walk(span)
 
     def log_tile(
         self, start_tick: int, end_tick: int, core: int, layer_index: int, phase: str

@@ -337,6 +337,24 @@ class TestCacheSummary:
         assert traces.startswith("traces 8 distinct: ")
         assert traces.endswith(f", {disk(tmp_path / 'traces')}")
 
+    def test_fully_cached_sweep_reports_no_trace_hit_rate(self, tmp_path, capsys):
+        """A warm rerun resolves no frontend: no misleading 0.00 hit rate."""
+        args = ["figure", "fig4", "--mixes", "1", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("cache: ")
+        ]
+        assert "hit-rate 0.00" not in line
+        results, traces = line.split("; ")
+        cached, total = results.split()[2].split("/")
+        assert cached == total != "0"
+        assert traces.startswith("traces none needed (every result cached), ")
+        assert traces.endswith(" on disk")
+
 
 def _count_result_reads(monkeypatch, cache):
     """``shard name -> hits`` of result-shard reads under ``cache``."""

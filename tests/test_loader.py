@@ -69,8 +69,18 @@ class TestLoaders:
                 "tlb_latency_cycles = 1\n",
                 "unknown NpuMemConfig key 'tlb_latency_cycles'",
             ),
+            (
+                load_misc_config,
+                "trace_dram_requests = true\n",
+                "unknown MiscConfig key 'trace_dram_requests'",
+            ),
         ],
-        ids=["npumem-typo", "misc-replay_mode", "npumem-tlb_latency_cycles"],
+        ids=[
+            "npumem-typo",
+            "misc-replay_mode",
+            "npumem-tlb_latency_cycles",
+            "misc-trace_dram_requests",
+        ],
     )
     def test_unknown_key_names_its_config(self, tmp_path, loader, text, message):
         path = tmp_path / "x.cfg"
