@@ -28,30 +28,25 @@ import signal
 import sys
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# What building the parser needs, so every command loads it.  Each
+# command imports the other layers it runs, so a command that simulates
+# nothing (``models``, ``cache``, a fully cached ``figure``) never loads
+# the simulator.
 from repro.compute.dataflow import registered_dataflows
-from repro.compute.requestgen import RequestGenerator
-from repro.config import (
-    load_arch_config,
-    load_dram_config,
-    load_misc_config,
-    load_npumem_config,
-)
-from repro.config.system import SystemConfig
-from repro.core.sharing import SharingLevel
-from repro.core.simulator import (
+from repro.errors import (
+    DEFAULT_MAX_TICKS,
     DEFAULT_STALL_WINDOW_TICKS,
-    MixResult,
-    MultiCoreNPUSim,
+    SimulationStallError,
 )
-from repro.core.tracing import write_request_logs
-from repro.errors import SimulationStallError
-from repro.experiments.runner import DEFAULT_MAX_TICKS
-from repro.experiments.spec import DEFAULT_DATAFLOW, PlanContext, RunSpec
 from repro.models import zoo
 from repro.models import serving as serving_models
 from repro.models.serving import ServingParams
-from repro.obs import format_profile, format_tree, human_bytes
+
+if TYPE_CHECKING:
+    from repro.config.system import SystemConfig
+    from repro.core.simulator import MixResult, MultiCoreNPUSim
 
 #: Workload names the mix-shaped subcommands accept: the benchmark zoo
 #: plus the qualified LLM-serving shapes (``gpt2:prefill``/``gpt2:decode``).
@@ -74,6 +69,8 @@ def _write_results(
     result: MixResult, system: SystemConfig, out_dir: Path, networks
 ) -> None:
     """Write artifact-style per-core result files plus a JSON summary."""
+    from repro.compute.requestgen import RequestGenerator
+
     result_dir = out_dir / "result"
     result_dir.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -106,6 +103,16 @@ def _write_results(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.config import (
+        load_arch_config,
+        load_dram_config,
+        load_misc_config,
+        load_npumem_config,
+    )
+    from repro.config.system import SystemConfig
+    from repro.core.simulator import MultiCoreNPUSim, freeze_heap
+    from repro.core.tracing import write_request_logs
+
     arch_paths = _read_list_file(args.arch_list)
     network_names = _read_list_file(args.network_list)
     npumem_paths = _read_list_file(args.npumem_list)
@@ -135,6 +142,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         network_names, args.scale,
         params=_serving_params(args), default_phase=args.phase,
     )
+    freeze_heap()
     sim = MultiCoreNPUSim(
         system,
         networks,
@@ -177,6 +185,10 @@ def _run_mix(
     ``observe=True`` registers every component into the counter registry
     and has the timeline tracer record spans.
     """
+    from repro.core.sharing import SharingLevel
+    from repro.core.simulator import MultiCoreNPUSim, freeze_heap
+    from repro.experiments.spec import RunSpec
+
     sharing = (
         SharingLevel[args.sharing.upper().lstrip("+")]
         if args.sharing
@@ -197,6 +209,7 @@ def _run_mix(
     networks = _serving_networks(
         args.workloads, args.scale, params=spec.serving, default_phase=spec.phase
     )
+    freeze_heap()
     sim = MultiCoreNPUSim(
         spec.system(),
         networks,
@@ -263,6 +276,8 @@ def _print_cache_summary(runner, quiet: bool) -> None:
 
 def _disk_usage(usage: dict[str, int]) -> str:
     """``N shard(s) X on disk`` for one shard store."""
+    from repro.obs.profiling import human_bytes
+
     return f"{usage['shards']} shard(s) {human_bytes(usage['bytes'])} on disk"
 
 
@@ -323,6 +338,7 @@ def _sweep_with(runner, args: argparse.Namespace, names) -> int:
     """
     from repro.experiments import figures
     from repro.experiments.report import format_mapping
+    from repro.experiments.spec import PlanContext
 
     unknown = [name for name in names if name not in figures.FIGURES]
     if unknown:
@@ -568,6 +584,7 @@ def _trace_shards_by_dataflow(store) -> dict[str, int]:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear the on-disk result and trace shard stores."""
+    from repro.obs.profiling import human_bytes
     from repro.storage import ShardStore
 
     cache_dir = (
@@ -658,6 +675,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run a mix with observability on and render the counter tree."""
+    from repro.experiments.spec import DEFAULT_DATAFLOW
+    from repro.obs.registry import format_tree
+
     sim, result = _run_mix(args, dataflow=DEFAULT_DATAFLOW, observe=True)
     snapshot = result.counters
     assert snapshot is not None  # observe=True guarantees a registry
@@ -672,6 +692,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_profile_run(args: argparse.Namespace) -> int:
     """One observed run: counter tree, span summary, Perfetto export."""
+    from repro.experiments.spec import DEFAULT_DATAFLOW
+    from repro.obs.registry import format_tree
+
     sim, result = _run_mix(args, dataflow=DEFAULT_DATAFLOW, observe=True)
     for workload in result.workloads:
         print(
@@ -705,6 +728,8 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
 
 def _cmd_profile_sweep(args: argparse.Namespace) -> int:
     """A figure sweep under the phase profiler; prints the phase table."""
+    from repro.obs.profiling import format_profile
+
     runner = _make_runner(args, profile=True)
     code = _sweep_with(runner, args, args.names)
     assert runner.profiler is not None
@@ -731,10 +756,11 @@ def _add_observed_mix_options(parser: argparse.ArgumentParser) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``mnpusim`` console script."""
     # Everything imported so far lives as long as the process.  Freezing
-    # it keeps the full collection after each spec (``_execute_spec``)
-    # from re-scanning it; pool workers inherit the frozen heap by fork.
-    # Once per process: a later call (tests drive ``main`` repeatedly)
-    # must not pin the garbage that has built up since.
+    # it keeps every collection from re-scanning it, including on the
+    # commands that never simulate; ``freeze_heap`` freezes once more
+    # after a command loads the simulator.  Once per process: a later
+    # call (tests drive ``main`` repeatedly) must not pin the garbage
+    # that has built up since.
     if not gc.get_freeze_count():
         gc.freeze()
     parser = argparse.ArgumentParser(

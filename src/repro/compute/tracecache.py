@@ -509,11 +509,6 @@ class TraceCache:
         self._memo_cost = 0
         self._oversize.clear()
 
-    @property
-    def memo_objects(self) -> int:
-        """Objects currently held across all memoized traces."""
-        return self._memo_cost
-
     # ------------------------------------------------------------------ #
 
     def get(self, network: Network, arch: ArchConfig) -> CompiledTrace | None:

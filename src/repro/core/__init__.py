@@ -1,9 +1,15 @@
 """The multi-core NPU simulator core: engine, cores, sharing, metrics."""
 
-from repro.core.engine import Engine
-from repro.core.clock import ClockDomain
-from repro.core.sharing import SharingLevel, SWEEP_LEVELS, CONTENDED_LEVELS
-from repro.core.metrics import fairness, geomean, slowdown, speedup
+from repro._lazy import lazy_exports
+
+# Re-exports load on first use: a figure plan needs the sharing levels,
+# not the event engine.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.engine": ("Engine",),
+    "repro.core.clock": ("ClockDomain",),
+    "repro.core.sharing": ("SharingLevel", "SWEEP_LEVELS", "CONTENDED_LEVELS"),
+    "repro.core.metrics": ("fairness", "geomean", "slowdown", "speedup"),
+})
 
 __all__ = [
     "Engine",

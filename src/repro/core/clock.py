@@ -36,8 +36,3 @@ class ClockDomain:
         if global_ticks < 0:
             raise ValueError("tick counts cannot be negative")
         return -(-global_ticks * self.local_mhz // self.global_mhz)
-
-    @property
-    def is_synchronous(self) -> bool:
-        """True when the two domains run at the same frequency."""
-        return self.local_mhz == self.global_mhz

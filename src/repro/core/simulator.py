@@ -11,10 +11,12 @@ memory-system statistics.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from repro.compute.tracecache import TraceSource, trace_source
 from repro.config.system import SystemConfig
+from repro.errors import DEFAULT_STALL_WINDOW_TICKS  # noqa: F401 (re-export)
 from repro.errors import (
     CoreDiagnostics,
     SimulationStallError,
@@ -34,11 +36,27 @@ from repro.mmu.pagetable import PageTable, PhysicalLayout
 from repro.mmu.ptw import WalkerPool
 from repro.models.layers import Network
 
-#: Default stall-watchdog window in global ticks.  A healthy simulation
-#: retires a tile every few thousand ticks even under heavy contention,
-#: so a window this wide never fires on legitimate runs yet catches a
-#: livelock ~5000x earlier than the runner's 50-billion-tick ceiling.
-DEFAULT_STALL_WINDOW_TICKS = 10_000_000
+
+#: Whether :func:`freeze_heap` has run in this process.
+_heap_frozen = False
+
+
+def freeze_heap() -> None:
+    """Freeze every object loaded so far, the simulation stack included.
+
+    Call it before the first simulation, and before a worker pool is
+    forked, so forked workers inherit the frozen heap.  Importing it
+    from here loads the simulation stack first.  ``cli.main`` already
+    froze what it had imported; this freezes the layers a command loaded
+    since, the simulator's among them, so the full collections a run
+    triggers (the runner's one after each spec, and the automatic ones)
+    never re-scan them.  Once per process: a later call would pin the
+    garbage built up since.
+    """
+    global _heap_frozen
+    if not _heap_frozen:
+        gc.freeze()
+        _heap_frozen = True
 
 
 def plan_replay(*args, **kwargs) -> None:

@@ -64,6 +64,19 @@ class CoreDiagnostics:
         )
 
 
+#: Safety valve: a run exceeding this many global ticks raises instead of
+#: spinning forever.
+DEFAULT_MAX_TICKS = 50_000_000_000
+
+#: Default stall-watchdog window in global ticks.  A healthy simulation
+#: retires a tile every few thousand ticks even under heavy contention,
+#: so a window this wide never fires on legitimate runs yet catches a
+#: livelock ~5000x earlier than the runner's 50-billion-tick ceiling.
+#: Both limits live here, beside the error they raise, so the CLI parser
+#: can show them as defaults without loading the simulator.
+DEFAULT_STALL_WINDOW_TICKS = 10_000_000
+
+
 class SimulationStallError(SimulationError):
     """The simulation stopped making forward progress.
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.simulator import MultiCoreNPUSim
 from repro.errors import (
     InjectedFaultError,
     RunTimeoutError,
@@ -153,6 +152,8 @@ def _stall(spec: Any, networks: tuple[Any, ...]) -> None:
     signature the stall watchdog exists to catch.  The watchdog raises
     :class:`~repro.errors.SimulationStallError` with full diagnostics.
     """
+    from repro.core.simulator import MultiCoreNPUSim
+
     sim = MultiCoreNPUSim(
         spec.system(), list(networks), stall_window_ticks=STALL_WINDOW_TICKS
     )

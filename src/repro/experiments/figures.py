@@ -59,7 +59,6 @@ from repro.config import presets
 from repro.config.misc import MiscConfig
 from repro.core.metrics import box_stats, cdf_points, fairness, geomean
 from repro.core.sharing import CONTENDED_LEVELS, SWEEP_LEVELS, SharingLevel
-from repro.core.simulator import MultiCoreNPUSim
 from repro.experiments.mixes import all_mixes, mix_label
 from repro.experiments.spec import PlanContext, RunSpec
 from repro.models import zoo
@@ -321,6 +320,9 @@ def fig2_burstiness(
     window: int = 1000,
 ) -> dict[str, Any]:
     """Moving count of DRAM requests per window for a single-core run."""
+    from repro.core.simulator import MultiCoreNPUSim, freeze_heap
+
+    freeze_heap()
     system = presets.solo_slice(
         scale=scale, misc=MiscConfig(iterations=1, trace_window_cycles=window)
     )
@@ -608,6 +610,9 @@ def fig12_bandwidth_utilization(
     summed series shows how often the combined demand exceeds half (and
     even all) of the peak — the paper's argument for dynamic sharing.
     """
+    from repro.core.simulator import MultiCoreNPUSim, freeze_heap
+
+    freeze_heap()
     per = presets.per_core_resources(scale)
     series: dict[str, list[tuple[int, float]]] = {}
     for name in workloads:

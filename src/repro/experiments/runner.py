@@ -68,12 +68,9 @@ from repro.storage import (
     ShardStore,
     encode_result_shard,
 )
-from repro.core.simulator import (
-    DEFAULT_STALL_WINDOW_TICKS,
-    MultiCoreNPUSim,
-    WorkloadResult,
-)
 from repro.errors import (
+    DEFAULT_MAX_TICKS,
+    DEFAULT_STALL_WINDOW_TICKS,
     RunFailedError,
     RunFailure,
     RunTimeoutError,
@@ -86,8 +83,12 @@ from repro.experiments.spec import RESULTS_VERSION, RunSpec
 from repro.models import serving as serving_module
 from repro.models import zoo
 
-if TYPE_CHECKING:  # the pool machinery loads only when a pool is made
+if TYPE_CHECKING:
+    # The pool machinery loads only when a pool is made, and the
+    # simulator only before the first spec runs (``freeze_heap``).
     from concurrent.futures import ProcessPoolExecutor
+
+    from repro.core.simulator import WorkloadResult
 
 __all__ = [
     "DEFAULT_MAX_TICKS",
@@ -105,10 +106,6 @@ __all__ = [
 ]
 
 _LOG = logging.getLogger("repro.experiments.runner")
-
-#: Safety valve: a run exceeding this many global ticks raises instead of
-#: spinning forever.
-DEFAULT_MAX_TICKS = 50_000_000_000
 
 #: Executions (first try + retries) a retriable spec may consume.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -143,14 +140,28 @@ TRACE_DIR_NAME = "traces"
 _UNSET: Any = object()
 
 
-def _configure_worker_trace_cache(directory: str) -> None:
-    """Pool initializer: point each worker at the shared trace store.
+def _init_worker(directory: str, ignore_sigterm: bool) -> None:
+    """Pool initializer: the worker's SIGTERM action, and the shared
+    trace store.
+
+    A forked worker would inherit the parent's SIGTERM handler, and the
+    CLI's SIGTERM-to-KeyboardInterrupt mapping would make an idle worker
+    print a traceback when :func:`_terminate_pool` stops it.  So a
+    batch pool's worker takes the default action and dies with its
+    process group.  A persistent pool's worker (``keep_pool``, the serve
+    daemon) ignores SIGTERM instead: a supervisor that signals the whole
+    group must not kill a run that the daemon's drain lets settle.  Its
+    owner stops it, by :meth:`ExperimentRunner.close` or by
+    :func:`_terminate_pool`, which kills with SIGKILL.
 
     Under the default ``fork`` start method workers additionally inherit
     the parent's warmed in-process memo, so they rarely touch the disk
     level at all; under ``spawn``/``forkserver`` they load the shards the
     parent published during planning instead of recompiling.
     """
+    signal.signal(
+        signal.SIGTERM, signal.SIG_IGN if ignore_sigterm else signal.SIG_DFL
+    )
     tracecache.configure(directory=Path(directory))
 
 
@@ -177,6 +188,8 @@ def _execute_spec(
     callbacks, generators) that only a rare full collection would free,
     so it is dropped and collected here, before the next spec allocates.
     """
+    from repro.core.simulator import MultiCoreNPUSim
+
     sim = MultiCoreNPUSim(
         spec.system(), list(networks), stall_window_ticks=stall_window
     )
@@ -245,15 +258,16 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down even when its workers are stuck in simulation.
 
     ``shutdown`` alone waits on workers that may never look at the call
-    queue again, so kill the processes first.  ``_processes`` is CPython
-    implementation detail; guarded so exotic executors degrade to a
-    plain shutdown.
+    queue again, so kill the processes first, with SIGKILL because a
+    persistent pool's workers ignore SIGTERM (:func:`_init_worker`).
+    ``_processes`` is CPython implementation detail; guarded so exotic
+    executors degrade to a plain shutdown.
     """
     processes = getattr(pool, "_processes", None) or {}
     for process in list(processes.values()):
         try:
             if process.is_alive():
-                process.terminate()
+                process.kill()
         except Exception:  # pragma: no cover - racing process exit
             pass
     pool.shutdown(wait=True, cancel_futures=True)
@@ -473,10 +487,13 @@ class ExperimentRunner:
         # ``concurrent.futures.process`` and ``multiprocessing``.
         from concurrent.futures import ProcessPoolExecutor
 
+        from repro.core.simulator import freeze_heap
+
+        freeze_heap()
         return ProcessPoolExecutor(
             max_workers=workers,
-            initializer=_configure_worker_trace_cache,
-            initargs=(str(self.trace_dir),),
+            initializer=_init_worker,
+            initargs=(str(self.trace_dir), self.keep_pool),
         )
 
     def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -711,8 +728,11 @@ class ExperimentRunner:
         :class:`RunFailedError` (failure attached, not yet recorded)
         when the spec fails terminally.
         """
+        from repro.core.simulator import freeze_heap
+
         if run_timeout is _UNSET:
             run_timeout = self.run_timeout
+        freeze_heap()
         networks = self._networks_for(spec)
         attempt = 1
         started = time.monotonic()

@@ -106,11 +106,6 @@ class SlowdownPredictor:
         self._weights: np.ndarray | None = None
         self.training_error: float | None = None
 
-    @property
-    def is_trained(self) -> bool:
-        """True once :meth:`train` has fit the weights."""
-        return self._weights is not None
-
     def train(
         self,
         ctx: PlanContext,

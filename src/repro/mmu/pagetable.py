@@ -120,8 +120,3 @@ class PageTable:
             offset = (index * PTE_BYTES) % self._pt_size
             addresses.append(self._pt_base + offset)
         return tuple(addresses)
-
-    @property
-    def mapped_pages(self) -> int:
-        """Number of virtual pages mapped so far."""
-        return len(self._map)

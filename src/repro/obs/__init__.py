@@ -22,30 +22,23 @@ Enable it per simulation with ``MultiCoreNPUSim(..., observe=True)`` or
 from the CLI with ``mnpusim profile run``.
 """
 
-from repro.obs.profiling import (
-    PhaseProfiler,
-    format_profile,
-    human_bytes,
-    human_seconds,
-)
-from repro.obs.registry import (
-    COUNTERS_SCHEMA,
-    Counter,
-    CounterRegistry,
-    Gauge,
-    Histogram,
-    format_tree,
-    merge_snapshots,
-)
-from repro.obs.spans import (
-    DramSpan,
-    LayerSpan,
-    RingBuffer,
-    TileSpan,
-    TlbEvent,
-    WalkSpan,
-)
-from repro.obs.timeline import TRACE_SCHEMA_NOTE, TimelineTracer
+from repro._lazy import lazy_exports
+
+# Re-exports load on first use: the runner's phase profiler and the CLI's
+# formatters need neither the span timeline nor the counter registry.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.profiling": (
+        "PhaseProfiler", "format_profile", "human_bytes", "human_seconds",
+    ),
+    "repro.obs.registry": (
+        "COUNTERS_SCHEMA", "Counter", "CounterRegistry", "Gauge", "Histogram",
+        "format_tree", "merge_snapshots",
+    ),
+    "repro.obs.spans": (
+        "DramSpan", "LayerSpan", "RingBuffer", "TileSpan", "TlbEvent", "WalkSpan",
+    ),
+    "repro.obs.timeline": ("TRACE_SCHEMA_NOTE", "TimelineTracer"),
+})
 
 __all__ = [
     "COUNTERS_SCHEMA",

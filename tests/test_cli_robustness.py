@@ -21,7 +21,7 @@ from repro.cli import main
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _cli_subprocess(args, cwd):
+def _cli_subprocess(args, cwd, **options):
     return subprocess.Popen(
         [
             sys.executable,
@@ -34,6 +34,7 @@ def _cli_subprocess(args, cwd):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        **options,
     )
 
 
@@ -146,6 +147,21 @@ def test_sweep_completes_normally_without_signal(tmp_path, capsys):
     assert "fig15" in capsys.readouterr().out
 
 
+def test_parallel_figure_tears_its_pool_down_quietly(tmp_path):
+    # Pool teardown kills every worker, idle ones included.  None of
+    # them may print a KeyboardInterrupt traceback from the CLI's own
+    # SIGTERM mapping.
+    process = _cli_subprocess(
+        ["figure", "fig4", "--mixes", "1", "--jobs", "2", "--quiet",
+         "--cache-dir", str(tmp_path / "cache")],
+        cwd=tmp_path,
+    )
+    stdout, stderr = process.communicate(timeout=300)
+    assert process.returncode == 0, stderr
+    assert "fig4" in stdout
+    assert "Traceback" not in stderr
+
+
 # --------------------------------------------------------------------- #
 # The serve daemon as a process: boot, probe, SIGTERM, clean exit
 # --------------------------------------------------------------------- #
@@ -181,3 +197,69 @@ def test_serve_daemon_boots_and_drains_on_sigterm(tmp_path):
     while client.healthy():
         assert time.monotonic() < deadline
         time.sleep(0.05)
+
+
+def _child_pids(pid: int) -> list[str]:
+    """Live children of ``pid``, whichever of its threads forked them."""
+    return [
+        child
+        for children in Path(f"/proc/{pid}/task").glob("*/children")
+        for child in children.read_text().split()
+    ]
+
+
+def test_serve_drain_outlasts_a_group_sigterm(tmp_path):
+    # A supervisor may SIGTERM the daemon's whole process group.  The
+    # daemon drains, and its pool's workers ignore the signal, so the
+    # run in flight settles once instead of dying and being re-run.
+    import threading
+
+    from repro.experiments.spec import RunSpec
+    from repro.serve.client import ServeClient
+
+    cache = tmp_path / "cache"
+    process = _cli_subprocess(
+        ["serve", "--port", "0", "--cache-dir", str(cache), "--jobs", "1"],
+        cwd=tmp_path,
+        start_new_session=True,
+    )
+    if not Path(f"/proc/{process.pid}/task/{process.pid}/children").exists():
+        process.kill()
+        process.communicate()
+        pytest.skip("needs /proc/<pid>/task/<tid>/children to find the worker")
+    outcome = {}
+    try:
+        banner = process.stdout.readline().strip()
+        assert banner.startswith("serving on http://"), banner
+        client = ServeClient(banner.split()[-1])
+        assert client.wait_ready(20.0)
+        # Simulating takes the worker several seconds.
+        spec = RunSpec.solo("res", scale="full")
+
+        def submit():
+            outcome["result"] = client.run(spec)
+
+        thread = threading.Thread(target=submit, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        while not _child_pids(process.pid):
+            assert time.monotonic() < deadline, "no worker was forked"
+            time.sleep(0.02)
+        time.sleep(0.5)  # past the worker's initializer, into the run
+        os.killpg(process.pid, signal.SIGTERM)
+        stdout, stderr = process.communicate(timeout=120)
+        thread.join(30.0)
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+    assert process.returncode == 0, stderr
+    assert "stopped (clean drain)" in stderr
+    assert outcome["result"].source == "cold"
+    events = [
+        json.loads(record)["event"]
+        for record in (cache / "journal.jsonl").read_text().splitlines()
+        if record.strip()
+    ]
+    assert events.count("done") == 1
+    assert "requeue" not in events and "retry" not in events

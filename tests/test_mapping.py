@@ -69,11 +69,12 @@ class TestPredictor:
         runner = ExperimentRunner(cache_dir=tmp_path / "c")
         predictor = SlowdownPredictor()
         predictor.train(PlanContext(), runner, num_random_nets=4, seed=11)
-        assert predictor.is_trained
-        assert predictor.training_error is not None
-        assert predictor.training_error < 1.0  # slowdowns are O(1)
         a = self._profile("a", 0.1, 2.0, 1000)
         b = self._profile("b", 0.9, 0.1, 1000)
+        # Trained: predict no longer raises (test_untrained_predict_raises).
+        assert predictor.predict(a, a) >= 1.0
+        assert predictor.training_error is not None
+        assert predictor.training_error < 1.0  # slowdowns are O(1)
         # Predictions are finite slowdowns >= 1.
         assert 1.0 <= predictor.predict(a, b) < 10.0
         assert 1.0 <= predictor.predict(b, a) < 10.0

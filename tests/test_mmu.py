@@ -130,11 +130,14 @@ class TestPageTable:
         assert a[-1] != b[-1]
 
     def test_mapped_pages_counter(self):
+        # First touch allocates the next frame; a re-touch allocates none,
+        # so the third distinct page lands two frames past the first.
         table = self._table()
-        table.translate(1)
-        table.translate(2)
-        table.translate(1)
-        assert table.mapped_pages == 2
+        first = table.translate(1)
+        second = table.translate(2)
+        assert table.translate(1) == first
+        assert second == first + 1
+        assert table.translate(3) == first + 2
 
 
 class TestPageWalkCache:
