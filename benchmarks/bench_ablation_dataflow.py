@@ -3,37 +3,23 @@
 The paper evaluates the OS dataflow and lists WS as future work
 (section 4.1.2); this reproduction implements OS, WS, and IS as
 registered engines.  This bench compares single-core latency per
-workload under each dataflow on the same system.
+workload under each dataflow on the same system, through the
+``dataflow_compare`` figure.
 """
-
-import dataclasses
 
 from conftest import emit, run_once
 
 from repro.compute.dataflow import registered_dataflows
-from repro.config import presets
-from repro.core.simulator import MultiCoreNPUSim
+from repro.experiments import figures
 from repro.experiments.report import format_table
-from repro.models import zoo
 
 
-def _cycles(name: str, dataflow: str) -> int:
-    system = presets.solo_slice()
-    arch = dataclasses.replace(system.arch[0], dataflow=dataflow)
-    system = dataclasses.replace(system, arch=(arch,))
-    return MultiCoreNPUSim(system, [zoo.mini(name)]).run().workloads[0].cycles
-
-
-def test_ablation_dataflow(benchmark):
+def test_ablation_dataflow(benchmark, ctx, runner):
     engines = registered_dataflows()
-
-    def compute():
-        return {
-            name: {engine: _cycles(name, engine) for engine in engines}
-            for name in zoo.NAMES
-        }
-
-    data = run_once(benchmark, compute)
+    reduced = run_once(
+        benchmark, lambda: figures.run_figures(ctx, runner, ["dataflow_compare"])
+    )
+    data = reduced["dataflow_compare"]["cycles"]
     rows = [
         (
             name,

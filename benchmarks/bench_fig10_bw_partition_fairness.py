@@ -6,10 +6,10 @@ from repro.experiments import figures
 from repro.experiments.report import format_table
 
 
-def test_fig10_bandwidth_partition_fairness(benchmark, ctx, runner, dual_mixes):
+def test_fig10_shape(benchmark, ctx, runner, dual_mixes):
     data = run_once(
         benchmark,
-        lambda: figures.fig10_bandwidth_partition_fairness(ctx, runner, dual_mixes),
+        lambda: figures.run_figures(ctx, runner, ["fig10"], {2: dual_mixes})["fig10"],
     )
     rows = [
         (scheme, round(data["overall"][scheme], 3)) for scheme in data["schemes"]

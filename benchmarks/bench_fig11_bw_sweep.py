@@ -7,8 +7,10 @@ from repro.experiments.report import format_table
 from repro.models import zoo
 
 
-def test_fig11_bandwidth_sweep(benchmark, ctx, runner):
-    data = run_once(benchmark, lambda: figures.fig11_bandwidth_sweep(ctx, runner))
+def test_fig11_shape(benchmark, ctx, runner):
+    data = run_once(
+        benchmark, lambda: figures.run_figures(ctx, runner, ["fig11"])["fig11"]
+    )
     counts = data["channel_counts"]
     rows = []
     for name in zoo.NAMES:

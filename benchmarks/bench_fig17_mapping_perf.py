@@ -2,17 +2,11 @@
 
 import os
 
-import pytest
 from conftest import emit, run_once
 
+from repro.experiments import figures
 from repro.experiments.mixes import subset_mixes
 from repro.experiments.report import cdf_summary, format_table
-from repro.mapping import MappingStudy, fig17_mapping_performance
-
-
-@pytest.fixture(scope="module")
-def study(ctx, runner):
-    return MappingStudy(ctx, runner)
 
 
 def _sets():
@@ -21,9 +15,12 @@ def _sets():
     return subset_mixes(8, limit)
 
 
-def test_fig17_mapping_performance(benchmark, study):
+def test_fig17_shape(benchmark, ctx, runner):
     sets = _sets()
-    data = run_once(benchmark, lambda: fig17_mapping_performance(study, sets))
+    data = run_once(
+        benchmark,
+        lambda: figures.run_figures(ctx, runner, ["fig17"], {8: sets})["fig17"],
+    )
     rows = []
     for policy in ("oracle", "model", "random", "worst"):
         summary = cdf_summary(data["cdf"][policy])

@@ -2,23 +2,20 @@
 
 import os
 
-import pytest
 from conftest import emit, run_once
 
+from repro.experiments import figures
 from repro.experiments.mixes import subset_mixes
 from repro.experiments.report import cdf_summary, format_table
-from repro.mapping import MappingStudy, fig18_mapping_fairness
 
 
-@pytest.fixture(scope="module")
-def study(ctx, runner):
-    return MappingStudy(ctx, runner)
-
-
-def test_fig18_mapping_fairness(benchmark, study):
+def test_fig18_shape(benchmark, ctx, runner):
     limit = int(os.environ.get("REPRO_MAPPING_SETS", "6435"))
     sets = subset_mixes(8, limit)
-    data = run_once(benchmark, lambda: fig18_mapping_fairness(study, sets))
+    data = run_once(
+        benchmark,
+        lambda: figures.run_figures(ctx, runner, ["fig18"], {8: sets})["fig18"],
+    )
     rows = []
     for policy in ("oracle", "model", "random", "worst"):
         summary = cdf_summary(data["cdf"][policy])

@@ -6,9 +6,10 @@ from repro.experiments import figures
 from repro.experiments.report import cdf_summary, format_table
 
 
-def test_fig5_quad_performance(benchmark, ctx, runner, quad_mixes):
+def test_fig5_shape(benchmark, ctx, runner, quad_mixes):
     data = run_once(
-        benchmark, lambda: figures.fig5_quad_performance(ctx, runner, quad_mixes)
+        benchmark,
+        lambda: figures.run_figures(ctx, runner, ["fig5"], {4: quad_mixes})["fig5"],
     )
     levels = ["Static", "+D", "+DW", "+DWT"]
     rows = []

@@ -6,9 +6,10 @@ from repro.experiments import figures
 from repro.experiments.report import format_table
 
 
-def test_fig6_dual_fairness(benchmark, ctx, runner, dual_mixes):
+def test_fig6_shape(benchmark, ctx, runner, dual_mixes):
     data = run_once(
-        benchmark, lambda: figures.fig6_dual_fairness(ctx, runner, dual_mixes)
+        benchmark,
+        lambda: figures.run_figures(ctx, runner, ["fig6"], {2: dual_mixes})["fig6"],
     )
     levels = ["Static", "+D", "+DW", "+DWT"]
     rows = [

@@ -6,9 +6,10 @@ from repro.experiments import figures
 from repro.experiments.report import cdf_summary, format_table
 
 
-def test_fig7_quad_fairness(benchmark, ctx, runner, quad_mixes):
+def test_fig7_shape(benchmark, ctx, runner, quad_mixes):
     data = run_once(
-        benchmark, lambda: figures.fig7_quad_fairness(ctx, runner, quad_mixes)
+        benchmark,
+        lambda: figures.run_figures(ctx, runner, ["fig7"], {4: quad_mixes})["fig7"],
     )
     levels = ["Static", "+D", "+DW", "+DWT"]
     rows = []

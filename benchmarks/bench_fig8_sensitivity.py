@@ -6,9 +6,10 @@ from repro.experiments import figures
 from repro.experiments.report import format_table
 
 
-def test_fig8_sensitivity(benchmark, ctx, runner, dual_mixes):
+def test_fig8_shape(benchmark, ctx, runner, dual_mixes):
     data = run_once(
-        benchmark, lambda: figures.fig8_sensitivity(ctx, runner, dual_mixes)
+        benchmark,
+        lambda: figures.run_figures(ctx, runner, ["fig8"], {2: dual_mixes})["fig8"],
     )
     rows = [
         (name, round(box["min"], 3), round(box["q1"], 3),

@@ -6,10 +6,10 @@ from repro.experiments import figures
 from repro.experiments.report import format_table
 
 
-def test_fig9_bandwidth_partition_performance(benchmark, ctx, runner, dual_mixes):
+def test_fig9_shape(benchmark, ctx, runner, dual_mixes):
     data = run_once(
         benchmark,
-        lambda: figures.fig9_bandwidth_partition_performance(ctx, runner, dual_mixes),
+        lambda: figures.run_figures(ctx, runner, ["fig9"], {2: dual_mixes})["fig9"],
     )
     rows = [
         (scheme, round(data["overall"][scheme], 3)) for scheme in data["schemes"]

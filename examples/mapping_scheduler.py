@@ -18,30 +18,40 @@ cached in ``.repro_cache`` so later runs are instant.
 import argparse
 
 from repro.core.metrics import geomean
+from repro.experiments import figures
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.spec import PlanContext
-from repro.mapping import MappingStudy, pairings
 from repro.models import zoo
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
+    # No ``choices``: argparse checks a ``nargs="*"`` default against
+    # them as one value, so a run without arguments would be refused.
     parser.add_argument(
-        "workloads", nargs="*",
-        default=["res", "yt", "alex", "sfrnn", "ds2", "dlrm", "ncf", "gpt2"],
-        choices=zoo.NAMES,
+        "workloads", nargs="*", metavar="workload",
+        help=f"eight of {', '.join(zoo.NAMES)} (default: one of each)",
     )
     args = parser.parse_args()
+    args.workloads = args.workloads or list(zoo.NAMES)
+    unknown = sorted(set(args.workloads) - set(zoo.NAMES))
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; pick from {zoo.NAMES}")
     if len(args.workloads) != 8:
         parser.error("exactly eight workloads required (four dual-core chips)")
 
     print("building the mapping study (simulating pairs + training the "
           "predictor; cached after the first run)...")
-    runner = ExperimentRunner()
-    study = MappingStudy(PlanContext(), runner)
+    workloads = tuple(args.workloads)
+    # Figures 17/18's plan is the whole study; one batch runs it.
+    plan = figures.mapping_specs(PlanContext(), [workloads])
+    by_spec = ExperimentRunner().run_many(plan.values())
+    study = figures.mapping_study(
+        {role: by_spec[spec.resolve()] for role, spec in plan.items()}
+    )
     print(f"predictor RMS training error: {study.predictor.training_error:.3f}\n")
 
-    outcome = study.evaluate_set(tuple(args.workloads))
+    outcome = study.evaluate_set(workloads)
     print(f"workload set : {'+'.join(args.workloads)}")
     print(f"pairings     : {outcome['pairings']} distinct\n")
     for policy in ("oracle", "model", "random", "worst"):

@@ -294,13 +294,23 @@ def _report_failures(runner) -> int:
     return 1 if failures else 0
 
 
-def _figure_mixes(args: argparse.Namespace):
-    """The (dual, quad) mix lists a figure/sweep invocation asked for."""
+def _figure_mixes(args: argparse.Namespace, figures) -> dict:
+    """Core count -> the mixes a figure/sweep invocation asked for.
+
+    Only the core counts ``figures`` need; ``--mixes`` limits each, and
+    the quad count defaults to 60 of its 330 mixes.
+    """
     from repro.experiments.mixes import mixes_for
 
-    dual = mixes_for(2, args.mixes)
-    quad = mixes_for(4, args.mixes if args.mixes else 60)
-    return dual, quad
+    defaults = {4: 60}
+    return {
+        figure.cores: mixes_for(
+            figure.cores,
+            args.mixes if args.mixes is not None else defaults.get(figure.cores),
+        )
+        for figure in figures
+        if figure.cores is not None
+    }
 
 
 def _make_runner(args: argparse.Namespace, *, profile: bool = False):
@@ -351,10 +361,10 @@ def _sweep_with(runner, args: argparse.Namespace, names) -> int:
         phase=args.phase,
         serving=_serving_params(args),
     )
-    dual, quad = _figure_mixes(args)
+    mixes = _figure_mixes(args, [figures.FIGURES[name] for name in names])
     try:
         with _graceful_termination():
-            reduced = figures.run_figures(ctx, runner, names, dual, quad)
+            reduced = figures.run_figures(ctx, runner, names, mixes)
     except KeyboardInterrupt:
         return _report_interrupted_sweep(runner)
     _print_cache_summary(runner, args.quiet)
@@ -431,7 +441,8 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     """Options shared by the ``figure`` and ``sweep`` subcommands."""
     parser.add_argument(
         "--mixes", type=int, default=None,
-        help="limit the workload-mix count (default: full dual, 60 quad)",
+        help="limit the workload-mix count (default: full dual and "
+             "eight-workload sets, 60 quad)",
     )
     parser.add_argument("--scale", default="mini", choices=("mini", "full"))
     parser.add_argument(
@@ -820,7 +831,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     figure.add_argument(
         "name",
-        help="fig4, fig5, ..., fig16, dataflow_compare or serving_colocation",
+        help="fig4, fig5, ..., fig18, dataflow_compare or serving_colocation",
     )
     _add_sweep_options(figure)
     figure.set_defaults(func=_cmd_figure)

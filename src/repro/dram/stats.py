@@ -86,7 +86,7 @@ class DramStatsView:
 
     Presents exactly the :class:`DramStats` surface (every counter is the
     sum over channels), so code that consumed the controller's historical
-    shared stats object — energy accounting, golden metrics, reports —
+    shared stats object — golden metrics, reports —
     works unchanged, while per-channel counters stay addressable for the
     registry.
     """

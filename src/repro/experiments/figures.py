@@ -1,11 +1,6 @@
-"""Per-figure/table reducers: each function regenerates one paper result.
+"""Every paper figure: a planner, a pure reducer and a printed headline.
 
-Every function returns plain dicts/lists ready for printing (see
-``repro.experiments.report``) or plotting.  Simulation results come from
-an :class:`~repro.experiments.runner.ExperimentRunner`, so repeated calls
-are served from the on-disk cache.
-
-Each simulated figure is *plan once, execute once, reduce purely*:
+Every simulated figure is *plan once, execute once, reduce purely*:
 
 * a ``*_specs`` planner takes a
   :class:`~repro.experiments.spec.PlanContext` (the sweep's scale,
@@ -20,32 +15,39 @@ Each simulated figure is *plan once, execute once, reduce purely*:
   never sees a runner: a role whose spec failed is simply absent, and
   the figure shows a missing data point there.
 
-The :data:`FIGURES` registry pairs each figure's planner and reducer, so
-:func:`run_figures` (the ``mnpusim figure``/``sweep`` body) can union
-several figures' plans into a single batch.
+The :data:`FIGURES` registry names each figure's planner and reducer,
+and :func:`run_figures` — the body of ``mnpusim figure``/``sweep`` and
+the one way a figure is produced — unions several figures' plans into a
+single batch.
 
-Index (paper -> function):
+Index (paper -> :data:`FIGURES` name -> planner, reducer):
 
-====== =============================================
-Fig 2b :func:`fig2_burstiness`
-Fig 4  :func:`fig4_dual_performance`
-Fig 5  :func:`fig5_quad_performance`
-Fig 6  :func:`fig6_dual_fairness`
-Fig 7  :func:`fig7_quad_fairness`
-Fig 8  :func:`fig8_sensitivity`
-Fig 9  :func:`fig9_bandwidth_partition_performance`
-Fig 10 :func:`fig10_bandwidth_partition_fairness`
-Fig 11 :func:`fig11_bandwidth_sweep`
-Fig 12 :func:`fig12_bandwidth_utilization`
-Fig 13 :func:`fig13_ptw_partition_performance`
-Fig 14 :func:`fig14_ptw_partition_fairness`
-Fig 15 :func:`fig15_pagesize_single`
-Fig 16 :func:`fig16_pagesize_multi`
-Fig 17 :func:`repro.mapping.mapper.fig17_mapping_performance`
-Fig 18 :func:`repro.mapping.mapper.fig18_mapping_fairness`
-Tab 1  :func:`table1_models`
-Tab 2  :func:`table2_configuration`
-====== =============================================
+====== ========================= =================================================
+Fig 4  ``fig4``                  :func:`sharing_sweep_specs`, :func:`reduce_fig4`
+Fig 5  ``fig5``                  :func:`sharing_sweep_specs`, :func:`reduce_fig5`
+Fig 6  ``fig6``                  :func:`sharing_sweep_specs`, :func:`reduce_fig6`
+Fig 7  ``fig7``                  :func:`sharing_sweep_specs`, :func:`reduce_fig7`
+Fig 8  ``fig8``                  :func:`fig8_specs`, :func:`reduce_fig8`
+Fig 9  ``fig9``                  :func:`bw_partition_specs`, :func:`reduce_fig9`
+Fig 10 ``fig10``                 :func:`bw_partition_specs`, :func:`reduce_fig10`
+Fig 11 ``fig11``                 :func:`fig11_specs`, :func:`reduce_fig11`
+Fig 13 ``fig13``                 :func:`ptw_partition_specs`, :func:`reduce_fig13`
+Fig 14 ``fig14``                 :func:`ptw_partition_specs`, :func:`reduce_fig14`
+Fig 15 ``fig15``                 :func:`fig15_specs`, :func:`reduce_fig15`
+Fig 16 ``fig16``, ``fig16_quad`` :func:`fig16_specs`, :func:`reduce_fig16`
+Fig 17 ``fig17``                 :func:`mapping_specs`, :func:`reduce_fig17`
+Fig 18 ``fig18``                 :func:`mapping_specs`, :func:`reduce_fig18`
+Ext    ``dataflow_compare``      :func:`dataflow_compare_specs`,
+                                 :func:`reduce_dataflow_compare`
+Ext    ``serving_colocation``    :func:`serving_colocation_specs`,
+                                 :func:`reduce_serving_colocation`
+====== ========================= =================================================
+
+Outside the registry, because no :class:`RunSpec` describes them (see
+DESIGN.md, "One figure path"): Fig 2b :func:`fig2_burstiness` and Fig 12
+:func:`fig12_bandwidth_utilization` each trace the bandwidth of one
+simulation; Tables 1 and 2 (:func:`table1_models`,
+:func:`table2_configuration`) simulate nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 from repro.compute.dataflow import registered_dataflows
 from repro.config import presets
 from repro.config.misc import MiscConfig
-from repro.core.metrics import box_stats, cdf_points, fairness, geomean
+from repro.core.metrics import box_stats, cdf_points, fairness, geomean, percentile
 from repro.core.sharing import CONTENDED_LEVELS, SWEEP_LEVELS, SharingLevel
 from repro.experiments.mixes import all_mixes, mix_label
 from repro.experiments.spec import PlanContext, RunSpec
@@ -66,6 +68,7 @@ from repro.models.serving import ServingParams
 
 if TYPE_CHECKING:
     from repro.experiments.runner import ExperimentRunner
+    from repro.mapping.mapper import MappingStudy
 
 #: DRAM-bandwidth ratio splits of section 4.3 (eight channels, dual-core).
 BW_SPLITS = ((1, 7), (2, 6), (4, 4), (6, 2), (7, 1))
@@ -85,13 +88,6 @@ Mixes = Sequence[tuple[str, ...]]
 # --------------------------------------------------------------------- #
 
 
-def _mixes(mixes: Mixes | None, num_cores: int) -> list[tuple[str, ...]]:
-    """The caller's mixes as tuples (they key roles), or every mix."""
-    if mixes is None:
-        return all_mixes(num_cores)
-    return [tuple(mix) for mix in mixes]
-
-
 def _safe_geomean(values: Sequence[float]) -> float | None:
     """Geomean over the present values; ``None`` when all are missing."""
     present = [value for value in values if value is not None]
@@ -101,46 +97,6 @@ def _safe_geomean(values: Sequence[float]) -> float | None:
 def _fairness_of(speedups: Sequence[float]) -> float:
     """Equation 1 fairness of a mix, from its per-workload speedups."""
     return fairness([1.0 / value for value in speedups])
-
-
-def _attach_failures(
-    result: dict[str, Any], runner: ExperimentRunner, plan: Plan
-) -> dict[str, Any]:
-    """Append the failure summaries of ``plan``'s own specs when non-empty.
-
-    Keeps fully-successful outputs byte-identical to the pre-degradation
-    format: the ``"failures"`` key only appears when something failed.
-    Failures of other figures run earlier on the same runner stay out.
-    """
-    planned = {spec.resolve() for spec in plan.values()}
-    summaries = [
-        failure.summary()
-        for spec, failure in runner.failures.items()
-        if spec in planned
-    ]
-    if summaries:
-        result["failures"] = summaries
-    return result
-
-
-def _execute(
-    runner: ExperimentRunner, plans: Sequence[Plan]
-) -> list[dict[Role, list[dict[str, Any]]]]:
-    """Run every plan's specs as one batch; each plan's results by role.
-
-    ``run_many`` deduplicates across plans and keys its results by the
-    planned spec; a spec that failed is absent, and so is its role.
-    """
-    by_spec = runner.run_many(spec for plan in plans for spec in plan.values())
-    executed = []
-    for plan in plans:
-        results = {}
-        for role, spec in plan.items():
-            runs = by_spec.get(spec.resolve())
-            if runs is not None:
-                results[role] = runs
-        executed.append(results)
-    return executed
 
 
 def _cycles(
@@ -256,16 +212,6 @@ def _by_level(
     return {"per_mix": per_mix, "overall": overall}
 
 
-def _run_figure(
-    ctx: PlanContext, runner: ExperimentRunner, name: str, *params: Any
-) -> dict[str, Any]:
-    """One registered figure: plan once, execute once, reduce purely."""
-    figure = FIGURES[name]
-    plan = figure.planner(ctx, *params)
-    (results,) = _execute(runner, [plan])
-    return _attach_failures(figure.reducer(results, *params), runner, plan)
-
-
 # --------------------------------------------------------------------- #
 # Tables 1 & 2
 # --------------------------------------------------------------------- #
@@ -351,49 +297,25 @@ def fig2_burstiness(
 
 
 def reduce_fig4(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Dual-core per-mix geomean speedups for Static/+D/+DW/+DWT."""
     sweep = sharing_sweep(results, mixes)
     return {**_by_level(sweep, geomean, cdf=False), "sweep": sweep}
 
 
 def reduce_fig5(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Quad-core CDF of per-mix geomean speedups per sharing level."""
     sweep = sharing_sweep(results, mixes)
     return {**_by_level(sweep, geomean, cdf=True), "sweep": sweep}
 
 
 def reduce_fig6(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Dual-core fairness (Equation 1) per mix and sharing level."""
     return _by_level(sharing_sweep(results, mixes), _fairness_of, cdf=False)
 
 
 def reduce_fig7(results: Results, mixes: Mixes) -> dict[str, Any]:
-    return _by_level(sharing_sweep(results, mixes), _fairness_of, cdf=True)
-
-
-def fig4_dual_performance(
-    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
-) -> dict[str, Any]:
-    """Dual-core per-mix geomean speedups for Static/+D/+DW/+DWT."""
-    return _run_figure(ctx, runner, "fig4", _mixes(mixes, 2))
-
-
-def fig5_quad_performance(
-    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
-) -> dict[str, Any]:
-    """Quad-core CDF of per-mix geomean speedups per sharing level."""
-    return _run_figure(ctx, runner, "fig5", _mixes(mixes, 4))
-
-
-def fig6_dual_fairness(
-    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
-) -> dict[str, Any]:
-    """Dual-core fairness (Equation 1) per mix and sharing level."""
-    return _run_figure(ctx, runner, "fig6", _mixes(mixes, 2))
-
-
-def fig7_quad_fairness(
-    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
-) -> dict[str, Any]:
     """Quad-core fairness CDF per sharing level."""
-    return _run_figure(ctx, runner, "fig7", _mixes(mixes, 4))
+    return _by_level(sharing_sweep(results, mixes), _fairness_of, cdf=True)
 
 
 # --------------------------------------------------------------------- #
@@ -410,6 +332,7 @@ def fig8_specs(ctx: PlanContext, mixes: Mixes) -> Plan:
 
 
 def reduce_fig8(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Distribution of each workload's +DWT speedup across co-runners."""
     ideal = _cycles(results, "ideal")
     samples: dict[str, list[float]] = {name: [] for name in zoo.NAMES}
     for mix in mixes:
@@ -423,13 +346,6 @@ def reduce_fig8(results: Results, mixes: Mixes) -> dict[str, Any]:
         name: box["max"] - box["min"] for name, box in boxes.items()
     }
     return {"samples": samples, "boxes": boxes, "range": spread}
-
-
-def fig8_sensitivity(
-    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
-) -> dict[str, Any]:
-    """Distribution of each workload's +DWT speedup across co-runners."""
-    return _run_figure(ctx, runner, "fig8", _mixes(mixes, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -524,25 +440,13 @@ def _reduce_bw(
 
 
 def reduce_fig9(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Geomean performance per bandwidth-partitioning scheme (dual-core)."""
     return _reduce_bw(results, mixes, geomean)
 
 
 def reduce_fig10(results: Results, mixes: Mixes) -> dict[str, Any]:
-    return _reduce_bw(results, mixes, _fairness_of)
-
-
-def fig9_bandwidth_partition_performance(
-    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
-) -> dict[str, Any]:
-    """Geomean performance per bandwidth-partitioning scheme (dual-core)."""
-    return _run_figure(ctx, runner, "fig9", _mixes(mixes, 2))
-
-
-def fig10_bandwidth_partition_fairness(
-    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
-) -> dict[str, Any]:
     """Geomean fairness per bandwidth-partitioning scheme (dual-core)."""
-    return _run_figure(ctx, runner, "fig10", _mixes(mixes, 2))
+    return _reduce_bw(results, mixes, _fairness_of)
 
 
 # --------------------------------------------------------------------- #
@@ -565,6 +469,11 @@ def fig11_specs(ctx: PlanContext) -> Plan:
 
 
 def reduce_fig11(results: Results) -> dict[str, Any]:
+    """Single-core speedup vs DRAM bandwidth, normalized to the smallest.
+
+    Channel counts 1/2/4/6/8 reproduce the paper's 32-256 GB/s sweep
+    (every channel is one 32 GB/s share at full scale).
+    """
     counts = FIG11_CHANNEL_COUNTS
     per_workload: dict[str, list[tuple[int, float]]] = {}
     for name in zoo.NAMES:
@@ -576,17 +485,6 @@ def reduce_fig11(results: Results) -> dict[str, Any]:
             (count, base / cycles) for count, cycles in by_count.items()
         ]
     return {"channel_counts": counts, "speedup": per_workload}
-
-
-def fig11_bandwidth_sweep(
-    ctx: PlanContext, runner: ExperimentRunner
-) -> dict[str, Any]:
-    """Single-core speedup vs DRAM bandwidth, normalized to the smallest.
-
-    Channel counts 1/2/4/6/8 reproduce the paper's 32-256 GB/s sweep
-    (every channel is one 32 GB/s share at full scale).
-    """
-    return _run_figure(ctx, runner, "fig11")
 
 
 def _fig11_headline(data: dict[str, Any]) -> dict[str, float]:
@@ -708,29 +606,17 @@ def ptw_partition_sweep(results: Results, mixes: Mixes) -> dict[str, Any]:
 
 
 def reduce_fig13(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Geomean performance per walker-partitioning scheme (dual-core)."""
     sweep = ptw_partition_sweep(results, mixes)
     return _by_scheme(sweep["mixes"], sweep["per_mix"], sweep["schemes"], geomean)
 
 
 def reduce_fig14(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Geomean fairness per walker-partitioning scheme (dual-core)."""
     sweep = ptw_partition_sweep(results, mixes)
     return _by_scheme(
         sweep["mixes"], sweep["per_mix"], sweep["schemes"], _fairness_of
     )
-
-
-def fig13_ptw_partition_performance(
-    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
-) -> dict[str, Any]:
-    """Geomean performance per walker-partitioning scheme (dual-core)."""
-    return _run_figure(ctx, runner, "fig13", _mixes(mixes, 2))
-
-
-def fig14_ptw_partition_fairness(
-    ctx: PlanContext, runner: ExperimentRunner, mixes: Mixes | None = None
-) -> dict[str, Any]:
-    """Geomean fairness per walker-partitioning scheme (dual-core)."""
-    return _run_figure(ctx, runner, "fig14", _mixes(mixes, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -751,6 +637,7 @@ def fig15_specs(ctx: PlanContext) -> Plan:
 
 
 def reduce_fig15(results: Results) -> dict[str, Any]:
+    """Single-core speedup of 64KB/1MB pages over 4KB, per workload."""
     per_workload: dict[str, dict[str, float]] = {}
     for name in zoo.NAMES:
         by_size = _cycles(results, "solo", name, keys=PAGE_SIZES)
@@ -773,13 +660,6 @@ def reduce_fig15(results: Results) -> dict[str, Any]:
     return {"per_workload": per_workload, "overall": overall}
 
 
-def fig15_pagesize_single(
-    ctx: PlanContext, runner: ExperimentRunner
-) -> dict[str, Any]:
-    """Single-core speedup of 64KB/1MB pages over 4KB, per workload."""
-    return _run_figure(ctx, runner, "fig15")
-
-
 def fig16_specs(ctx: PlanContext, mixes: Mixes) -> Plan:
     """Every spec behind Figure 16: per-page-size Ideal solos + DWT mixes."""
     plan = {
@@ -796,6 +676,11 @@ def fig16_specs(ctx: PlanContext, mixes: Mixes) -> Plan:
 
 
 def reduce_fig16(results: Results, mixes: Mixes) -> dict[str, Any]:
+    """Multi-core (+DWT) page-size performance and fairness.
+
+    Performance is normalized to the 4KB page (per mix geomean of cycle
+    ratios); fairness baseline is Ideal at the matching page size.
+    """
     perf: dict[str, dict[str, float]] = {}
     fair: dict[str, dict[str, float]] = {}
     ideal = {size: _cycles(results, "ideal", size) for size in PAGE_SIZES}
@@ -844,20 +729,6 @@ def reduce_fig16(results: Results, mixes: Mixes) -> dict[str, Any]:
     }
 
 
-def fig16_pagesize_multi(
-    ctx: PlanContext,
-    runner: ExperimentRunner,
-    num_cores: int,
-    mixes: Mixes | None = None,
-) -> dict[str, Any]:
-    """Multi-core (+DWT) page-size performance and fairness.
-
-    Performance is normalized to the 4KB page (per mix geomean of cycle
-    ratios); fairness baseline is Ideal at the matching page size.
-    """
-    return _run_figure(ctx, runner, "fig16", _mixes(mixes, num_cores))
-
-
 # --------------------------------------------------------------------- #
 # Dataflow comparison (engine ablation)
 # --------------------------------------------------------------------- #
@@ -898,6 +769,14 @@ def reduce_dataflow_compare(
     workloads: Sequence[str] | None = None,
     dataflows: Sequence[str] | None = None,
 ) -> dict[str, Any]:
+    """Per-workload cycles and speedup of each dataflow engine vs ``os``.
+
+    The paper evaluates output stationary and names other dataflows as
+    future work; this figure sweeps the registered engines over the model
+    zoo and reports, per workload, total cycles under each engine plus
+    the speedup relative to the ``os`` baseline (values above 1 mean the
+    engine finished faster than output stationary).
+    """
     names, engines = _dataflow_axes(workloads, dataflows)
     cycles = {name: _cycles(results, "solo", name, keys=engines) for name in names}
     speedup_vs_os: dict[str, dict[str, float]] = {}
@@ -925,23 +804,6 @@ def reduce_dataflow_compare(
         "speedup_vs_os": speedup_vs_os,
         "overall": overall,
     }
-
-
-def dataflow_compare(
-    ctx: PlanContext,
-    runner: ExperimentRunner,
-    workloads: Sequence[str] | None = None,
-    dataflows: Sequence[str] | None = None,
-) -> dict[str, Any]:
-    """Per-workload cycles and speedup of each dataflow engine vs ``os``.
-
-    The paper evaluates output stationary and names other dataflows as
-    future work; this figure sweeps the registered engines over the model
-    zoo and reports, per workload, total cycles under each engine plus
-    the speedup relative to the ``os`` baseline (values above 1 mean the
-    engine finished faster than output stationary).
-    """
-    return _run_figure(ctx, runner, "dataflow_compare", workloads, dataflows)
 
 
 # --------------------------------------------------------------------- #
@@ -998,6 +860,14 @@ def _pair_label(pair: Sequence[str]) -> str:
 def reduce_serving_colocation(
     results: Results, skews: Sequence[str] = SERVING_SKEWS
 ) -> dict[str, Any]:
+    """Does sharing the TLB (+DWT over +DW) help or hurt serving mixes?
+
+    The question the paper's DNN study never reaches: with co-runners
+    that are prefill (GEMM-bursty), decode (KV-cache streaming) or
+    Zipf-skewed MoE, per-scenario geomean speedups vs the dual-pool
+    Ideal are reported for private TLBs (+DW) and the shared TLB
+    (+DWT); ``dwt_gain`` is their ratio (>1: sharing helps).
+    """
     per_scenario: dict[str, dict[str, Any]] = {}
     level_values: dict[str, list[float]] = {
         level.label: [] for level in SERVING_SHARINGS
@@ -1040,20 +910,81 @@ def reduce_serving_colocation(
     }
 
 
-def serving_colocation(
-    ctx: PlanContext,
-    runner: ExperimentRunner,
-    skews: Sequence[str] = SERVING_SKEWS,
-) -> dict[str, Any]:
-    """Does sharing the TLB (+DWT over +DW) help or hurt serving mixes?
+# --------------------------------------------------------------------- #
+# Figures 17-18: co-runner mapping across four dual-core NPUs
+# --------------------------------------------------------------------- #
 
-    The question the paper's DNN study never reaches: with co-runners
-    that are prefill (GEMM-bursty), decode (KV-cache streaming) or
-    Zipf-skewed MoE, per-scenario geomean speedups vs the dual-pool
-    Ideal are reported for private TLBs (+DW) and the shared TLB
-    (+DWT); ``dwt_gain`` is their ratio (>1: sharing helps).
+#: The slowdown predictor's training set: seed-named random networks
+#: (``rand<seed>``, which the runner resolves by name), never the zoo
+#: workloads the mappings are scored on.
+MAPPING_TRAINING_NETS = tuple(f"rand{seed}" for seed in range(2023, 2035))
+
+
+def mapping_specs(ctx: PlanContext, sets: Mixes) -> Plan:
+    """Every spec behind Figures 17-18: the whole mapping study.
+
+    For the zoo and for the predictor's training nets alike: a dual-pool
+    Ideal solo of each network (its profiled latency) and every
+    unordered pair co-run under +DWT.  The Ideal roles carry the scale,
+    which the profiles' request-generator statistics depend on.  The
+    study does not depend on which eight-workload ``sets`` are scored;
+    they only matter to the reducer.
     """
-    return _run_figure(ctx, runner, "serving_colocation", skews)
+    plan = {}
+    for pool in (zoo.NAMES, MAPPING_TRAINING_NETS):
+        for name in pool:
+            plan["ideal", ctx.scale, name] = ctx.ideal(name, 2)
+        for pair in all_mixes(2, pool):
+            plan["mix", pair] = ctx.mix(pair, SharingLevel.DWT)
+    return plan
+
+
+def mapping_study(results: Results) -> MappingStudy:
+    """The mapping study of an executed :func:`mapping_specs` plan.
+
+    :mod:`repro.mapping` (and with it numpy) is imported here, so only
+    the mapping figures load it.
+    """
+    from repro.mapping.mapper import MappingStudy
+
+    ideal = {
+        role[1:]: runs[0]["cycles"]
+        for role, runs in results.items()
+        if role[0] == "ideal"
+    }
+    pairs = {
+        role[1]: [run["cycles"] for run in runs]
+        for role, runs in results.items()
+        if role[0] == "mix"
+    }
+    return MappingStudy(ideal, pairs, MAPPING_TRAINING_NETS)
+
+
+def _reduce_mapping(results: Results, sets: Mixes, metric: str) -> dict[str, Any]:
+    from repro.mapping.mapper import policy_cdfs
+
+    evaluations = mapping_study(results).evaluate_all(sets)
+    return {"metric": metric, **policy_cdfs(evaluations, metric)}
+
+
+def reduce_fig17(results: Results, sets: Mixes) -> dict[str, Any]:
+    """Figure 17: CDF of mapping performance, normalized to no-mapping."""
+    return _reduce_mapping(results, sets, "perf")
+
+
+def reduce_fig18(results: Results, sets: Mixes) -> dict[str, Any]:
+    """Figure 18: CDF of mapping fairness, normalized to no-mapping."""
+    return _reduce_mapping(results, sets, "fairness")
+
+
+def _mapping_headline(data: dict[str, Any]) -> dict[str, Any]:
+    """How often the model beats random placement, and each policy's
+    median normalized to random."""
+    medians = {
+        f"{policy}_p50": percentile(values, 0.5) if values else None
+        for policy, values in data["normalized"].items()
+    }
+    return {"model_improved_fraction": data["model_improved_fraction"], **medians}
 
 
 # --------------------------------------------------------------------- #
@@ -1076,9 +1007,7 @@ class Figure:
     cores: int | None = None
 
 
-#: ``mnpusim figure``/``sweep`` name -> :class:`Figure`.  Figures 2 and
-#: 12 trace bandwidth inside one ad-hoc simulation and have no cacheable
-#: spec set; figures 17/18 live in :mod:`repro.mapping`.
+#: ``mnpusim figure``/``sweep`` name -> :class:`Figure`.
 FIGURES = {
     "fig4": Figure(sharing_sweep_specs, reduce_fig4, cores=2),
     "fig5": Figure(sharing_sweep_specs, reduce_fig5, cores=4),
@@ -1094,6 +1023,11 @@ FIGURES = {
     "fig16": Figure(
         fig16_specs, reduce_fig16, itemgetter("overall_performance"), cores=2
     ),
+    "fig16_quad": Figure(
+        fig16_specs, reduce_fig16, itemgetter("overall_performance"), cores=4
+    ),
+    "fig17": Figure(mapping_specs, reduce_fig17, _mapping_headline, cores=8),
+    "fig18": Figure(mapping_specs, reduce_fig18, _mapping_headline, cores=8),
     "dataflow_compare": Figure(dataflow_compare_specs, reduce_dataflow_compare),
     "serving_colocation": Figure(
         serving_colocation_specs, reduce_serving_colocation
@@ -1105,22 +1039,45 @@ def run_figures(
     ctx: PlanContext,
     runner: ExperimentRunner,
     names: Sequence[str],
-    dual: Mixes,
-    quad: Mixes,
+    mixes: Mapping[int, Mixes] | None = None,
 ) -> dict[str, dict[str, Any]]:
     """Reduce several registered figures from one deduplicated batch.
 
-    Every figure's plan is built first and the union executes as a
-    single :meth:`ExperimentRunner.run_many`, so overlapping specs (the
-    Ideal/Static solos every sharing figure needs, the shared fig4/fig6
-    and fig9/fig10 sweeps) simulate, and are read, exactly once.
+    ``mixes`` maps a core count to the mixes its figures cover; a count
+    it lacks covers every mix.  Every figure's plan is built first and
+    the union executes as a single :meth:`ExperimentRunner.run_many`,
+    so overlapping specs (the Ideal/Static solos every sharing figure
+    needs, the shared fig4/fig6 and fig9/fig10 sweeps) simulate, and are
+    read, exactly once.  A figure whose own specs failed also carries
+    their summaries under ``"failures"``; the key is absent otherwise,
+    so a healthy figure's data is unchanged.
     """
-    mixes = {2: dual, 4: quad}
+    mixes = mixes or {}
     entries = [FIGURES[name] for name in names]
-    params = [() if entry.cores is None else (mixes[entry.cores],) for entry in entries]
+    params = [_params(entry, mixes) for entry in entries]
     plans = [entry.planner(ctx, *args) for entry, args in zip(entries, params)]
-    executed = _execute(runner, plans)
-    return {
-        name: entry.reducer(results, *args)
-        for name, entry, args, results in zip(names, entries, params, executed)
-    }
+    by_spec = runner.run_many(spec for plan in plans for spec in plan.values())
+    failed = runner.last_outcome.failures
+    reduced = {}
+    for name, entry, args, plan in zip(names, entries, params, plans):
+        resolved = {role: spec.resolve() for role, spec in plan.items()}
+        results = {
+            role: by_spec[spec] for role, spec in resolved.items() if spec in by_spec
+        }
+        data = entry.reducer(results, *args)
+        planned = set(resolved.values())
+        failures = [failure.summary() for failure in failed if failure.spec in planned]
+        if failures:
+            data["failures"] = failures
+        reduced[name] = data
+    return reduced
+
+
+def _params(entry: Figure, mixes: Mapping[int, Mixes]) -> tuple:
+    """What ``entry``'s planner and reducer take after their first argument."""
+    if entry.cores is None:
+        return ()
+    if entry.cores not in mixes:
+        return (all_mixes(entry.cores),)
+    # Tuples: mixes key the plan's roles.
+    return ([tuple(mix) for mix in mixes[entry.cores]],)

@@ -81,7 +81,7 @@ from repro.errors import (
 from repro.experiments import faults as faults_module
 from repro.experiments.spec import RESULTS_VERSION, RunSpec
 from repro.models import serving as serving_module
-from repro.models import zoo
+from repro.models import random_net, zoo
 
 if TYPE_CHECKING:
     # The pool machinery loads only when a pool is made, and the
@@ -444,28 +444,29 @@ class ExperimentRunner:
         self._random = random.Random()
 
     def register_network(self, network: Any) -> None:
-        """Make a non-zoo network (e.g. a random net) runnable by name.
+        """Make a hand-built network runnable by name.
 
-        Registered names shadow zoo names, so keep them distinct.  Cache
-        entries are keyed by name: a registered network must always carry
-        the same topology for its name (random nets are seed-named, which
-        guarantees this).  Registered topologies are pickled to the
-        worker processes of :meth:`run_many`, so they work there too.
+        Registered names shadow every other name, so keep them distinct.
+        Cache entries are keyed by name: a registered network must always
+        carry the same topology for its name.  Registered topologies are
+        pickled to the worker processes of :meth:`run_many`, so they
+        work there too.
         """
         self._networks[network.name] = network
 
     def _network_for(self, spec: RunSpec, name: str) -> Any:
         """Resolve one of ``spec``'s workloads to its topology.
 
-        Registered networks shadow everything (as before); serving
-        names (``gpt2:prefill``, or a bare base under ``spec.phase``)
-        build their schedule-unrolled networks from the spec's serving
+        Registered networks shadow everything; seed-named random nets
+        (``rand2023``) rebuild from their seed; serving names
+        (``gpt2:prefill``, or a bare base under ``spec.phase``) build
+        their schedule-unrolled networks from the spec's serving
         parameters; everything else falls back to the zoo at the spec's
         scale.
         """
         if name in self._networks:
             return self._networks[name]
-        network = serving_module.resolve(
+        network = random_net.by_name(name) or serving_module.resolve(
             name,
             spec.scale,
             params=spec.serving,

@@ -1,18 +1,16 @@
-"""Workload mapping onto multiple multi-core NPUs (paper section 4.6)."""
+"""Workload mapping onto multiple multi-core NPUs (paper section 4.6).
+
+Figures 17 and 18 plan and reduce the study through
+:data:`repro.experiments.figures.FIGURES`; this package holds its math.
+"""
 
 from repro.mapping.predictor import SlowdownPredictor, WorkloadProfile
-from repro.mapping.mapper import (
-    MappingStudy,
-    pairings,
-    fig17_mapping_performance,
-    fig18_mapping_fairness,
-)
+from repro.mapping.mapper import MappingStudy, pairings, policy_cdfs
 
 __all__ = [
     "SlowdownPredictor",
     "WorkloadProfile",
     "MappingStudy",
     "pairings",
-    "fig17_mapping_performance",
-    "fig18_mapping_fairness",
+    "policy_cdfs",
 ]

@@ -16,22 +16,11 @@ pairs — the same 36 type-pair co-simulations that back Figure 4.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from itertools import combinations
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.metrics import cdf_points, fairness, geomean
-from repro.core.sharing import SharingLevel
-from repro.experiments.mixes import all_mixes
-from repro.experiments.spec import PlanContext
-from repro.mapping.predictor import (
-    SlowdownPredictor,
-    WorkloadProfile,
-    profile_workloads,
-    run_all,
-)
-from repro.models import zoo
-
-if TYPE_CHECKING:
-    from repro.experiments.runner import ExperimentRunner
+from repro.mapping.predictor import SlowdownPredictor, profile_workload
 
 
 def pairings(items: Sequence[str]) -> list[tuple[tuple[str, str], ...]]:
@@ -71,34 +60,42 @@ def _enumerate_pairings(
 
 
 class MappingStudy:
-    """Precomputed pair outcomes + predictor, evaluated over 8-sets.
+    """Simulated pair outcomes + a fitted predictor, evaluated over 8-sets.
 
-    ``ctx`` plans every run the study needs; ``runner`` executes them.
+    ``ideal_cycles`` maps ``(scale, network)`` to its dual-pool Ideal
+    latency and ``pair_cycles`` each co-run pair (+DWT) to its per-side
+    cycles.  Pairs of two ``training`` networks fit the predictor; every
+    other pair is an outcome the mappings are scored on.  A pair whose
+    Ideal baselines are missing is left out.
     """
 
     def __init__(
         self,
-        ctx: PlanContext,
-        runner: ExperimentRunner,
-        *,
-        train_predictor: bool = True,
+        ideal_cycles: Mapping[tuple[str, str], int],
+        pair_cycles: Mapping[tuple[str, str], Sequence[int]],
+        training: Sequence[str],
     ) -> None:
-        self.runner = runner
-        self.profiles: dict[str, WorkloadProfile] = profile_workloads(
-            ctx, runner, [zoo.get(name, ctx.scale) for name in zoo.NAMES]
-        )
+        self.profiles = {
+            name: profile_workload(name, scale, cycles)
+            for (scale, name), cycles in ideal_cycles.items()
+        }
         # Simulated slowdown of each workload within each type pair.
         self.pair_slowdowns: dict[tuple[str, str], tuple[float, float]] = {}
-        mixes = all_mixes(2)
-        batch = run_all(runner, [ctx.mix(mix, SharingLevel.DWT) for mix in mixes])
-        for mix, results in zip(mixes, batch):
-            self.pair_slowdowns[mix] = tuple(
-                result["cycles"] / self.profiles[name].ideal_cycles
-                for name, result in zip(mix, results)
-            )
+        samples = {}
+        training = set(training)
+        for pair, cycles in pair_cycles.items():
+            if not all(name in self.profiles for name in pair):
+                continue
+            if training.issuperset(pair):
+                samples[pair] = cycles
+            else:
+                self.pair_slowdowns[pair] = tuple(
+                    observed / self.profiles[name].ideal_cycles
+                    for name, observed in zip(pair, cycles)
+                )
         self.predictor = SlowdownPredictor()
-        if train_predictor:
-            self.predictor.train(ctx, runner)
+        if samples:
+            self.predictor.fit(self.profiles, samples)
 
     # ------------------------------------------------------------------ #
 
@@ -161,16 +158,29 @@ class MappingStudy:
         }
 
     def evaluate_all(
-        self, sets: Sequence[tuple[str, ...]] | None = None
+        self, sets: Sequence[tuple[str, ...]]
     ) -> list[dict[str, Any]]:
-        """Evaluate every M(8,8) eight-workload multiset (or a subset)."""
-        sets = list(sets) if sets is not None else all_mixes(8)
-        return [self.evaluate_set(workloads) for workloads in sets]
+        """Evaluate each eight-workload set whose pair outcomes all ran.
+
+        A set that needs a missing pair outcome, or any set when the
+        predictor has no training pair, is a missing data point.
+        """
+        fitted = self.predictor.training_error is not None
+        return [
+            self.evaluate_set(workloads)
+            for workloads in sets
+            if fitted
+            and all(
+                self._pair_key(a, b) in self.pair_slowdowns
+                for a, b in combinations(workloads, 2)
+            )
+        ]
 
 
-def _policy_cdfs(
+def policy_cdfs(
     evaluations: list[dict[str, Any]], metric: str
 ) -> dict[str, Any]:
+    """Each policy's ``metric`` over the sets, normalized to random."""
     policies = ("model", "oracle", "worst", "random")
     normalized: dict[str, list[float]] = {policy: [] for policy in policies}
     improved = 0
@@ -182,22 +192,9 @@ def _policy_cdfs(
             improved += 1
     return {
         "cdf": {policy: cdf_points(values) for policy, values in normalized.items()},
-        "model_improved_fraction": improved / len(evaluations),
+        "model_improved_fraction": (
+            improved / len(evaluations) if evaluations else None
+        ),
         "normalized": normalized,
     }
 
-
-def fig17_mapping_performance(
-    study: MappingStudy, sets: Sequence[tuple[str, ...]] | None = None
-) -> dict[str, Any]:
-    """Figure 17: CDF of mapping performance, normalized to no-mapping."""
-    evaluations = study.evaluate_all(sets)
-    return {"metric": "perf", **_policy_cdfs(evaluations, "perf")}
-
-
-def fig18_mapping_fairness(
-    study: MappingStudy, sets: Sequence[tuple[str, ...]] | None = None
-) -> dict[str, Any]:
-    """Figure 18: CDF of mapping fairness, normalized to no-mapping."""
-    evaluations = study.evaluate_all(sets)
-    return {"metric": "fairness", **_policy_cdfs(evaluations, "fairness")}

@@ -16,20 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.compute.requestgen import RequestGenerator
 from repro.config import presets
-from repro.core.sharing import SharingLevel
-from repro.errors import RunFailedError
-from repro.experiments.spec import PlanContext, RunSpec
-from repro.models.layers import Network
-from repro.models.random_net import random_network
-
-if TYPE_CHECKING:
-    from repro.experiments.runner import ExperimentRunner
+from repro.models import random_net, zoo
 
 
 @dataclass(frozen=True)
@@ -42,48 +35,20 @@ class WorkloadProfile:
     ideal_cycles: float        #: profiled solo latency (Ideal resources)
 
 
-def run_all(
-    runner: ExperimentRunner, specs: Sequence[RunSpec]
-) -> list[list[dict[str, Any]]]:
-    """Results of ``specs``, in order, from one :meth:`run_many` batch.
+def profile_workload(name: str, scale: str, ideal_cycles: int) -> WorkloadProfile:
+    """Profile a zoo or seed-named random network from its Ideal latency.
 
-    The mapping study needs every run, so the first failed spec raises
-    its :class:`RunFailedError` instead of leaving a gap.
+    The request generator's pre-run statistics give the utilization and
+    traffic; the simulated Ideal run gives the latency.
     """
-    planned = [spec.resolve() for spec in specs]
-    results = runner.run_many(planned)
-    for spec in planned:
-        if spec not in results:
-            raise RunFailedError(runner.failures[spec])
-    return [results[spec] for spec in planned]
-
-
-def profile_workloads(
-    ctx: PlanContext,
-    runner: ExperimentRunner,
-    networks: Sequence[Network],
-    num_cores: int = 2,
-) -> dict[str, WorkloadProfile]:
-    """Profile workloads: request-generator statistics + Ideal runs.
-
-    The Ideal runs of all ``networks`` execute as one batch.
-    """
-    for network in networks:
-        runner.register_network(network)
-    arch = presets.cloud_arch(ctx.scale)
-    ideals = run_all(
-        runner, [ctx.ideal(network.name, num_cores) for network in networks]
+    network = random_net.by_name(name) or zoo.get(name, scale)
+    summary = RequestGenerator(network, presets.cloud_arch(scale)).summary()
+    return WorkloadProfile(
+        name=name,
+        pe_utilization=summary["pe_utilization"],
+        traffic_per_cycle=summary["traffic_bytes"] / max(1.0, ideal_cycles),
+        ideal_cycles=float(ideal_cycles),
     )
-    profiles = {}
-    for network, (ideal,) in zip(networks, ideals):
-        summary = RequestGenerator(network, arch).summary()
-        profiles[network.name] = WorkloadProfile(
-            name=network.name,
-            pe_utilization=summary["pe_utilization"],
-            traffic_per_cycle=summary["traffic_bytes"] / max(1.0, ideal["cycles"]),
-            ideal_cycles=float(ideal["cycles"]),
-        )
-    return profiles
 
 
 def _features(a: WorkloadProfile, b: WorkloadProfile) -> list[float]:
@@ -106,38 +71,23 @@ class SlowdownPredictor:
         self._weights: np.ndarray | None = None
         self.training_error: float | None = None
 
-    def train(
+    def fit(
         self,
-        ctx: PlanContext,
-        runner: ExperimentRunner,
-        *,
-        num_random_nets: int = 12,
-        seed: int = 2023,
+        profiles: Mapping[str, WorkloadProfile],
+        pair_cycles: Mapping[tuple[str, str], Sequence[int]],
     ) -> None:
-        """Fit on random-network pairs simulated under +DWT.
+        """Fit on co-run pairs (of random networks, simulated under +DWT).
 
-        Every unordered pair of the generated networks contributes two
-        ordered samples (each side's observed slowdown).
+        Every pair contributes two ordered samples: each side's observed
+        slowdown over its profiled Ideal latency, beside the other.
         """
-        networks = [
-            random_network(seed + index, name=f"rand{seed + index}")
-            for index in range(num_random_nets)
-        ]
-        profiles = profile_workloads(ctx, runner, networks)
-        pairs = [
-            (left.name, right.name)
-            for i, left in enumerate(networks)
-            for right in networks[i:]
-        ]
-        mixes = run_all(runner, [ctx.mix(pair, SharingLevel.DWT) for pair in pairs])
         rows: list[list[float]] = []
         targets: list[float] = []
-        for pair, results in zip(pairs, mixes):
-            for name, result in zip(pair, results):
+        for pair, cycles in pair_cycles.items():
+            for name, observed in zip(pair, cycles):
                 other = pair[1] if name == pair[0] else pair[0]
-                observed = result["cycles"] / profiles[name].ideal_cycles
                 rows.append(_features(profiles[name], profiles[other]))
-                targets.append(observed)
+                targets.append(observed / profiles[name].ideal_cycles)
         matrix = np.asarray(rows)
         vector = np.asarray(targets)
         weights, *_ = np.linalg.lstsq(matrix, vector, rcond=None)
@@ -150,6 +100,6 @@ class SlowdownPredictor:
     def predict(self, a: WorkloadProfile, b: WorkloadProfile) -> float:
         """Predicted slowdown of ``a`` when co-running with ``b``."""
         if self._weights is None:
-            raise RuntimeError("call train() first")
+            raise RuntimeError("call fit() first")
         value = float(np.dot(self._weights, _features(a, b)))
         return max(1.0, value)  # co-runners cannot speed a workload up

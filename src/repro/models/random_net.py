@@ -70,3 +70,13 @@ def random_network(
                 )
             )
     return Network(name or f"rand{seed}", tuple(layers))
+
+
+def by_name(name: str) -> Network | None:
+    """The network a seed name (``rand2023``) stands for, else ``None``.
+
+    The name fixes the topology, so any process rebuilds the same
+    network from the name alone and no registration is needed.
+    """
+    seed = name[len("rand") :] if name.startswith("rand") else ""
+    return random_network(int(seed), name=name) if seed.isdigit() else None

@@ -372,9 +372,9 @@ class TestFigureDegradation:
         assert data["overall"]["+DWT"] is not None
 
     def test_entry_point_attaches_runner_failures(self, crashing_runner):
-        data = figures.fig4_dual_performance(
-            PlanContext(), crashing_runner, [("a", "b"), ("a", "a")]
-        )
+        data = figures.run_figures(
+            PlanContext(), crashing_runner, ["fig4"], {2: [("a", "b"), ("a", "a")]}
+        )["fig4"]
         assert "+DWT" not in data["per_mix"]["a+b"]
         assert "+DW" in data["per_mix"]["a+b"]
         assert "+DWT" in data["per_mix"]["a+a"]
@@ -385,22 +385,32 @@ class TestFigureDegradation:
         from repro.models import zoo
 
         monkeypatch.setattr(zoo, "NAMES", ("a", "b"))
-        data = figures.fig4_dual_performance(
-            PlanContext(), _make_runner(tmp_path / "cache"), [("a", "b")]
-        )
+        data = figures.run_figures(
+            PlanContext(), _make_runner(tmp_path / "cache"), ["fig4"], {2: [("a", "b")]}
+        )["fig4"]
         assert "failures" not in data
+
+    def test_batch_attaches_failures_only_to_the_failing_figure(
+        self, crashing_runner
+    ):
+        # One batch, two figures: only fig4 planned the crashing mix.
+        reduced = figures.run_figures(
+            PlanContext(), crashing_runner, ["fig4", "fig15"], {2: [("a", "b")]}
+        )
+        assert len(reduced["fig4"]["failures"]) == 1
+        assert "failures" not in reduced["fig15"]
 
     def test_later_figure_omits_earlier_figures_failures(self, crashing_runner):
         ctx = PlanContext()
-        data = figures.fig4_dual_performance(ctx, crashing_runner, [("a", "b")])
-        assert len(data["failures"]) == 1
-        data = figures.fig15_pagesize_single(ctx, crashing_runner)
-        assert "failures" not in data
+        data = figures.run_figures(ctx, crashing_runner, ["fig4"], {2: [("a", "b")]})
+        assert len(data["fig4"]["failures"]) == 1
+        data = figures.run_figures(ctx, crashing_runner, ["fig15"])
+        assert "failures" not in data["fig15"]
 
     def test_format_failures_renders_summaries(self, crashing_runner):
-        data = figures.fig4_dual_performance(
-            PlanContext(), crashing_runner, [("a", "b")]
-        )
+        data = figures.run_figures(
+            PlanContext(), crashing_runner, ["fig4"], {2: [("a", "b")]}
+        )["fig4"]
         text = format_failures(data["failures"])
         assert "crash" in text
         assert "1 run(s) failed" in text

@@ -11,9 +11,10 @@ in-process spec and before it makes a pool, ``run`` and ``mix`` before
 they build the simulator) loads that stack and then freezes the heap,
 so full collections never re-scan the simulator's modules and forked
 workers inherit both.  numpy is loaded only by the mapping study's
-predictor (``repro.mapping.predictor``), and the process-pool machinery
-only when a pool is actually made (``--jobs N`` with N > 1, and always
-under ``mnpusim serve``).  OpenSSL is never
+predictor (``repro.mapping.predictor``), which only the Figure 17/18
+reducers import, and the process-pool machinery only when a pool is
+actually made (``--jobs N`` with N > 1, and always under ``mnpusim
+serve``).  OpenSSL is never
 needed: ``repro.digest`` takes sha256 and blake2b from CPython's builtin
 hash modules, so no simulating process loads ``_hashlib`` or ``_ssl``
 (and with them ``libcrypto``, about 3.6 MB resident).  The serve daemon
@@ -70,6 +71,37 @@ DEFERRED = (
     "repro.serve",
     "repro.serve.*",
 )
+
+#: The mapping study and numpy: only Figures 17 and 18 load them.
+MAPPING = ("numpy", "repro.mapping", "repro.mapping.*")
+
+#: Every ``repro`` module ``import repro.cli`` loads: what building the
+#: parser needs, and nothing more.
+CLI_MODULES = [
+    "repro",
+    "repro._lazy",
+    "repro.cli",
+    "repro.compute",
+    "repro.compute.dataflow",
+    "repro.compute.systolic",
+    "repro.compute.tiling",
+    "repro.config",
+    "repro.config.arch",
+    "repro.config.dram",
+    "repro.config.loader",
+    "repro.config.misc",
+    "repro.config.npumem",
+    "repro.config.presets",
+    "repro.config.system",
+    "repro.core",
+    "repro.core.sharing",
+    "repro.errors",
+    "repro.models",
+    "repro.models.layers",
+    "repro.models.random_net",
+    "repro.models.serving",
+    "repro.models.zoo",
+]
 
 #: Without a builtin sha256 (``_sha2`` on 3.12+, ``_sha256`` before),
 #: ``repro.digest`` falls back to ``hashlib`` and so loads ``_hashlib``.
@@ -177,31 +209,45 @@ def test_cli_import_loads_no_simulation_stack(tmp_path):
     assert _loaded("import repro.cli", DEFERRED, cwd=tmp_path) == []
 
 
-#: A cold ``--jobs 1`` figure, then whether its simulator class was frozen.
+def test_cli_import_loads_exactly_the_parser_modules(tmp_path):
+    assert _loaded("import repro.cli", ("repro", "repro.*"), cwd=tmp_path) == (
+        CLI_MODULES
+    )
+
+
+#: A cold ``--jobs 1`` figure, then whether its simulator class was
+#: frozen and which of :data:`MAPPING` it loaded.
 _COLD_FIGURE = """
-import gc, json
+import gc, json, sys
 from repro.cli import main
-assert main(["figure", "fig15", "--mixes", "1", "--jobs", "1", "--quiet",
+assert main(["figure", "fig4", "--mixes", "1", "--jobs", "1", "--quiet",
              "--cache-dir", "cache"]) == 0
 from repro.core.simulator import MultiCoreNPUSim
+mapping = [m for m in sys.modules if m == "numpy" or m.startswith("repro.mapping")]
 print(json.dumps([gc.get_freeze_count() > 0,
-                  any(o is MultiCoreNPUSim for o in gc.get_objects())]))
+                  any(o is MultiCoreNPUSim for o in gc.get_objects()),
+                  mapping]))
 """
 
 
 @pytest.fixture(scope="module")
-def cold_fig15(tmp_path_factory):
-    """A directory whose ``cache`` holds every fig15 result, and the
-    cold run's frozen-heap probe."""
-    work = tmp_path_factory.mktemp("fig15")
+def cold_fig4(tmp_path_factory):
+    """A directory whose ``cache`` holds every ``fig4 --mixes 1`` result,
+    and the cold run's probe."""
+    work = tmp_path_factory.mktemp("fig4")
     probe = json.loads(_python(_COLD_FIGURE, cwd=work))
     return work, probe
 
 
-def test_cold_figure_freezes_the_imported_simulator(cold_fig15):
+def test_cold_figure_freezes_the_imported_simulator(cold_fig4):
     # gc.get_objects() lists only what the collector still scans.
-    _, (frozen, simulator_scanned) = cold_fig15
+    _, (frozen, simulator_scanned, _) = cold_fig4
     assert frozen and not simulator_scanned
+
+
+def test_cold_fig4_loads_no_numpy_or_mapping_study(cold_fig4):
+    _, (_, _, mapping) = cold_fig4
+    assert mapping == []
 
 
 def test_run_freezes_the_imported_simulator(tmp_path):
@@ -216,8 +262,8 @@ def test_run_freezes_the_imported_simulator(tmp_path):
     assert json.loads(_python(script, cwd=tmp_path)) == [True, False]
 
 
-def test_commands_that_simulate_nothing_skip_the_simulation_stack(cold_fig15):
-    work, _ = cold_fig15
+def test_commands_that_simulate_nothing_skip_the_simulation_stack(cold_fig4):
+    work, _ = cold_fig4
     shards = sorted(path.name for path in (work / "cache").glob("*.json"))
     script = (
         "from repro.cli import main\n"
@@ -227,12 +273,48 @@ def test_commands_that_simulate_nothing_skip_the_simulation_stack(cold_fig15):
         "except SystemExit as stop:\n"
         "    assert stop.code == 0\n"
         "assert main(['cache', 'stats', '--cache-dir', 'cache']) == 0\n"
-        "assert main(['figure', 'fig15', '--mixes', '1', '--jobs', '1',\n"
+        "assert main(['figure', 'fig4', '--mixes', '1', '--jobs', '1',\n"
         "             '--quiet', '--cache-dir', 'cache']) == 0"
     )
-    assert _loaded(script, SIM_STACK, cwd=work) == []
+    # The warm figure loads neither the simulator nor the mapping study.
+    assert _loaded(script, (*SIM_STACK, *MAPPING), cwd=work) == []
     # Fully cached: the figure wrote no result shard.
     assert sorted(path.name for path in (work / "cache").glob("*.json")) == shards
+
+
+#: ``figure fig17`` over a stub ``run_many`` (synthetic cycles, so no
+#: simulation): which of :data:`MAPPING` were loaded when the batch ran,
+#: and which after the figure printed.
+_FIG17 = """
+import json, sys, zlib
+from repro.errors import SweepOutcome
+from repro.experiments.runner import ExperimentRunner
+def mapping():
+    return sorted(m for m in sys.modules
+                  if m == "numpy" or m.startswith("repro.mapping"))
+during = []
+def run_many(self, specs, **kwargs):
+    during.extend(mapping())
+    specs = list(dict.fromkeys(spec.resolve() for spec in specs))
+    self.last_outcome = SweepOutcome(len(specs), 0, len(specs))
+    def cycles(name, corunners):
+        base = 1000 + zlib.crc32(name.encode()) % 9000
+        return base + corunners * (base % 7) * 100
+    return {spec: [{"cycles": cycles(name, len(spec.workloads) - 1)}
+                   for name in spec.workloads] for spec in specs}
+ExperimentRunner.run_many = run_many
+from repro.cli import main
+assert main(["figure", "fig17", "--mixes", "2", "--quiet"]) == 0
+print(json.dumps([during, mapping()]))
+"""
+
+
+def test_fig17_loads_the_mapping_study_only_to_reduce(tmp_path):
+    during, after = json.loads(_python(_FIG17, cwd=tmp_path))
+    assert during == []
+    assert after == [
+        "numpy", "repro.mapping", "repro.mapping.mapper", "repro.mapping.predictor"
+    ]
 
 
 def test_pool_is_made_after_the_simulator_loads_and_the_heap_freezes(tmp_path):
