@@ -40,17 +40,16 @@ from repro.errors import (
     DEFAULT_STALL_WINDOW_TICKS,
     SimulationStallError,
 )
-from repro.models import zoo
-from repro.models import serving as serving_models
-from repro.models.serving import ServingParams
+from repro.models import serving_names, zoo
 
 if TYPE_CHECKING:
     from repro.config.system import SystemConfig
     from repro.core.simulator import MixResult, MultiCoreNPUSim
+    from repro.models.serving import ServingParams
 
 #: Workload names the mix-shaped subcommands accept: the benchmark zoo
 #: plus the qualified LLM-serving shapes (``gpt2:prefill``/``gpt2:decode``).
-WORKLOAD_CHOICES = (*zoo.NAMES, *serving_models.SERVING_NAMES)
+WORKLOAD_CHOICES = (*zoo.NAMES, *serving_names.SERVING_NAMES)
 
 
 def _read_list_file(path: str) -> list[str]:
@@ -505,7 +504,7 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         "--phase applies to bare 'gpt2' workload names",
     )
     group.add_argument(
-        "--phase", default=None, choices=serving_models.PHASES,
+        "--phase", default=None, choices=serving_names.PHASES,
         help="serving phase bare serving-base workloads resolve to",
     )
     group.add_argument(
@@ -529,7 +528,7 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         help="per-expert token capacity multiplier (>= 1.0)",
     )
     group.add_argument(
-        "--moe-skew", default=None, choices=serving_models.SKEWS,
+        "--moe-skew", default=None, choices=serving_names.SKEWS,
         help="token-to-expert routing distribution",
     )
     group.add_argument(
@@ -537,7 +536,7 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         help="skew exponent when --moe-skew=zipf",
     )
     group.add_argument(
-        "--arrival", default=None, choices=serving_models.ARRIVALS,
+        "--arrival", default=None, choices=serving_names.ARRIVALS,
         help="request-arrival model (poisson or closed-loop)",
     )
     group.add_argument(
@@ -559,6 +558,8 @@ def _serving_params(args: argparse.Namespace) -> ServingParams | None:
     }
     if not overrides:
         return None
+    from repro.models.serving import ServingParams
+
     try:
         return ServingParams(**overrides)
     except ValueError as error:
@@ -567,10 +568,10 @@ def _serving_params(args: argparse.Namespace) -> ServingParams | None:
 
 def _serving_networks(names, scale, *, params, default_phase):
     """Resolve workload names serving-aware; exit cleanly on bad names."""
+    from repro.models.serving import networks_for
+
     try:
-        return serving_models.networks_for(
-            names, scale, params=params, default_phase=default_phase
-        )
+        return networks_for(names, scale, params=params, default_phase=default_phase)
     except (KeyError, ValueError) as error:
         raise SystemExit(str(error)) from error
 

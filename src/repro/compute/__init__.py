@@ -5,9 +5,8 @@ from repro._lazy import lazy_exports
 # Re-exports load on first use: a spec needs the dataflow registry, not
 # the trace cache.
 __getattr__, __dir__ = lazy_exports(globals(), {
-    "repro.compute.dataflow": (
-        "DataflowEngine", "get_engine", "register", "registered_dataflows",
-    ),
+    "repro.compute.dataflow": ("get_engine", "register", "registered_dataflows"),
+    "repro.compute.engines": ("DataflowEngine",),
     "repro.compute.systolic": ("is_pass_cycles", "os_pass_cycles", "ws_pass_cycles"),
     "repro.compute.tiling": (
         "Tile", "TileShape", "choose_tile_shape", "tiles_for_gemm",

@@ -4,7 +4,7 @@ The paper implements the output-stationary (OS) dataflow and lists other
 dataflows as future work (section 4.1.2).  This module holds the
 per-pass timing formulas those dataflows are built from; the dataflow
 *engines* that compose them (tiling policy + tile-level cost model) live
-in :mod:`repro.compute.dataflow`.
+in :mod:`repro.compute.engines`.
 
 **Output stationary**: an ``R x C`` array computes an ``R x C`` block of
 outputs per *pass*: A-operand rows stream in from the left, B-operand

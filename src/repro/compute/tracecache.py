@@ -53,16 +53,19 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Protocol, Union
+from typing import TYPE_CHECKING, Iterator, Protocol, Union
 
 from repro.compute.dataflow import get_engine
-from repro.compute.requestgen import RequestGenerator, TileTraffic
-from repro.compute.systolic import ComputeEstimate
-from repro.compute.tiling import Tile
-from repro.config.arch import ArchConfig
 from repro.digest import blake2b
-from repro.models.layers import Network
 from repro.storage import ShardStore
+
+if TYPE_CHECKING:
+    # The frontend (request generation, tiling, the cycle model) loads
+    # where a trace is compiled, decoded or streamed, so a runner whose
+    # every result is cached never loads it.
+    from repro.compute.requestgen import RequestGenerator, TileTraffic
+    from repro.config.arch import ArchConfig
+    from repro.models.layers import Network
 
 #: Bump when the trace shard layout (or trace semantics) changes;
 #: mismatched shards are quarantined and recompiled.
@@ -217,6 +220,8 @@ def compile_trace(
     while compiling, so an oversized workload costs at most one partial
     generation pass.
     """
+    from repro.compute.requestgen import RequestGenerator
+
     generator = RequestGenerator(network, arch)
     layers: list[tuple[TileTraffic, ...]] = []
     cost = 0
@@ -353,6 +358,10 @@ def decode_trace(
     Matches the :meth:`repro.storage.ShardStore.read_validated` contract,
     so corrupt or stale shards are quarantined and recompiled.
     """
+    from repro.compute.requestgen import TileTraffic
+    from repro.compute.systolic import ComputeEstimate
+    from repro.compute.tiling import Tile
+
     try:
         payload = json.loads(raw)
     except ValueError:
@@ -608,4 +617,6 @@ def trace_source(
     trace = _process_cache.get(network, arch)
     if trace is not None:
         return trace
+    from repro.compute.requestgen import RequestGenerator
+
     return RequestGenerator(network, arch)

@@ -6,19 +6,25 @@ mNPUsim takes ``arch_config``, ``network_config``, ``npumem_config``,
 and :mod:`repro.config.presets` builds the paper's Table 2 configuration.
 """
 
-from repro.config.arch import ArchConfig
-from repro.config.dram import AddressMapping, DramConfig, DramTiming
-from repro.config.misc import MiscConfig
-from repro.config.npumem import NpuMemConfig
-from repro.config.system import SystemConfig
-from repro.config import presets
-from repro.config.loader import (
-    load_arch_config,
-    load_dram_config,
-    load_misc_config,
-    load_npumem_config,
-    parse_kv_text,
-)
+from repro._lazy import lazy_exports
+
+# Re-exports load on first use: resolving a spec needs the per-core
+# resource table in ``presets``, not the config classes.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.config.arch": ("ArchConfig",),
+    "repro.config.dram": ("AddressMapping", "DramConfig", "DramTiming"),
+    "repro.config.misc": ("MiscConfig",),
+    "repro.config.npumem": ("NpuMemConfig",),
+    "repro.config.system": ("SystemConfig",),
+    "repro.config.presets": ("presets",),
+    "repro.config.loader": (
+        "load_arch_config",
+        "load_dram_config",
+        "load_misc_config",
+        "load_npumem_config",
+        "parse_kv_text",
+    ),
+})
 
 __all__ = [
     "ArchConfig",

@@ -10,14 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-def _registered_dataflows() -> tuple[str, ...]:
-    # Lazy import: repro.compute.dataflow (the engine registry) imports
-    # this module for type annotations, so resolving the registry at
-    # validation time — never at import time — keeps the layering acyclic.
-    from repro.compute.dataflow import registered_dataflows
-
-    return registered_dataflows()
+from repro.compute.dataflow import registered_dataflows
 
 
 @dataclass(frozen=True)
@@ -65,7 +58,7 @@ class ArchConfig:
             raise ValueError("SPM must hold at least two DRAM transactions")
         if self.freq_mhz <= 0:
             raise ValueError("core frequency must be positive")
-        registered = _registered_dataflows()
+        registered = registered_dataflows()
         if self.dataflow not in registered:
             raise ValueError(
                 f"unsupported dataflow {self.dataflow!r}; registered engines: "

@@ -21,13 +21,18 @@ uncontended resource slices (Ideal / Static / ratio partitions) with
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
-from repro.config.arch import ArchConfig
-from repro.config.dram import DramConfig
-from repro.config.misc import MiscConfig
-from repro.config.npumem import NpuMemConfig
-from repro.config.system import SystemConfig
 from repro.core.sharing import SharingLevel
+
+if TYPE_CHECKING:
+    # Each builder imports the config classes it makes, so resolving a
+    # spec (:func:`per_core_resources`) loads none of them.
+    from repro.config.arch import ArchConfig
+    from repro.config.dram import DramConfig
+    from repro.config.misc import MiscConfig
+    from repro.config.npumem import NpuMemConfig
+    from repro.config.system import SystemConfig
 
 #: Channels backing one NPU core's 128 GB/s share (Table 2).
 CHANNELS_PER_CORE = 4
@@ -66,6 +71,8 @@ def cloud_arch(
     (default ``"os"``, the paper's choice; see
     :mod:`repro.compute.dataflow` for the registry).
     """
+    from repro.config.arch import ArchConfig
+
     _check_scale(scale)
     if scale == "full":
         return ArchConfig(
@@ -97,6 +104,8 @@ def cloud_npumem(
     num_ptw: int | None = None,
 ) -> NpuMemConfig:
     """The Table 2 per-core MMU configuration at the requested scale."""
+    from repro.config.npumem import NpuMemConfig
+
     _check_scale(scale)
     defaults = {"full": (2048, 8), "mini": (64, 1)}[scale]
     entries = tlb_entries if tlb_entries is not None else defaults[0]
@@ -118,6 +127,8 @@ def hbm2_dram(scale: str = "mini", *, channels: int = CHANNELS_PER_CORE) -> Dram
     256 GB/s.  The mini scale uses 8 GB/s channels to track its reduced
     compute throughput.
     """
+    from repro.config.dram import DramConfig
+
     _check_scale(scale)
     bytes_per_cycle = 32 if scale == "full" else 16
     queue_depth = 64 if scale == "full" else 256
@@ -151,6 +162,9 @@ def cloud_npu(
     multi-core resources instead — Ideal is by definition a workload
     running alone.
     """
+    from repro.config.misc import MiscConfig
+    from repro.config.system import SystemConfig
+
     if num_cores <= 0:
         raise ValueError("need at least one core")
     if sharing is SharingLevel.IDEAL and num_cores > 1:
@@ -201,6 +215,8 @@ def mix_system(
     enlarge the per-core pools (the walker-partitioning study needs
     enough walkers to split at the paper's 1:7..7:1 ratios).
     """
+    from repro.config.misc import MiscConfig
+
     system = cloud_npu(
         num_cores,
         sharing,
@@ -250,6 +266,9 @@ def solo_slice(
     ratio partitions of section 4.3/4.4 are slices with 1..7 channels or
     walkers.
     """
+    from repro.config.misc import MiscConfig
+    from repro.config.system import SystemConfig
+
     arch = cloud_arch(scale, dataflow=dataflow)
     npumem = cloud_npumem(
         scale,

@@ -58,13 +58,11 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.compute.dataflow import registered_dataflows
 from repro.config import presets
-from repro.config.misc import MiscConfig
 from repro.core.metrics import box_stats, cdf_points, fairness, geomean, percentile
 from repro.core.sharing import CONTENDED_LEVELS, SWEEP_LEVELS, SharingLevel
 from repro.experiments.mixes import all_mixes, mix_label
 from repro.experiments.spec import PlanContext, RunSpec
 from repro.models import zoo
-from repro.models.serving import ServingParams
 
 if TYPE_CHECKING:
     from repro.experiments.runner import ExperimentRunner
@@ -266,6 +264,7 @@ def fig2_burstiness(
     window: int = 1000,
 ) -> dict[str, Any]:
     """Moving count of DRAM requests per window for a single-core run."""
+    from repro.config.misc import MiscConfig
     from repro.core.simulator import MultiCoreNPUSim, freeze_heap
 
     freeze_heap()
@@ -508,6 +507,7 @@ def fig12_bandwidth_utilization(
     summed series shows how often the combined demand exceeds half (and
     even all) of the peak — the paper's argument for dynamic sharing.
     """
+    from repro.config.misc import MiscConfig
     from repro.core.simulator import MultiCoreNPUSim, freeze_heap
 
     freeze_heap()
@@ -840,6 +840,8 @@ def serving_colocation_specs(
     default :class:`ServingParams`, so its specs share cache keys with
     any other default-parameter serving run.
     """
+    from repro.models.serving import ServingParams
+
     plan = {}
     for skew in skews:
         params = ServingParams(moe_skew=skew)

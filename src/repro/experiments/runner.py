@@ -80,8 +80,7 @@ from repro.errors import (
 )
 from repro.experiments import faults as faults_module
 from repro.experiments.spec import RESULTS_VERSION, RunSpec
-from repro.models import serving as serving_module
-from repro.models import random_net, zoo
+from repro.models import zoo
 
 if TYPE_CHECKING:
     # The pool machinery loads only when a pool is made, and the
@@ -464,9 +463,11 @@ class ExperimentRunner:
         parameters; everything else falls back to the zoo at the spec's
         scale.
         """
+        from repro.models import random_net, serving
+
         if name in self._networks:
             return self._networks[name]
-        network = random_net.by_name(name) or serving_module.resolve(
+        network = random_net.by_name(name) or serving.resolve(
             name,
             spec.scale,
             params=spec.serving,

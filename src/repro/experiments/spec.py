@@ -28,17 +28,21 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.compute.dataflow import registered_dataflows
 from repro.config import presets
-from repro.config.arch import ArchConfig
-from repro.config.misc import MiscConfig
-from repro.config.system import SystemConfig
 from repro.core.sharing import SharingLevel
 from repro.digest import sha256
-from repro.models import serving as serving_module
-from repro.models.serving import ServingParams
+from repro.models import serving_names
+
+if TYPE_CHECKING:
+    # Planning, resolving and keying a spec need none of these: only
+    # :meth:`RunSpec.system` builds config objects, and only a spec
+    # with serving parameters loads the serving builders.
+    from repro.config.arch import ArchConfig
+    from repro.config.system import SystemConfig
+    from repro.models.serving import ServingParams
 
 #: Bump to invalidate cached results when simulator semantics change.
 RESULTS_VERSION = 10
@@ -94,32 +98,35 @@ class RunSpec:
         # A ServingParams at all-defaults describes the same run as no
         # override at all; normalize it to None so spec equality, batch
         # dedup and the cache key all see a single canonical spec.
-        if self.serving is not None and self.serving == ServingParams():
-            object.__setattr__(self, "serving", None)
+        if self.serving is not None:
+            from repro.models.serving import ServingParams
+
+            if self.serving == ServingParams():
+                object.__setattr__(self, "serving", None)
         bare_bases = 0
         serving_targets = 0
         for name in self.workloads:
-            base, wl_phase = serving_module.split_name(name)
+            base, wl_phase = serving_names.split_name(name)
             if wl_phase is not None:
-                if base not in serving_module.SERVING_BASES:
+                if base not in serving_names.SERVING_BASES:
                     raise ValueError(
                         f"workload {name!r}: {base!r} has no serving "
                         "frontend; serving bases: "
-                        + ", ".join(sorted(serving_module.SERVING_BASES))
+                        + ", ".join(sorted(serving_names.SERVING_BASES))
                     )
-                if wl_phase not in serving_module.PHASES:
+                if wl_phase not in serving_names.PHASES:
                     raise ValueError(
                         f"workload {name!r}: unknown phase {wl_phase!r}; "
-                        "choose from " + ", ".join(serving_module.PHASES)
+                        "choose from " + ", ".join(serving_names.PHASES)
                     )
                 serving_targets += 1
-            elif base in serving_module.SERVING_BASES:
+            elif base in serving_names.SERVING_BASES:
                 bare_bases += 1
         if self.phase is not None:
-            if self.phase not in serving_module.PHASES:
+            if self.phase not in serving_names.PHASES:
                 raise ValueError(
                     f"unknown phase {self.phase!r}; choose from "
-                    + ", ".join(serving_module.PHASES)
+                    + ", ".join(serving_names.PHASES)
                 )
             if not bare_bases:
                 raise ValueError(
@@ -387,6 +394,8 @@ class RunSpec:
         are configured (the CLI's ``mix`` path uses it too, keeping CLI
         results bit-identical to the experiment runner's).
         """
+        from repro.config.misc import MiscConfig
+
         if self.kind == "solo":
             spec = self.resolve()
             return presets.solo_slice(
@@ -473,10 +482,10 @@ class PlanContext:
             **fields,
         }
         bare_base = any(
-            name in serving_module.SERVING_BASES for name in workloads
+            name in serving_names.SERVING_BASES for name in workloads
         )
         qualified = any(
-            serving_module.split_name(name)[1] is not None
+            serving_names.split_name(name)[1] is not None
             for name in workloads
         )
         if fields.get("phase") is None and self.phase is not None and bare_base:

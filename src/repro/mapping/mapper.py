@@ -96,6 +96,9 @@ class MappingStudy:
         self.predictor = SlowdownPredictor()
         if samples:
             self.predictor.fit(self.profiles, samples)
+        # Predicted slowdown per ordered (workload, co-runner) pair: a
+        # set's pairings share their pairs, and so do the sets.
+        self._predicted: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -116,16 +119,23 @@ class MappingStudy:
                 values.extend([right, left])
         return values
 
+    def predicted_slowdown(self, workload: str, corunner: str) -> float:
+        """The predictor's slowdown of ``workload`` next to ``corunner``,
+        computed once per ordered pair."""
+        key = (workload, corunner)
+        slowdown = self._predicted.get(key)
+        if slowdown is None:
+            slowdown = self._predicted[key] = self.predictor.predict(
+                self.profiles[workload], self.profiles[corunner]
+            )
+        return slowdown
+
     def predicted_score(self, pairing: Sequence[tuple[str, str]]) -> float:
         """Predicted geomean speedup (inverse slowdown) of a pairing."""
         slowdowns = []
         for a, b in pairing:
-            slowdowns.append(
-                self.predictor.predict(self.profiles[a], self.profiles[b])
-            )
-            slowdowns.append(
-                self.predictor.predict(self.profiles[b], self.profiles[a])
-            )
+            slowdowns.append(self.predicted_slowdown(a, b))
+            slowdowns.append(self.predicted_slowdown(b, a))
         return geomean([1.0 / value for value in slowdowns])
 
     # ------------------------------------------------------------------ #

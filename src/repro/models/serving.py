@@ -51,6 +51,14 @@ from typing import Any, Sequence
 
 from repro.models import zoo
 from repro.models.layers import DenseLayer, Layer, Network
+from repro.models.serving_names import (
+    ARRIVALS,
+    PHASES,
+    SERVING_BASES,
+    SERVING_NAMES,
+    SKEWS,
+    split_name,
+)
 
 __all__ = [
     "PHASES",
@@ -67,23 +75,6 @@ __all__ = [
     "route_tokens",
     "split_name",
 ]
-
-#: The two serving phases, in pipeline order.
-PHASES: tuple[str, ...] = ("prefill", "decode")
-
-#: Zoo topologies that have a serving frontend.
-SERVING_BASES: frozenset[str] = frozenset({"gpt2"})
-
-#: Every phase-qualified serving workload name, for CLI choices.
-SERVING_NAMES: tuple[str, ...] = tuple(
-    f"{base}:{phase}" for base in sorted(SERVING_BASES) for phase in PHASES
-)
-
-#: Arrival disciplines of the request model.
-ARRIVALS: tuple[str, ...] = ("poisson", "closed")
-
-#: MoE routing skews.
-SKEWS: tuple[str, ...] = ("uniform", "zipf")
 
 #: Name prefix marking serving networks for trace-cache tagging.
 NAME_PREFIX = "srv-"
@@ -160,12 +151,6 @@ class ServingParams:
             if getattr(self, f.name) != getattr(defaults, f.name)
         ]
         return ",".join(parts) or "default"
-
-
-def split_name(name: str) -> tuple[str, str | None]:
-    """``"gpt2:prefill"`` -> ``("gpt2", "prefill")``; plain names get ``None``."""
-    base, sep, phase = name.partition(":")
-    return (base, phase) if sep else (name, None)
 
 
 # --------------------------------------------------------------------- #

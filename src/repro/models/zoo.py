@@ -14,20 +14,17 @@ dimensions.  Two variants exist per model:
   divided by ~4.  See DESIGN.md substitution 2.
 
 The short names (``res``, ``yt``, ``alex``, ``sfrnn``, ``ds2``, ``dlrm``,
-``ncf``, ``gpt2``) match the paper's abbreviations.
+``ncf``, ``gpt2``) match the paper's abbreviations.  Each builder imports
+the layer classes it makes, so :data:`NAMES` and :data:`CATEGORIES` (the
+CLI's choices, figure planning) load none of them.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.models.layers import (
-    ConvLayer,
-    DenseLayer,
-    EmbeddingLayer,
-    Layer,
-    Network,
-)
+if TYPE_CHECKING:
+    from repro.models.layers import Layer, Network
 
 
 def _ch(value: int, scale: int, floor: int = 8) -> int:
@@ -42,6 +39,8 @@ def _sp(value: int, scale: int, floor: int = 7) -> int:
 
 def alexnet(scale: int = 1) -> Network:
     """AlexNet (Krizhevsky et al.): 5 convolutions + 3 dense layers."""
+    from repro.models.layers import ConvLayer, DenseLayer, Network
+
     s = scale
     layers: list[Layer] = [
         ConvLayer("conv1", 3, _sp(227, s), _sp(227, s), _ch(96, s), 11, 11, stride=4),
@@ -66,6 +65,8 @@ def alexnet(scale: int = 1) -> Network:
 
 def resnet50(scale: int = 1) -> Network:
     """ResNet-50: 7x7 stem + 16 bottleneck blocks (stages 3/4/6/3) + FC."""
+    from repro.models.layers import ConvLayer, DenseLayer, Network
+
     s = scale
     layers: list[Layer] = [
         ConvLayer(
@@ -94,6 +95,8 @@ def resnet50(scale: int = 1) -> Network:
 
 def yolo_tiny(scale: int = 1) -> Network:
     """YOLOv2-tiny: seven 3x3 convolutions with pool-halved feature maps."""
+    from repro.models.layers import ConvLayer, Network
+
     s = scale
     widths = (16, 32, 64, 128, 256, 512, 1024)
     spatial = (416, 208, 104, 52, 26, 13, 13)
@@ -125,6 +128,8 @@ def selfish_rnn(scale: int = 1, seq: int | None = None) -> Network:
     dominates: the model is memory-intensive, matching its wide
     contention-sensitivity box in Figure 8.
     """
+    from repro.models.layers import DenseLayer, Network
+
     s = scale
     hidden = _ch(1500, s, floor=64)
     seq_len = seq if seq is not None else _sp(35, 1 if s == 1 else 2)
@@ -140,6 +145,8 @@ def selfish_rnn(scale: int = 1, seq: int | None = None) -> Network:
 
 def deepspeech2(scale: int = 1, seq: int | None = None) -> Network:
     """DeepSpeech2: two big 2-D convolutions + five GRU layers + CTC head."""
+    from repro.models.layers import ConvLayer, DenseLayer, Network
+
     s = scale
     seq_len = seq if seq is not None else _sp(340, s, floor=16)
     hidden = _ch(800, s, floor=64)
@@ -175,6 +182,8 @@ def dlrm(scale: int = 1, batch: int | None = None) -> Network:
     co-runner sensitivity (Figure 8) and the largest page-size gain
     (~30%, section 4.5.1).
     """
+    from repro.models.layers import DenseLayer, EmbeddingLayer, Network
+
     s = scale
     emb_batch = batch if batch is not None else (2048 if s == 1 else 512)
     # The MLP stack processes the same requests but its GEMM batch is a
@@ -207,6 +216,8 @@ def dlrm(scale: int = 1, batch: int | None = None) -> Network:
 
 def ncf(scale: int = 1, batch: int | None = None) -> Network:
     """Neural Collaborative Filtering: GMF/MLP embeddings + a small MLP."""
+    from repro.models.layers import DenseLayer, EmbeddingLayer, Network
+
     s = scale
     b = batch if batch is not None else (4096 if s == 1 else 512)
     dim = 64 if s == 1 else 32
@@ -230,6 +241,8 @@ def gpt2(scale: int = 1, seq: int | None = None, blocks: int | None = None) -> N
     heads folds to a ``seq x width x seq`` GEMM), attention-times-values,
     output projection, and the two MLP GEMMs.
     """
+    from repro.models.layers import DenseLayer, Network
+
     s = scale
     width = _ch(768, s, floor=96)
     seq_len = seq if seq is not None else _sp(1024, s * 2 if s > 1 else 1, floor=64)

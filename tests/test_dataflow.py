@@ -3,14 +3,18 @@
 import pytest
 
 from repro.compute.dataflow import (
-    DataflowEngine,
-    InputStationary,
-    OutputStationary,
-    WeightStationary,
+    STOCK_DATAFLOWS,
     _REGISTRY,
     get_engine,
     register,
     registered_dataflows,
+)
+from repro.compute.engines import (
+    STOCK_ENGINES,
+    DataflowEngine,
+    InputStationary,
+    OutputStationary,
+    WeightStationary,
 )
 from repro.compute.systolic import is_pass_cycles, os_pass_cycles, ws_pass_cycles
 from repro.compute.tiling import choose_tile_shape
@@ -26,6 +30,11 @@ ARCH = ArchConfig(
 class TestRegistry:
     def test_stock_engines_registered_in_order(self):
         assert registered_dataflows() == ("os", "ws", "is")
+
+    def test_stock_names_match_the_stock_engines(self):
+        # The registry names the stock engines before they load.
+        assert STOCK_DATAFLOWS == tuple(engine.name for engine in STOCK_ENGINES)
+        assert [get_engine(name) for name in STOCK_DATAFLOWS] == list(STOCK_ENGINES)
 
     def test_get_engine_returns_singletons(self):
         assert get_engine("os") is get_engine("os")

@@ -149,6 +149,23 @@ class TestMappingFigures:
             "85994fbecb17a88e519c74f7a16440b8381599d064c2603ffd17ee89aa577fa4"
         )
 
+    def test_study_predicts_each_ordered_pair_once(self):
+        study = figures.mapping_study(_study_results())
+        calls = []
+        predict = study.predictor.predict
+
+        def counted(a, b):
+            calls.append((a.name, b.name))
+            return predict(a, b)
+
+        study.predictor.predict = counted
+        assert len(study.evaluate_all(SETS)) == len(SETS)
+        assert calls and len(calls) == len(set(calls))
+        scored = {
+            ordered for pair in study.pair_slowdowns for ordered in (pair, pair[::-1])
+        }
+        assert set(calls) <= scored
+
     def test_failed_pair_drops_only_the_sets_that_need_it(self):
         results = _study_results()
         del results["mix", ("ncf", "ncf")]

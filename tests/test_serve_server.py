@@ -561,14 +561,28 @@ class TestHTTPTransport:
         assert b"negative" in body
         assert ServeClient(daemon.url).healthy()
 
-    def test_client_hangup_leaves_the_daemon_serving(self, daemon, caplog, capsys):
+    def test_client_hangup_leaves_the_daemon_serving(
+        self, daemon, caplog, capsys, monkeypatch
+    ):
         caplog.set_level(logging.DEBUG, logger="repro.serve")
+        runner = daemon.service.runner
+        run_many = runner.run_many
+        reset = threading.Event()
+
+        def run_after_the_reset(*args, **kwargs):
+            # The run starts only once the client has reset the
+            # connection, so the daemon always answers a dead socket.
+            reset.wait(10.0)
+            return run_many(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_many", run_after_the_reset)
         sock = socket.create_connection((daemon.host, daemon.port), timeout=10)
         sock.sendall(_run_request(RunSpec.solo("b")))
         # Reset instead of closing, so the daemon's next read or write
         # on the connection fails at once.
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         sock.close()
+        reset.set()
         deadline = time.monotonic() + 10.0
         while not any(
             "connection dropped" in record.getMessage() for record in caplog.records

@@ -2,29 +2,38 @@
 
 Every ``mnpusim`` process pays for what it imports, and most of them are
 short.  ``import repro.cli`` loads what building the parser needs (the
-dataflow registry, the model zoo and serving shapes, ``repro.errors``)
+dataflow names, the zoo's names, the serving name tables and
+``repro.errors``)
 and none of :data:`DEFERRED`: each command imports the other layers it
-runs.  A command that simulates nothing (``models``, ``--help``,
-``cache``, a fully cached ``figure``) never loads the simulation stack
-(:data:`SIM_STACK`).  Whatever simulates (the runner before its first
-in-process spec and before it makes a pool, ``run`` and ``mix`` before
-they build the simulator) loads that stack and then freezes the heap,
-so full collections never re-scan the simulator's modules and forked
-workers inherit both.  numpy is loaded only by the mapping study's
-predictor (``repro.mapping.predictor``), which only the Figure 17/18
-reducers import, and the process-pool machinery only when a pool is
-actually made (``--jobs N`` with N > 1, and always under ``mnpusim
-serve``).  OpenSSL is never
-needed: ``repro.digest`` takes sha256 and blake2b from CPython's builtin
-hash modules, so no simulating process loads ``_hashlib`` or ``_ssl``
-(and with them ``libcrypto``, about 3.6 MB resident).  The serve daemon
-speaks HTTP through ``socketserver``, so it loads neither ``http.client``
-nor OpenSSL, and a client that builds requests from a ``RunSpec`` never
-loads the simulator: package re-exports load on first use.  These tests
-run fresh interpreters, because ``sys.modules`` in the pytest process
-already holds whatever earlier tests imported.
+runs.  Parsing, planning, resolving specs, keying and reading cached
+results need names and tables only, so ``--help``, ``cache`` and a fully
+cached ``figure`` load neither the simulation stack (:data:`SIM_STACK`)
+nor the frontend (:data:`FRONTEND`: the config classes, the layer
+classes and serving builders, tiling, the cycle model and request
+generation).  What builds
+systems, networks and traces loads the frontend: ``RunSpec.system``,
+``zoo.get``, ``serving.networks_for``, the trace cache's compile and
+decode, and the ``run``, ``mix`` and ``models`` commands.  Whatever
+simulates (the runner before its first in-process spec and before it
+makes a pool, ``run`` and ``mix`` before they build the simulator) loads
+the simulation stack and then freezes the heap, so full collections never
+re-scan the simulator's modules and forked workers inherit both.  numpy
+is loaded only by the mapping study's predictor
+(``repro.mapping.predictor``), which only the Figure 17/18 reducers
+import, and the process-pool machinery only when a pool is actually made
+(``--jobs N`` with N > 1, and always under ``mnpusim serve``).  OpenSSL
+is never needed: ``repro.digest`` takes sha256 and blake2b from
+CPython's builtin hash modules, so no simulating process loads
+``_hashlib`` or ``_ssl`` (and with them ``libcrypto``, about 3.6 MB
+resident).  The serve daemon speaks HTTP through ``socketserver``, so it
+loads neither ``http.client`` nor OpenSSL, and a client that builds
+requests from a ``RunSpec`` loads neither the simulator nor the
+frontend: package re-exports load on first use.  These tests run fresh
+interpreters, because ``sys.modules`` in the pytest process already
+holds whatever earlier tests imported.
 """
 
+import argparse
 import importlib.util
 import json
 import os
@@ -58,9 +67,28 @@ SIM_STACK = (
     "repro.obs.timeline",
 )
 
+#: What builds systems, networks and traces: config and layer classes,
+#: the serving builders, tiling, the cycle model and request generation.
+#: Naming, planning, keying and reading results never needs them.
+FRONTEND = (
+    "repro.config.arch",
+    "repro.config.dram",
+    "repro.config.misc",
+    "repro.config.npumem",
+    "repro.config.system",
+    "repro.config.loader",
+    "repro.models.layers",
+    "repro.models.random_net",
+    "repro.models.serving",
+    "repro.compute.tiling",
+    "repro.compute.systolic",
+    "repro.compute.requestgen",
+)
+
 #: What ``import repro.cli`` leaves to the commands that run it.
 DEFERRED = (
     *SIM_STACK,
+    *FRONTEND,
     "repro.compute.tracecache",
     "repro.experiments",
     "repro.experiments.*",
@@ -75,31 +103,17 @@ DEFERRED = (
 #: The mapping study and numpy: only Figures 17 and 18 load them.
 MAPPING = ("numpy", "repro.mapping", "repro.mapping.*")
 
-#: Every ``repro`` module ``import repro.cli`` loads: what building the
-#: parser needs, and nothing more.
+#: Every ``repro`` module ``import repro.cli`` loads: the names and
+#: tables building the parser needs, and nothing more.
 CLI_MODULES = [
     "repro",
     "repro._lazy",
     "repro.cli",
     "repro.compute",
     "repro.compute.dataflow",
-    "repro.compute.systolic",
-    "repro.compute.tiling",
-    "repro.config",
-    "repro.config.arch",
-    "repro.config.dram",
-    "repro.config.loader",
-    "repro.config.misc",
-    "repro.config.npumem",
-    "repro.config.presets",
-    "repro.config.system",
-    "repro.core",
-    "repro.core.sharing",
     "repro.errors",
     "repro.models",
-    "repro.models.layers",
-    "repro.models.random_net",
-    "repro.models.serving",
+    "repro.models.serving_names",
     "repro.models.zoo",
 ]
 
@@ -216,17 +230,19 @@ def test_cli_import_loads_exactly_the_parser_modules(tmp_path):
 
 
 #: A cold ``--jobs 1`` figure, then whether its simulator class was
-#: frozen and which of :data:`MAPPING` it loaded.
-_COLD_FIGURE = """
+#: frozen, which of :data:`MAPPING` it loaded and which of
+#: :data:`FRONTEND`.
+_COLD_FIGURE = f"""
 import gc, json, sys
 from repro.cli import main
 assert main(["figure", "fig4", "--mixes", "1", "--jobs", "1", "--quiet",
              "--cache-dir", "cache"]) == 0
 from repro.core.simulator import MultiCoreNPUSim
 mapping = [m for m in sys.modules if m == "numpy" or m.startswith("repro.mapping")]
+frontend = [m for m in {FRONTEND!r} if m in sys.modules]
 print(json.dumps([gc.get_freeze_count() > 0,
                   any(o is MultiCoreNPUSim for o in gc.get_objects()),
-                  mapping]))
+                  mapping, frontend]))
 """
 
 
@@ -241,13 +257,20 @@ def cold_fig4(tmp_path_factory):
 
 def test_cold_figure_freezes_the_imported_simulator(cold_fig4):
     # gc.get_objects() lists only what the collector still scans.
-    _, (frozen, simulator_scanned, _) = cold_fig4
+    _, (frozen, simulator_scanned, _, _) = cold_fig4
     assert frozen and not simulator_scanned
 
 
 def test_cold_fig4_loads_no_numpy_or_mapping_study(cold_fig4):
-    _, (_, _, mapping) = cold_fig4
+    _, (_, _, mapping, _) = cold_fig4
     assert mapping == []
+
+
+def test_cold_figure_loads_the_frontend(cold_fig4):
+    # Building networks, systems and traces loads the whole frontend,
+    # except the config-file parser: only ``run`` reads config files.
+    _, (_, _, _, frontend) = cold_fig4
+    assert frontend == [m for m in FRONTEND if m != "repro.config.loader"]
 
 
 def test_run_freezes_the_imported_simulator(tmp_path):
@@ -267,7 +290,6 @@ def test_commands_that_simulate_nothing_skip_the_simulation_stack(cold_fig4):
     shards = sorted(path.name for path in (work / "cache").glob("*.json"))
     script = (
         "from repro.cli import main\n"
-        "assert main(['models']) == 0\n"
         "try:\n"
         "    main(['--help'])\n"
         "except SystemExit as stop:\n"
@@ -276,10 +298,19 @@ def test_commands_that_simulate_nothing_skip_the_simulation_stack(cold_fig4):
         "assert main(['figure', 'fig4', '--mixes', '1', '--jobs', '1',\n"
         "             '--quiet', '--cache-dir', 'cache']) == 0"
     )
-    # The warm figure loads neither the simulator nor the mapping study.
-    assert _loaded(script, (*SIM_STACK, *MAPPING), cwd=work) == []
+    # The warm figure plans, keys and reads with names and tables only:
+    # it loads neither the simulator, the frontend nor the mapping study.
+    assert _loaded(script, (*SIM_STACK, *FRONTEND, *MAPPING), cwd=work) == []
     # Fully cached: the figure wrote no result shard.
     assert sorted(path.name for path in (work / "cache").glob("*.json")) == shards
+
+
+def test_models_builds_networks_without_the_simulation_stack(tmp_path):
+    # ``models`` builds every zoo network, so it loads the layer classes.
+    script = "from repro.cli import main\nassert main(['models']) == 0"
+    layers = "repro.models.layers"
+    loaded = _loaded(script, (*SIM_STACK, *MAPPING, layers), cwd=tmp_path)
+    assert loaded == [layers]
 
 
 #: ``figure fig17`` over a stub ``run_many`` (synthetic cycles, so no
@@ -318,7 +349,9 @@ def test_fig17_loads_the_mapping_study_only_to_reduce(tmp_path):
 
 
 def test_pool_is_made_after_the_simulator_loads_and_the_heap_freezes(tmp_path):
-    script = """
+    # Forked workers inherit the simulator and the frontend (all but the
+    # config-file parser), so no worker imports them on its own.
+    script = f"""
 import gc, json, sys
 import concurrent.futures.process as process
 from repro.experiments import ExperimentRunner, RunSpec
@@ -328,7 +361,8 @@ make = process.ProcessPoolExecutor.__init__
 def spy(self, *args, **kwargs):
     simulator = sys.modules.get("repro.core.simulator")
     seen.append([simulator is not None and not any(
-        o is simulator.MultiCoreNPUSim for o in gc.get_objects())])
+        o is simulator.MultiCoreNPUSim for o in gc.get_objects()),
+        [m for m in {FRONTEND!r} if m not in sys.modules]])
     make(self, *args, **kwargs)
 process.ProcessPoolExecutor.__init__ = spy
 runner = ExperimentRunner(cache_dir="cache", jobs=2)
@@ -338,17 +372,25 @@ assert "repro.core.simulator" not in sys.modules
 assert len(runner.run_many([RunSpec.solo("wa"), RunSpec.solo("wb")])) == 2
 print(json.dumps(seen))
 """
-    assert json.loads(_python(script, cwd=tmp_path)) == [[True]]
+    assert json.loads(_python(script, cwd=tmp_path)) == [
+        [True, ["repro.config.loader"]]
+    ]
 
 
 def test_run_spec_clients_skip_the_simulator(tmp_path):
+    # Building, resolving, keying and wire-encoding a spec needs no
+    # config or layer class.
     script = (
-        "from repro.experiments.spec import RunSpec\n"
-        "import repro.serve.protocol"
+        "from repro.experiments.spec import PlanContext\n"
+        "from repro.serve import protocol\n"
+        "spec = PlanContext().mix(('ncf', 'gpt2'), 'DWT').resolve()\n"
+        "raw = protocol.encode_request(protocol.RunRequest(spec))\n"
+        "assert protocol.decode_request(raw).spec.cache_key() == spec.cache_key()\n"
+        "assert PlanContext().solo('ncf').resolve().cache_key()"
     )
     heavy = (
         "repro.core.simulator", "repro.compute.tracecache", "repro.dram.*",
-        "repro.mmu.*", "repro.serve.server",
+        "repro.mmu.*", "repro.serve.server", *FRONTEND,
     )
     assert _loaded(script, heavy, cwd=tmp_path) == []
 
@@ -372,8 +414,9 @@ constants = {
     "TRACE_SCHEMA_NOTE": timeline.TRACE_SCHEMA_NOTE,
 }
 problems = []
-for package_name in ("repro", "repro.compute", "repro.core", "repro.experiments",
-                     "repro.obs", "repro.serve"):
+for package_name in ("repro", "repro.compute", "repro.config", "repro.core",
+                     "repro.experiments", "repro.models", "repro.obs",
+                     "repro.serve"):
     package = importlib.import_module(package_name)
     missing = set(package.__all__) - set(dir(package))
     problems += [f"{package_name}: dir() lacks {name}" for name in sorted(missing)]
@@ -390,3 +433,54 @@ for package_name in ("repro", "repro.compute", "repro.core", "repro.experiments"
 print(json.dumps(problems))
 """
     assert json.loads(_python(script, cwd=tmp_path)) == []
+
+
+def _subparsers(parser: argparse.ArgumentParser):
+    """``parser`` and every sub-command parser under it, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _subparsers(child)
+
+
+def test_parser_choices_match_the_loaded_engines_and_builders(monkeypatch):
+    # The parser reads its choices from light name tables; once the
+    # engines and network builders have loaded, each table must equal
+    # what they report.
+    from repro import cli
+    from repro.compute.dataflow import get_engine, registered_dataflows
+    from repro.models import serving, zoo
+
+    assert tuple(get_engine(name).name for name in registered_dataflows()) == (
+        registered_dataflows()
+    )
+    assert tuple(zoo.get(name).name for name in zoo.NAMES) == zoo.NAMES
+    networks = serving.networks_for(serving.SERVING_NAMES)
+    assert [network.name for network in networks] == [
+        f"{serving.NAME_PREFIX}{base}-{phase}"
+        for base, phase in map(serving.split_name, serving.SERVING_NAMES)
+    ]
+    expected = {
+        "dataflow": registered_dataflows(),
+        "workloads": (*zoo.NAMES, *serving.SERVING_NAMES),
+        "phase": serving.PHASES,
+        "moe_skew": serving.SKEWS,
+        "arrival": serving.ARRIVALS,
+    }
+
+    class Built(Exception):
+        pass
+
+    def capture(parser, *args, **kwargs):
+        raise Built(parser)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(Built) as built:
+        cli.main([])
+    seen: dict[str, set] = {}
+    for parser in _subparsers(built.value.args[0]):
+        for action in parser._actions:
+            if action.dest in expected and action.choices is not None:
+                seen.setdefault(action.dest, set()).add(tuple(action.choices))
+    assert seen == {dest: {tuple(choices)} for dest, choices in expected.items()}

@@ -133,7 +133,7 @@ class TestFingerprint:
 
     def test_engine_version_bump_invalidates(self, network, arch, monkeypatch):
         """Changing an engine's cycle model must recompile its traces."""
-        from repro.compute.dataflow import OutputStationary
+        from repro.compute.engines import OutputStationary
 
         before = frontend_fingerprint(network, arch)
         monkeypatch.setattr(OutputStationary, "version", 2)
