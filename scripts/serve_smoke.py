@@ -11,9 +11,11 @@ from the outside:
    run of the same spec writes, so served results are indistinguishable
    from local ones;
 3. a warm resubmission is served from cache with zero recompute;
-4. on Linux, the daemon has mapped neither ``libssl`` nor ``libcrypto``
+4. a spec with serving parameters crosses the wire intact: its payload's
+   sha256 matches an independent cold run's shard too;
+5. on Linux, the daemon has mapped neither ``libssl`` nor ``libcrypto``
    (it speaks HTTP without ``http.client``); its ``VmHWM`` is printed;
-5. SIGTERM drains the daemon and it exits 0.
+6. SIGTERM drains the daemon and it exits 0.
 
 Usage (from the repository root)::
 
@@ -37,6 +39,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments.runner import ExperimentRunner  # noqa: E402
 from repro.experiments.spec import RunSpec  # noqa: E402
+from repro.models.serving import ServingParams  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 
 
@@ -143,16 +146,23 @@ def main() -> int:
             fail("warm request recomputed")
         print(f"warm resubmission served from {warm.source}")
 
-        # The served bytes match an independent cold run's shard.
-        served_sha = hashlib.sha256(warm.payload).hexdigest()
+        # The served bytes match an independent cold run's shard, for the
+        # plain spec and for one whose serving parameters cross the wire.
+        serving = RunSpec.solo("gpt2:decode", serving=ServingParams(moe_skew="zipf"))
+        served = {spec: warm.payload, serving: client.run(serving).payload}
         solo = ExperimentRunner(
             cache_dir=out / "solo_cache", jobs=1, progress=None
         )
-        solo.run_many([spec])
-        local = solo.cached_payload(spec)
-        if local is None or hashlib.sha256(local).hexdigest() != served_sha:
-            fail("served payload does not match an independent cold run")
-        print(f"payload sha256 matches independent cold run: {served_sha[:16]}")
+        solo.run_many(served)
+        for each, payload in served.items():
+            served_sha = hashlib.sha256(payload).hexdigest()
+            local = solo.cached_payload(each)
+            if local is None or hashlib.sha256(local).hexdigest() != served_sha:
+                fail(f"served payload of {each.label} differs from a cold run")
+            print(
+                f"{each.label}: payload sha256 matches independent cold run: "
+                f"{served_sha[:16]}"
+            )
 
         check_no_openssl(daemon.pid)
 

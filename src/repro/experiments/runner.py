@@ -5,11 +5,13 @@ simulations (see :mod:`repro.experiments.spec` for the taxonomy).  The
 runner's job is to execute such fan-outs efficiently *and to survive
 them*:
 
-* :meth:`ExperimentRunner.run` — execute one spec, cache-first;
 * :meth:`ExperimentRunner.run_many` — deduplicate a batch of specs,
-  satisfy cache hits, then shard the cold runs across a supervised
-  ``ProcessPoolExecutor`` (``jobs`` workers), writing one cache shard per
-  completed run and reporting progress/ETA through a pluggable callback.
+  satisfy cache hits, then run the cold ones through one supervision
+  loop: on a ``ProcessPoolExecutor`` of ``jobs`` workers, or in this
+  process when the batch needs one worker, writing one cache shard per
+  completed run and reporting progress/ETA through a pluggable callback;
+* :meth:`ExperimentRunner.run` — :meth:`~ExperimentRunner.run_many` of
+  one spec.
 
 Supervision (the fault-tolerance layer):
 
@@ -56,7 +58,7 @@ import time
 import traceback as traceback_module
 from collections import deque
 from contextlib import nullcontext
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Executor, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -253,7 +255,7 @@ def _failure_kind(error: BaseException) -> str:
     return "error"
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+def _terminate_pool(pool: Executor) -> None:
     """Tear a pool down even when its workers are stuck in simulation.
 
     ``shutdown`` alone waits on workers that may never look at the call
@@ -270,6 +272,24 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         except Exception:  # pragma: no cover - racing process exit
             pass
     pool.shutdown(wait=True, cancel_futures=True)
+
+
+class _InlineExecutor(Executor):
+    """The serial executor: each call runs at submission, in this thread.
+
+    :meth:`ExperimentRunner._run_pool` settles its finished futures like
+    a process pool's, so serial and parallel batches share one
+    supervision loop.  Only ``Exception`` is captured into the future; a
+    ``KeyboardInterrupt`` unwinds the batch.
+    """
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
 
 class SweepJournal:
@@ -387,10 +407,11 @@ class ExperimentRunner:
         ``stall_window_ticks`` arms the engine stall watchdog (``None``
         disables it); ``fault_plan`` injects deterministic failures for
         testing; ``journal=False`` turns off the sweep journal;
-        ``keep_pool=True`` keeps the supervised worker pool alive across
-        :meth:`run_many` batches (the ``mnpusim serve`` daemon's warm
-        pool — call :meth:`close` when done; a broken pool is still
-        rebuilt transparently); ``profile=True`` arms :attr:`profiler` (a
+        ``keep_pool=True`` runs every cold batch on one supervised
+        worker pool kept alive across :meth:`run_many` batches, never in
+        this process (the ``mnpusim serve`` daemon's warm pool — call
+        :meth:`close` when done; a broken pool is still rebuilt
+        transparently); ``profile=True`` arms :attr:`profiler` (a
         :class:`~repro.obs.profiling.PhaseProfiler`) so runs and sweeps
         account per-phase wall time — cache reads, frontend compilation,
         simulation, cache writes — surfaced by ``mnpusim profile`` and a
@@ -484,35 +505,39 @@ class ExperimentRunner:
     # Pool lifecycle (persistent under ``keep_pool=True``)
     # ------------------------------------------------------------------ #
 
-    def _make_pool(self, workers: int) -> ProcessPoolExecutor:
-        # Imported here so in-process (``jobs=1``) runs never load
-        # ``concurrent.futures.process`` and ``multiprocessing``.
-        from concurrent.futures import ProcessPoolExecutor
+    def _acquire_pool(self, workers: int) -> Executor:
+        """The executor a batch of ``workers`` parallel runs uses.
 
+        With ``keep_pool`` the runner owns one long-lived process pool
+        sized to ``self.jobs`` and runs every batch on it (idle workers
+        are cheap; a warm pool saves the daemon a fork storm per request,
+        and its dispatch thread cannot arm SIGALRM).  Otherwise a
+        one-worker batch runs in this process on an
+        :class:`_InlineExecutor`, and a wider one gets a right-sized
+        throwaway pool.  The heap is frozen first either way, so forked
+        workers inherit it and in-process runs never re-scan it.
+        """
+        if self._pool is not None:
+            return self._pool
         from repro.core.simulator import freeze_heap
 
         freeze_heap()
-        return ProcessPoolExecutor(
-            max_workers=workers,
+        if workers == 1 and not self.keep_pool:
+            return _InlineExecutor()
+        # Imported here so in-process runs never load
+        # ``concurrent.futures.process`` and ``multiprocessing``.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            max_workers=self.jobs if self.keep_pool else workers,
             initializer=_init_worker,
             initargs=(str(self.trace_dir), self.keep_pool),
         )
+        if self.keep_pool:
+            self._pool = pool
+        return pool
 
-    def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
-        """The pool a batch executes on.
-
-        With ``keep_pool`` the runner owns one long-lived pool sized to
-        ``self.jobs`` (idle workers are cheap; a warm pool saves the
-        daemon a fork storm per request); otherwise each batch gets a
-        right-sized throwaway pool, as before.
-        """
-        if not self.keep_pool:
-            return self._make_pool(workers)
-        if self._pool is None:
-            self._pool = self._make_pool(self.jobs)
-        return self._pool
-
-    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
+    def _discard_pool(self, pool: Executor) -> None:
         """Tear ``pool`` down; forget it if it was the persistent one."""
         if pool is self._pool:
             self._pool = None
@@ -700,142 +725,39 @@ class ExperimentRunner:
             return False
         return (time.monotonic() - started) + backoff > self.retry_budget
 
-    def _failure(
-        self,
-        spec: RunSpec,
-        kind: str,
-        attempts: int,
-        error: BaseException,
-        started: float,
-    ) -> RunFailure:
-        trace = "".join(
-            traceback_module.format_exception(type(error), error, error.__traceback__)
-        )
-        return RunFailure(
-            spec=spec,
-            kind=kind,
-            attempts=attempts,
-            error=f"{type(error).__name__}: {error}",
-            traceback=trace,
-            elapsed_seconds=time.monotonic() - started,
-        )
-
-    def _execute_with_retry(
-        self, spec: RunSpec, run_timeout: float | None = _UNSET
-    ) -> list[dict[str, Any]]:
-        """In-process execution with timeout + bounded retries.
-
-        ``run_timeout`` overrides the runner default for this call (the
-        serve daemon's per-request deadline propagation).  Raises
-        :class:`RunFailedError` (failure attached, not yet recorded)
-        when the spec fails terminally.
-        """
-        from repro.core.simulator import freeze_heap
-
-        if run_timeout is _UNSET:
-            run_timeout = self.run_timeout
-        freeze_heap()
-        networks = self._networks_for(spec)
-        attempt = 1
-        started = time.monotonic()
-        while True:
-            try:
-                return _supervised_execute(
-                    spec,
-                    networks,
-                    self.max_ticks,
-                    stall_window=self.stall_window_ticks,
-                    timeout=run_timeout,
-                    attempt=attempt,
-                    fault=self._fault_for(spec),
-                    in_pool=False,
-                )
-            except TransientWorkerError as error:
-                backoff = self._backoff(attempt)
-                if attempt >= self.max_attempts or self._budget_spent(
-                    started, backoff
-                ):
-                    raise RunFailedError(
-                        self._failure(spec, "crash", attempt, error, started)
-                    ) from error
-                self._journal(
-                    "retry",
-                    key=spec.cache_key(),
-                    label=spec.label,
-                    attempt=attempt,
-                    error=str(error),
-                )
-                self._sleep(backoff)
-                attempt += 1
-            except Exception as error:
-                raise RunFailedError(
-                    self._failure(
-                        spec, _failure_kind(error), attempt, error, started
-                    )
-                ) from error
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
 
     def run(self, spec: RunSpec) -> list[dict[str, Any]]:
-        """Execute one spec in-process, cache-first.
+        """Execute one spec, cache-first: :meth:`run_many` of ``[spec]``.
 
-        Raises :class:`RunFailedError` when the spec fails terminally —
-        including when a previous :meth:`run_many` batch already recorded
-        the spec in :attr:`failures` (so figure reducers consuming a
-        partially-failed sweep get a typed error, not a re-execution).
+        Raises :class:`RunFailedError` when the spec fails terminally.
         """
         spec = spec.resolve()
-        self._claim_trace_cache()
-        with self._phase("cache_read"):
-            cached = self._cached(spec)
-        if cached is not None:
-            self._count("cache_hits")
-            self.failures.pop(spec, None)
-            return cached
-        failure = self.failures.get(spec)
-        if failure is not None:
-            raise RunFailedError(failure)
-        try:
-            with self._phase("execute"):
-                results = self._execute_with_retry(spec)
-        except RunFailedError as error:
-            self.failures[spec] = error.failure
-            self._journal("fail", **error.failure.summary())
-            raise
-        self._count("cold_runs")
-        with self._phase("cache_write"):
-            self._store(spec, results)
-        self.runs_executed += 1
-        self._journal("done", key=spec.cache_key(), label=spec.label)
-        return results
+        results = self.run_many([spec])
+        if spec not in results:
+            raise RunFailedError(self.failures[spec])
+        return results[spec]
 
     def run_many(
         self,
         specs: Iterable[RunSpec],
-        jobs: int | None = None,
-        progress: ProgressCallback | None = None,
         *,
         run_timeout: float | None = _UNSET,
-        force_pool: bool = False,
     ) -> dict[RunSpec, list[dict[str, Any]]]:
-        """Execute a batch of specs, in parallel when ``jobs > 1``.
+        """Execute a batch of specs, on ``jobs`` workers.
 
         The batch is deduplicated (specs are frozen and hashable), cache
-        hits are satisfied first, and the remaining cold runs are sharded
-        across a supervised process pool.  The parent process writes one
-        cache shard per completed run — workers never touch the cache
-        directory — and reports progress through ``progress`` (or the
-        runner's default callback) after every settled spec.
+        hits are satisfied first, and the remaining cold runs go through
+        the supervised executor loop (:meth:`_run_pool`).  The parent
+        process writes one cache shard per completed run — workers never
+        touch the cache directory — and reports progress through the
+        runner's ``progress`` callback after every settled spec.
 
         ``run_timeout`` overrides the runner-level wall-clock budget for
         this batch only (the serve daemon propagates request deadlines
-        through it).  ``force_pool=True`` executes cold runs in the
-        worker pool even when a serial fast path would apply — required
-        whenever the caller is not the process main thread (the in-worker
-        SIGALRM timeout only arms there) and whenever worker crashes must
-        not take the calling process down.
+        through it).
 
         A spec that fails terminally does **not** abort the batch: it is
         recorded in :attr:`failures` (and the sweep journal) and simply
@@ -845,8 +767,6 @@ class ExperimentRunner:
         Returns a mapping from each resolved spec (:meth:`RunSpec.resolve`)
         to its per-workload result dicts.
         """
-        jobs = self.jobs if jobs is None else max(1, jobs)
-        progress = progress if progress is not None else self.progress
         if run_timeout is _UNSET:
             run_timeout = self.run_timeout
         self._claim_trace_cache()
@@ -874,7 +794,7 @@ class ExperimentRunner:
             total=len(ordered),
             cache_hits=hits,
             cold=len(cold),
-            jobs=jobs,
+            jobs=self.jobs,
         )
         # Compile phase: every distinct frontend of the cold runs is
         # resolved once before any simulation executes.
@@ -882,13 +802,13 @@ class ExperimentRunner:
             self._precompile_frontends(cold)
 
         def report(spec: RunSpec | None) -> None:
-            if progress is None:
+            if self.progress is None:
                 return
             elapsed = time.monotonic() - started
             eta = None
             if cold_done and cold_done < len(cold):
                 eta = elapsed / cold_done * (len(cold) - cold_done)
-            progress(
+            self.progress(
                 RunProgress(
                     completed=hits + cold_done,
                     total=len(ordered),
@@ -928,10 +848,7 @@ class ExperimentRunner:
         try:
             if cold:
                 with self._phase("execute"):
-                    if not force_pool and (jobs == 1 or len(cold) == 1):
-                        self._run_serial(cold, finish, fail, run_timeout)
-                    else:
-                        self._run_pool(cold, jobs, finish, fail, run_timeout)
+                    self._run_pool(cold, finish, fail, run_timeout)
         except KeyboardInterrupt:
             # Graceful interruption (SIGINT, or the CLI's SIGTERM
             # handler): record where the sweep stood so a resumed run
@@ -961,35 +878,22 @@ class ExperimentRunner:
         self._journal_profile()
         return results
 
-    def _run_serial(
-        self,
-        cold: Sequence[RunSpec],
-        finish: Callable[[RunSpec, list[dict[str, Any]]], None],
-        fail: Callable[[RunSpec, RunFailure], None],
-        run_timeout: float | None,
-    ) -> None:
-        for spec in cold:
-            try:
-                payload = self._execute_with_retry(spec, run_timeout)
-            except RunFailedError as error:
-                fail(spec, error.failure)
-            else:
-                finish(spec, payload)
-
     def _run_pool(
         self,
         cold: Sequence[RunSpec],
-        jobs: int,
         finish: Callable[[RunSpec, list[dict[str, Any]]], None],
         fail: Callable[[RunSpec, RunFailure], None],
         run_timeout: float | None,
     ) -> None:
-        """The supervised parallel executor.
+        """The supervised executor loop, serial and parallel alike.
 
         Invariants:
 
         * ``pending`` holds (spec, attempt) pairs not yet submitted;
           ``inflight`` maps live futures to (spec, attempt, start time).
+        * A batch that needs one worker runs on an :class:`_InlineExecutor`
+          (see :meth:`_acquire_pool`): each submission executes at once
+          in this process, and the loop settles it like any other future.
         * After a pool breakage, every formerly in-flight retriable spec
           moves to ``suspects`` and re-runs strictly one at a time (the
           pool is drained first), so a spec that *reliably* kills its
@@ -1000,12 +904,13 @@ class ExperimentRunner:
           in-worker SIGALRM evidently never fired) and hard-kills the
           pool; the overdue specs fail as timeouts, the rest re-run.
         """
-        workers = min(jobs, len(cold))
+        workers = min(self.jobs, len(cold))
         pending: deque[tuple[RunSpec, int]] = deque((spec, 1) for spec in cold)
         suspects: deque[tuple[RunSpec, int]] = deque()
         inflight: dict[Future, tuple[RunSpec, int, float]] = {}
-        # Retry budgets count from a spec's *first* submission, not the
-        # current attempt's, so crash-looping specs cannot reset the clock.
+        # Retry budgets and failure times count from a spec's *first*
+        # submission, not the current attempt's, so crash-looping specs
+        # cannot reset the clock.
         first_started: dict[RunSpec, float] = {}
 
         pool = self._acquire_pool(workers)
@@ -1016,6 +921,8 @@ class ExperimentRunner:
         )
 
         def submit(spec: RunSpec, attempt: int, origin: deque) -> bool:
+            started = time.monotonic()
+            first_started.setdefault(spec, started)
             try:
                 future = pool.submit(
                     _supervised_execute,
@@ -1026,52 +933,83 @@ class ExperimentRunner:
                     timeout=run_timeout,
                     attempt=attempt,
                     fault=self._fault_for(spec),
-                    in_pool=True,
+                    in_pool=not isinstance(pool, _InlineExecutor),
                 )
             except BrokenExecutor:
                 origin.appendleft((spec, attempt))
                 return False
-            inflight[future] = (spec, attempt, time.monotonic())
-            first_started.setdefault(spec, time.monotonic())
+            inflight[future] = (spec, attempt, started)
             return True
 
-        def rebuild() -> None:
-            nonlocal pool
-            self._discard_pool(pool)
-            pool = self._acquire_pool(workers)
+        def give_up(
+            spec: RunSpec, kind: str, attempt: int, error: BaseException
+        ) -> None:
+            trace = traceback_module.format_exception(
+                type(error), error, error.__traceback__
+            )
+            fail(
+                spec,
+                RunFailure(
+                    spec=spec,
+                    kind=kind,
+                    attempts=attempt,
+                    error=f"{type(error).__name__}: {error}",
+                    traceback="".join(trace),
+                    elapsed_seconds=time.monotonic() - first_started[spec],
+                ),
+            )
+
+        def retry(
+            spec: RunSpec, attempt: int, cause: BaseException, event: str, **fields: Any
+        ) -> float | None:
+            """The backoff before ``spec``'s next attempt, journaled as
+            ``event``; or ``None`` once ``spec`` has failed as a crash
+            (attempts or retry budget exhausted)."""
+            backoff = self._backoff(attempt)
+            if attempt >= self.max_attempts or self._budget_spent(
+                first_started[spec], backoff
+            ):
+                give_up(spec, "crash", attempt, cause)
+                return None
+            self._journal(
+                event,
+                key=spec.cache_key(),
+                label=spec.label,
+                attempt=attempt,
+                **fields,
+            )
+            return backoff
 
         def handle_breakage(timed_out: set[RunSpec] | None = None) -> None:
+            nonlocal pool
             # Pool death took every in-flight run with it; settle each one.
             timed_out = timed_out or set()
             solo = len(inflight) == 1
-            for spec, attempt, t0 in list(inflight.values()):
+            pause = 0.0
+            for spec, attempt, _ in list(inflight.values()):
                 if spec in timed_out:
                     assert run_timeout is not None
-                    error: BaseException = RunTimeoutError(
+                    error = RunTimeoutError(
                         f"run exceeded {run_timeout:.1f}s wall clock "
                         f"(worker killed): {spec.label}"
                     )
-                    fail(spec, self._failure(spec, "timeout", attempt, error, t0))
-                elif attempt >= self.max_attempts or self._budget_spent(
-                    first_started.get(spec, t0), self._backoff(attempt)
-                ):
-                    error = TransientWorkerError(
-                        "worker process died (BrokenProcessPool)"
-                    )
-                    fail(spec, self._failure(spec, "crash", attempt, error, t0))
-                else:
-                    self._journal(
-                        "requeue",
-                        key=spec.cache_key(),
-                        label=spec.label,
-                        attempt=attempt,
-                        isolated=solo,
-                    )
+                    give_up(spec, "timeout", attempt, error)
+                    continue
+                backoff = retry(
+                    spec,
+                    attempt,
+                    TransientWorkerError("worker process died (BrokenProcessPool)"),
+                    "requeue",
+                    isolated=solo,
+                )
+                if backoff is not None:
                     suspects.append((spec, attempt + 1))
+                    pause = max(pause, backoff)
             inflight.clear()
-            if suspects:
-                self._sleep(self._backoff(max(1, suspects[0][1] - 1)))
-            rebuild()
+            if pause:
+                self._sleep(pause)
+            self._discard_pool(pool)
+            pool = self._acquire_pool(workers)
 
         try:
             while pending or suspects or inflight:
@@ -1117,31 +1055,12 @@ class ExperimentRunner:
                         handle_breakage()
                         break
                     except TransientWorkerError as error:
-                        backoff = self._backoff(attempt)
-                        if attempt >= self.max_attempts or self._budget_spent(
-                            first_started.get(spec, t0), backoff
-                        ):
-                            fail(
-                                spec,
-                                self._failure(spec, "crash", attempt, error, t0),
-                            )
-                        else:
-                            self._journal(
-                                "retry",
-                                key=spec.cache_key(),
-                                label=spec.label,
-                                attempt=attempt,
-                                error=str(error),
-                            )
+                        backoff = retry(spec, attempt, error, "retry", error=str(error))
+                        if backoff is not None:
                             self._sleep(backoff)
                             pending.appendleft((spec, attempt + 1))
                     except Exception as error:
-                        fail(
-                            spec,
-                            self._failure(
-                                spec, _failure_kind(error), attempt, error, t0
-                            ),
-                        )
+                        give_up(spec, _failure_kind(error), attempt, error)
                     else:
                         finish(spec, payload)
         except BaseException:

@@ -32,7 +32,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "repro.obs.registry": (
         "COUNTERS_SCHEMA", "Counter", "CounterRegistry", "Gauge", "Histogram",
-        "format_tree", "merge_snapshots",
+        "format_tree",
     ),
     "repro.obs.spans": (
         "DramSpan", "LayerSpan", "RingBuffer", "TileSpan", "TlbEvent", "WalkSpan",
@@ -59,5 +59,4 @@ __all__ = [
     "format_tree",
     "human_bytes",
     "human_seconds",
-    "merge_snapshots",
 ]

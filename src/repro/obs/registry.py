@@ -19,9 +19,8 @@ instruction to the simulation hot path: the registry only *reads* on
 :meth:`CounterRegistry.snapshot`, never on the simulated fast path.
 
 Snapshots follow a stable, self-describing JSON schema
-(:data:`COUNTERS_SCHEMA`) so they can be attached to results, journaled,
-diffed across runs, and merged (:func:`merge_snapshots`) without the
-registry that produced them.
+(:data:`COUNTERS_SCHEMA`) so they can be attached to results, journaled
+and diffed across runs without the registry that produced them.
 """
 
 from __future__ import annotations
@@ -115,20 +114,13 @@ class Histogram:
             + [["inf", self.buckets[-1]]],
         }
 
-    def reset(self) -> None:
-        self.buckets = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0
-
 
 class _Entry:
-    __slots__ = ("kind", "read", "owned", "baseline")
+    __slots__ = ("kind", "read")
 
-    def __init__(self, kind: str, read: Callable[[], Any], owned: Any) -> None:
+    def __init__(self, kind: str, read: Callable[[], Any]) -> None:
         self.kind = kind
         self.read = read
-        self.owned = owned          #: the owned metric object, if any
-        self.baseline: Any = 0      #: subtracted from counters (reset())
 
 
 class CounterRegistry:
@@ -150,13 +142,13 @@ class CounterRegistry:
     def counter(self, path: str) -> Counter:
         """Allocate an owned counter at ``path``."""
         metric = Counter()
-        self._add(path, _Entry("counter", metric.read, metric))
+        self._add(path, _Entry("counter", metric.read))
         return metric
 
     def gauge(self, path: str) -> Gauge:
         """Allocate an owned gauge at ``path``."""
         metric = Gauge()
-        self._add(path, _Entry("gauge", metric.read, metric))
+        self._add(path, _Entry("gauge", metric.read))
         return metric
 
     def histogram(
@@ -164,7 +156,7 @@ class CounterRegistry:
     ) -> Histogram:
         """Allocate an owned histogram at ``path``."""
         metric = Histogram(bounds)
-        self._add(path, _Entry("histogram", metric.read, metric))
+        self._add(path, _Entry("histogram", metric.read))
         return metric
 
     def bind_counter(self, path: str, read: Callable[[], Any]) -> None:
@@ -173,11 +165,11 @@ class CounterRegistry:
         ``read`` is only invoked at snapshot time, so binding adds zero
         cost to the simulation itself.
         """
-        self._add(path, _Entry("counter", read, None))
+        self._add(path, _Entry("counter", read))
 
     def bind_gauge(self, path: str, read: Callable[[], Any]) -> None:
         """Register an existing instantaneous level behind ``path``."""
-        self._add(path, _Entry("gauge", read, None))
+        self._add(path, _Entry("gauge", read))
 
     def bind_many(
         self, prefix: str, reads: Mapping[str, Callable[[], Any]], kind: str = "counter"
@@ -206,15 +198,11 @@ class CounterRegistry:
         return len(self._entries)
 
     def value(self, path: str) -> Any:
-        """Current value of one metric (baseline-adjusted for counters)."""
-        entry = self._entries[path]
-        value = entry.read()
-        if entry.kind == "counter":
-            return value - entry.baseline
-        return value
+        """Current value of one metric."""
+        return self._entries[path].read()
 
     # ------------------------------------------------------------------ #
-    # Snapshot / merge / reset
+    # Snapshot
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict[str, Any]:
@@ -238,76 +226,8 @@ class CounterRegistry:
             if entry.kind == "histogram":
                 metrics[path] = {"kind": "histogram", **entry.read()}
             else:
-                metrics[path] = {"kind": entry.kind, "value": self.value(path)}
+                metrics[path] = {"kind": entry.kind, "value": entry.read()}
         return {"schema": COUNTERS_SCHEMA, "metrics": metrics}
-
-    def reset(self) -> None:
-        """Zero every metric *as observed through this registry*.
-
-        Owned metrics are cleared in place.  Bound counters cannot be
-        cleared (the underlying stat object belongs to the simulator), so
-        the current reading becomes a baseline subtracted from subsequent
-        snapshots; bound gauges are instantaneous and unaffected.
-        """
-        for entry in self._entries.values():
-            if isinstance(entry.owned, Counter):
-                entry.owned.value = 0
-                entry.baseline = 0
-            elif isinstance(entry.owned, Gauge):
-                entry.owned.value = 0
-            elif isinstance(entry.owned, Histogram):
-                entry.owned.reset()
-            elif entry.kind == "counter":
-                entry.baseline = entry.read()
-
-
-def merge_snapshots(*snapshots: Mapping[str, Any]) -> dict[str, Any]:
-    """Combine snapshots: counters/histograms add, gauges keep the last.
-
-    Merging is defined on the *snapshot* schema (not live registries) so
-    per-shard or per-worker snapshots can be aggregated after the fact.
-    Histograms must share bucket bounds; mismatches raise ``ValueError``.
-    """
-    merged: dict[str, Any] = {}
-    for snap in snapshots:
-        if snap.get("schema") != COUNTERS_SCHEMA:
-            raise ValueError(
-                f"cannot merge snapshot with schema {snap.get('schema')!r}"
-            )
-        for path, metric in snap["metrics"].items():
-            if path not in merged:
-                merged[path] = json_copy(metric)
-                continue
-            base = merged[path]
-            if base["kind"] != metric["kind"]:
-                raise ValueError(f"kind mismatch for {path!r}")
-            if metric["kind"] == "counter":
-                base["value"] += metric["value"]
-            elif metric["kind"] == "gauge":
-                base["value"] = metric["value"]
-            else:  # histogram
-                bounds = [edge for edge, _ in base["buckets"]]
-                if bounds != [edge for edge, _ in metric["buckets"]]:
-                    raise ValueError(f"histogram bounds mismatch for {path!r}")
-                base["count"] += metric["count"]
-                base["sum"] += metric["sum"]
-                base["buckets"] = [
-                    [edge, count + other[1]]
-                    for (edge, count), other in zip(base["buckets"], metric["buckets"])
-                ]
-    return {
-        "schema": COUNTERS_SCHEMA,
-        "metrics": {path: merged[path] for path in sorted(merged)},
-    }
-
-
-def json_copy(value: Any) -> Any:
-    """A deep copy of a JSON-shaped value (dicts/lists/scalars)."""
-    if isinstance(value, dict):
-        return {key: json_copy(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [json_copy(item) for item in value]
-    return value
 
 
 def format_tree(snapshot: Mapping[str, Any], *, max_depth: int | None = None) -> str:

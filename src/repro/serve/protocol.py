@@ -111,7 +111,15 @@ def spec_from_wire(payload: Mapping[str, Any]) -> RunSpec:
         if not isinstance(split, (list, tuple)):
             raise ProtocolError("spec.ptw_split must be a list of ints")
         kwargs["ptw_split"] = tuple(split)
+    serving = kwargs.get("serving")
+    if serving is not None and not isinstance(serving, Mapping):
+        raise ProtocolError("spec.serving must be an object")
     try:
+        if serving is not None:
+            # Loaded only for serving specs, so other clients stay light.
+            from repro.models.serving import ServingParams
+
+            kwargs["serving"] = ServingParams(**serving)
         return RunSpec(**kwargs).resolve()
     except (TypeError, ValueError, KeyError) as error:
         # KeyError covers enum lookups (e.g. an unknown sharing level).

@@ -196,11 +196,13 @@ class SweepService:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         """``runner`` executes the cold runs (build it with
-        ``keep_pool=True`` so the supervised pool stays warm across
-        requests); ``queue_limit`` bounds admitted-but-unstarted jobs;
-        ``default_deadline_seconds`` applies when a request carries no
-        deadline (``None`` = wait forever); ``shed_retry_after`` is the
-        ``Retry-After`` hint sent with 429s.
+        ``keep_pool=True``: every cold run then executes on the
+        supervised pool, which stays warm across requests, and never on
+        the dispatch thread, where SIGALRM cannot arm); ``queue_limit``
+        bounds admitted-but-unstarted jobs; ``default_deadline_seconds``
+        applies when a request carries no deadline (``None`` = wait
+        forever); ``shed_retry_after`` is the ``Retry-After`` hint sent
+        with 429s.
         """
         self.runner = runner
         self.queue_limit = max(1, queue_limit)
@@ -486,11 +488,7 @@ class SweepService:
         if budgets:
             tightest = max(0.1, min(budgets))
             timeout = tightest if timeout is None else min(timeout, tightest)
-        results = self.runner.run_many(
-            [job.spec for job in live],
-            run_timeout=timeout,
-            force_pool=True,
-        )
+        results = self.runner.run_many([job.spec for job in live], run_timeout=timeout)
         for job in live:
             payload_results = results.get(job.spec)
             if payload_results is not None:

@@ -157,6 +157,35 @@ class TestAtomicWrites:
 # --------------------------------------------------------------------- #
 
 
+#: Scenario -> (fault on spec "a", runner settings, expected failure
+#: ``(kind, attempts)`` or ``None`` when "a" recovers).
+SCENARIOS = {
+    "crash-twice-then-recover": (
+        faults.Fault("crash", fail_attempts=2), {"max_attempts": 3}, None
+    ),
+    "deterministic-error": (faults.Fault("error"), {}, ("error", 1)),
+    "stall": (faults.Fault("stall"), {"max_attempts": 1}, ("stall", 1)),
+    # Backoff alone (10 s before the first retry) busts the 5 s budget.
+    "budget-cut": (
+        faults.Fault("transient"),
+        {
+            "max_attempts": 10,
+            "retry_backoff": 10.0,
+            "retry_jitter": 0.0,
+            "retry_budget": 5.0,
+        },
+        ("crash", 1),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def clean_results(tmp_path_factory):
+    """Specs "a" and "b" run without faults."""
+    runner = _make_runner(tmp_path_factory.mktemp("clean"))
+    return runner.run_many(_specs(["a", "b"]))
+
+
 class TestInjectedFailures:
     def test_failed_specs_are_isolated_not_fatal(self, tmp_path):
         runner = _make_runner(tmp_path / "cache", max_attempts=2)
@@ -224,7 +253,8 @@ class TestInjectedFailures:
         runner.fault_plan = faults.FaultPlan.for_specs(
             {specs[1]: faults.Fault("crash")}
         )
-        results = runner.run_many(specs, jobs=2)
+        runner.jobs = 2
+        results = runner.run_many(specs)
 
         # The crasher is isolated and attributed; bystanders complete.
         assert set(results) == {specs[0], specs[2]}
@@ -232,6 +262,46 @@ class TestInjectedFailures:
         assert failure.kind == "crash"
         assert failure.attempts == 2
         assert runner.last_outcome.succeeded == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_serial_and_pool_settle_alike(
+        self, tmp_path, clean_results, scenario, jobs
+    ):
+        # One supervision loop: in-process (jobs=1) and on a two-worker
+        # pool (jobs=2), a faulted spec beside a healthy bystander
+        # settles with the same results, failure kind and attempts.
+        fault, settings, expected = SCENARIOS[scenario]
+        runner = _make_runner(tmp_path / "cache", jobs=jobs, **settings)
+        faulty, bystander = _specs(["a", "b"])
+        runner.fault_plan = faults.FaultPlan.for_specs({faulty: fault})
+        results = runner.run_many([faulty, bystander])
+        if expected is None:
+            assert results == clean_results
+            assert not runner.failures
+        else:
+            assert results == {bystander: clean_results[bystander]}
+            failure = runner.failures[faulty]
+            assert (failure.kind, failure.attempts) == expected
+            assert set(runner.failures) == {faulty}
+
+    def test_kept_pool_runs_a_single_spec_in_a_worker(self, tmp_path):
+        # A kept pool (the serve daemon's) executes even a one-spec batch
+        # in a worker process: the injected crash kills a worker (a
+        # requeue), not this process, and the retry recovers the spec.
+        runner = _make_runner(
+            tmp_path / "cache", jobs=2, keep_pool=True, max_attempts=2
+        )
+        (spec,) = _specs(["a"])
+        runner.fault_plan = faults.FaultPlan.for_specs(
+            {spec: faults.Fault("crash", fail_attempts=1)}
+        )
+        with runner:
+            results = runner.run_many([spec])
+            assert runner._pool is not None
+        assert spec in results and not runner.failures
+        events = [record["event"] for record in runner.journal.read()]
+        assert "requeue" in events and "retry" not in events
 
 
 # --------------------------------------------------------------------- #
@@ -471,8 +541,12 @@ class TestBackoffJitterAndBudget:
         assert failure.attempts == 1
 
     def test_budget_cuts_retries_short_in_pool(self, tmp_path):
+        # A kept pool runs the single spec in a worker, so the crash is
+        # a real worker death.
         runner = _make_runner(
             tmp_path / "cache",
+            jobs=2,
+            keep_pool=True,
             max_attempts=10,
             retry_backoff=10.0,
             retry_jitter=0.0,
@@ -482,7 +556,8 @@ class TestBackoffJitterAndBudget:
         runner.fault_plan = faults.FaultPlan.for_specs(
             {spec: faults.Fault("crash")}
         )
-        runner.run_many([spec], jobs=2)
+        with runner:
+            runner.run_many([spec])
         failure = runner.failures[spec]
         assert failure.kind == "crash"
         assert failure.attempts == 1

@@ -1,4 +1,4 @@
-"""CounterRegistry semantics: registration, snapshot, merge, reset."""
+"""CounterRegistry semantics: registration, histograms, snapshot."""
 
 from __future__ import annotations
 
@@ -6,14 +6,7 @@ import json
 
 import pytest
 
-from repro.obs import (
-    COUNTERS_SCHEMA,
-    CounterRegistry,
-    Histogram,
-    format_tree,
-    merge_snapshots,
-)
-from repro.obs.registry import json_copy
+from repro.obs import COUNTERS_SCHEMA, CounterRegistry, Histogram, format_tree
 
 
 class TestRegistration:
@@ -84,14 +77,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(bounds=())
 
-    def test_reset_clears_everything(self):
-        histogram = Histogram(bounds=(10,))
-        histogram.record(3)
-        histogram.reset()
-        assert histogram.read() == {
-            "count": 0, "sum": 0, "buckets": [[10, 0], ["inf", 0]],
-        }
-
 
 class TestSnapshot:
     def test_schema_and_sorted_paths(self):
@@ -116,101 +101,6 @@ class TestSnapshot:
         a = json.dumps(build().snapshot(), sort_keys=True)
         b = json.dumps(build().snapshot(), sort_keys=True)
         assert a == b
-
-
-class TestReset:
-    def test_owned_metrics_cleared_in_place(self):
-        registry = CounterRegistry()
-        counter = registry.counter("a.n")
-        gauge = registry.gauge("a.g")
-        histogram = registry.histogram("a.h")
-        counter.inc(5)
-        gauge.set(9)
-        histogram.record(1)
-        registry.reset()
-        assert registry.value("a.n") == 0
-        assert registry.value("a.g") == 0
-        assert registry.value("a.h")["count"] == 0
-
-    def test_bound_counter_gets_baseline(self):
-        registry = CounterRegistry()
-        state = {"n": 10}
-        registry.bind_counter("a.n", lambda: state["n"])
-        registry.reset()
-        assert registry.value("a.n") == 0
-        state["n"] = 17
-        assert registry.value("a.n") == 7
-        assert registry.snapshot()["metrics"]["a.n"]["value"] == 7
-
-    def test_bound_gauge_unaffected_by_reset(self):
-        registry = CounterRegistry()
-        registry.bind_gauge("a.g", lambda: 42)
-        registry.reset()
-        assert registry.value("a.g") == 42
-
-
-class TestMerge:
-    def snap(self, **values) -> dict:
-        registry = CounterRegistry()
-        for path, value in values.items():
-            registry.counter(path).inc(value)
-        return registry.snapshot()
-
-    def test_counters_add(self):
-        merged = merge_snapshots(self.snap(a=1), self.snap(a=2, b=5))
-        assert merged["metrics"]["a"]["value"] == 3
-        assert merged["metrics"]["b"]["value"] == 5
-        assert merged["schema"] == COUNTERS_SCHEMA
-
-    def test_gauges_last_wins(self):
-        def gauge_snap(value):
-            registry = CounterRegistry()
-            registry.gauge("g").set(value)
-            return registry.snapshot()
-
-        merged = merge_snapshots(gauge_snap(1), gauge_snap(9))
-        assert merged["metrics"]["g"]["value"] == 9
-
-    def test_histograms_add_bucketwise(self):
-        def hist_snap(*samples):
-            registry = CounterRegistry()
-            histogram = registry.histogram("h", bounds=(10, 100))
-            for sample in samples:
-                histogram.record(sample)
-            return registry.snapshot()
-
-        merged = merge_snapshots(hist_snap(5, 50), hist_snap(5, 500))
-        metric = merged["metrics"]["h"]
-        assert metric["count"] == 4
-        assert metric["buckets"] == [[10, 2], [100, 1], ["inf", 1]]
-
-    def test_histogram_bounds_mismatch_raises(self):
-        def hist_snap(bounds):
-            registry = CounterRegistry()
-            registry.histogram("h", bounds=bounds)
-            return registry.snapshot()
-
-        with pytest.raises(ValueError, match="bounds mismatch"):
-            merge_snapshots(hist_snap((10,)), hist_snap((20,)))
-
-    def test_kind_and_schema_mismatches_raise(self):
-        gauge_registry = CounterRegistry()
-        gauge_registry.gauge("x")
-        with pytest.raises(ValueError, match="kind mismatch"):
-            merge_snapshots(self.snap(x=1), gauge_registry.snapshot())
-        with pytest.raises(ValueError, match="schema"):
-            merge_snapshots({"schema": "bogus/9", "metrics": {}})
-
-    def test_merge_does_not_mutate_inputs(self):
-        first = self.snap(a=1)
-        merge_snapshots(first, self.snap(a=2))
-        assert first["metrics"]["a"]["value"] == 1
-
-    def test_json_copy_is_deep(self):
-        original = {"buckets": [[10, 1]]}
-        copy = json_copy(original)
-        copy["buckets"][0][1] = 99
-        assert original["buckets"][0][1] == 1
 
 
 class TestFormatTree:

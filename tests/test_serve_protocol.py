@@ -19,6 +19,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.experiments.spec import RunSpec
+from repro.models.serving import ServingParams
 from repro.serve import protocol
 
 
@@ -29,6 +30,7 @@ def _specs():
         RunSpec.mix(["ncf", "ncf"], "DWT"),
         RunSpec.mix(["ncf", "ncf"], "DW", ptw_split=(3, 1)),
         RunSpec.ideal("ncf", 2),
+        RunSpec.solo("gpt2:decode", serving=ServingParams(moe_skew="zipf")),
     ]
 
 
@@ -65,6 +67,23 @@ class TestSpecRoundTrip:
         wire = protocol.spec_to_wire(RunSpec.mix(["ncf", "ncf"], "DWT"))
         wire["sharing"] = "NOPE"
         with pytest.raises(ProtocolError, match="invalid spec"):
+            protocol.spec_from_wire(wire)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("zipf", "serving must be an object"),
+            ({"moe_skew": "zipf", "expertz": 4}, "invalid spec"),
+            ({"moe_skew": "bogus"}, "invalid spec: unknown moe_skew"),
+        ],
+        ids=["not-object", "unknown-field", "invalid-value"],
+    )
+    def test_malformed_serving_rejected(self, bad, message):
+        wire = protocol.spec_to_wire(
+            RunSpec.solo("gpt2:decode", serving=ServingParams(moe_skew="zipf"))
+        )
+        wire["serving"] = bad
+        with pytest.raises(ProtocolError, match=message):
             protocol.spec_from_wire(wire)
 
     def test_non_object_spec_rejected(self):

@@ -277,9 +277,9 @@ def _sweep_specs(runner, dims=(16, 32, 16)):
 class TestRunMany:
     def test_parallel_matches_serial_byte_for_byte(self, tmp_path):
         serial = ExperimentRunner(cache_dir=tmp_path / "serial")
-        parallel = ExperimentRunner(cache_dir=tmp_path / "parallel")
-        serial_results = serial.run_many(_sweep_specs(serial), jobs=1)
-        parallel_results = parallel.run_many(_sweep_specs(parallel), jobs=4)
+        parallel = ExperimentRunner(cache_dir=tmp_path / "parallel", jobs=4)
+        serial_results = serial.run_many(_sweep_specs(serial))
+        parallel_results = parallel.run_many(_sweep_specs(parallel))
         assert serial_results == parallel_results
         assert serial.runs_executed == parallel.runs_executed == 8
         # The sweep journal logs wall-clock timestamps and job counts;
@@ -303,14 +303,15 @@ class TestRunMany:
     def test_batch_is_deduplicated(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path)
         specs = _sweep_specs(runner)
-        results = runner.run_many(specs + list(reversed(specs)), jobs=1)
+        results = runner.run_many(specs + list(reversed(specs)))
         assert runner.runs_executed == len(results) == len(set(specs))
 
     def test_second_batch_is_all_cache_hits(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path)
-        first = runner.run_many(_sweep_specs(runner), jobs=1)
+        first = runner.run_many(_sweep_specs(runner))
         events = []
-        again = runner.run_many(_sweep_specs(runner), jobs=4, progress=events.append)
+        runner.jobs, runner.progress = 4, events.append
+        again = runner.run_many(_sweep_specs(runner))
         assert again == first
         assert runner.runs_executed == 8
         # One summary event: everything completed before any cold run.
@@ -318,9 +319,9 @@ class TestRunMany:
         assert events[0].cache_hits == 8
 
     def test_progress_reports_every_completion(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path)
         events = []
-        runner.run_many(_sweep_specs(runner), jobs=1, progress=events.append)
+        runner = ExperimentRunner(cache_dir=tmp_path, progress=events.append)
+        runner.run_many(_sweep_specs(runner))
         # Initial summary + one event per cold run, monotonically complete.
         assert [e.completed for e in events] == list(range(9))
         assert events[-1].total == 8
@@ -339,7 +340,7 @@ class TestRunMany:
         mixes = [("wa", "wa"), ("wa", "wb")]
         ctx = PlanContext()
         plan = figures.sharing_sweep_specs(ctx, mixes)
-        runner.run_many(plan.values(), jobs=1)
+        runner.run_many(plan.values())
         executed = runner.runs_executed
         data = figures.run_figures(ctx, runner, ["fig4"], {2: mixes})["fig4"]
         assert runner.runs_executed == executed
@@ -403,10 +404,10 @@ class TestRunMany:
         monkeypatch.setattr(MultiCoreNPUSim, "run", recorded_run)
         dims = (512, 512, 512)
         serial = ExperimentRunner(cache_dir=tmp_path / "serial")
-        expected = serial.run_many(_sweep_specs(serial, dims), jobs=1)
+        expected = serial.run_many(_sweep_specs(serial, dims))
         log.unlink()
-        parallel = ExperimentRunner(cache_dir=tmp_path / "parallel")
-        assert parallel.run_many(_sweep_specs(parallel, dims), jobs=2) == expected
+        parallel = ExperimentRunner(cache_dir=tmp_path / "parallel", jobs=2)
+        assert parallel.run_many(_sweep_specs(parallel, dims)) == expected
         intervals = {}
         for line in log.read_text().splitlines():
             pid, start, end = line.split()

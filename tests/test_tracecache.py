@@ -545,7 +545,7 @@ class TestRunnerIntegration:
         )
         specs = list(self.SPECS)
         want = serial.run_many(specs)
-        got = parallel.run_many(specs, jobs=2)
+        got = parallel.run_many(specs)
         assert want == got
         for spec in specs:
             name = f"{spec.cache_key()}.json"
