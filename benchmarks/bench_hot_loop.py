@@ -16,10 +16,9 @@ mechanical work, not changed results.
 
 A separate top-level ``sweep`` block benchmarks the compile/replay
 split at sweep scale (many specs, few distinct frontends): compile-phase
-wall clock with the trace cache off/cold/warm, plus transparent
+wall clock with the trace memo off/cold/warm, plus transparent
 end-to-end sweep times, plus the memory the memoized traces hold per
-DRAM run (``memo_bytes_per_run``) and the peak memory of encoding them
-as shards (``encode_peak_bytes_per_run``), both from ``tracemalloc``.  It is
+DRAM run (``memo_bytes_per_run``, from ``tracemalloc``).  It is
 refreshed every run and has no baseline/current split — the no-cache
 mode measured alongside *is* the baseline.
 
@@ -149,19 +148,18 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def memo_footprint(trace_dir: Path, frontends: list) -> tuple[list, int]:
-    """The distinct traces the memo holds once ``frontends`` are loaded,
+def memo_footprint(frontends: list) -> tuple[list, int]:
+    """The distinct traces the memo holds once ``frontends`` are compiled,
     and the bytes it spends on them.
 
-    A fresh :class:`TraceCache` memoizes every frontend from the shards in
-    ``trace_dir`` under ``tracemalloc``; the bytes still held afterwards
-    are the memo's cost.
+    A fresh :class:`TraceCache` memoizes every frontend under
+    ``tracemalloc``; the bytes still held afterwards are the memo's cost.
     """
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cache = tracecache.TraceCache(trace_dir)
+        cache = tracecache.TraceCache()
         traces = {
             trace.fingerprint: trace
             for trace in (cache.get(network, arch) for network, arch in frontends)
@@ -173,25 +171,6 @@ def memo_footprint(trace_dir: Path, frontends: list) -> tuple[list, int]:
     return list(traces.values()), held
 
 
-def encode_peak(traces: list) -> int:
-    """Summed ``tracemalloc`` peak of :func:`encode_trace` over ``traces``.
-
-    Each peak is measured above the bytes live before that encode, so it
-    counts the shard payload plus every transient the encoder builds.
-    """
-    total = 0
-    for trace in traces:
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracecache.encode_trace(trace)
-            total += tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-    return total
-
-
 def measure_sweep(repeats: int) -> dict:
     """Benchmark the sweep's compile phase and end-to-end wall clock.
 
@@ -201,22 +180,21 @@ def measure_sweep(repeats: int) -> dict:
     request trace for every (spec x core) in the sweep.  ``no_cache``
     regenerates each live with :class:`RequestGenerator` (the pre-split
     behaviour: O(specs x cores) generations); ``cold`` compiles through a
-    fresh :class:`TraceCache`; ``warm_disk``/``warm_memo`` hit the two
-    cache levels.  This is where the >=2x claim lives, because this is
-    the work the cache actually removes.
+    fresh :class:`TraceCache`; ``warm_memo`` hits its memo.  This is
+    where the >=2x claim lives, because this is the work the cache
+    actually removes.
 
     ``end_to_end``: full ``ExperimentRunner.run_many`` wall clock over
-    the same sweep from a cold and from a warm trace store (fresh result
-    cache each, serial jobs), best of ``repeats`` like every other leg.
-    The event-driven replay dominates end-to-end time, so the warm gain
-    is modest by construction — it is recorded so the frontend numbers
-    cannot be mistaken for whole-run gains.
+    the same sweep, each on a fresh result cache with serial jobs:
+    ``cold`` starts from an empty trace memo, ``warm`` is a second sweep
+    that keeps the memo the cold one filled.  Best of ``repeats`` like
+    every other leg.  The event-driven replay dominates end-to-end time,
+    so the warm gain is modest by construction — it is recorded so the
+    frontend numbers cannot be mistaken for whole-run gains.
 
     ``memo_runs`` / ``memo_bytes_per_run``: the DRAM runs the trace memo
-    holds after the cached sweep and the bytes it spends per run (see
-    :func:`memo_footprint`).  ``encode_peak_bytes_per_run``: the peak
-    memory of writing those traces as shards, summed over the distinct
-    traces and divided by the same runs (see :func:`encode_peak`).
+    holds for the sweep's frontends and the bytes it spends per run (see
+    :func:`memo_footprint`).
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -241,44 +219,30 @@ def measure_sweep(repeats: int) -> dict:
     try:
         frontend_no_cache = _best_of(acquire_live, repeats)
         cold_walls = []
-        for attempt in range(repeats):
-            cold_cache = tracecache.TraceCache(tmp / f"cold{attempt}")
+        for _ in range(repeats):
+            cold_cache = tracecache.TraceCache()
             cold_walls.append(_best_of(lambda: acquire_cached(cold_cache), 1))
         frontend_cold = min(cold_walls)
-        warm_dir = tmp / "cold0"
-        frontend_warm_disk = _best_of(
-            lambda: acquire_cached(tracecache.TraceCache(warm_dir)), repeats
-        )
-        memo_cache = tracecache.TraceCache(warm_dir)
-        acquire_cached(memo_cache)
-        frontend_warm_memo = _best_of(lambda: acquire_cached(memo_cache), repeats)
+        frontend_warm_memo = _best_of(lambda: acquire_cached(cold_cache), repeats)
 
-        def run_sweep(label: str, seed_traces: Path | None = None):
+        def run_sweep(label: str):
             runner = ExperimentRunner(cache_dir=tmp / f"e2e-{label}", journal=False)
-            if seed_traces is not None:
-                shutil.copytree(seed_traces, runner.trace_dir, dirs_exist_ok=True)
-            tracecache.process_cache().clear_memo()
             start = time.perf_counter()
             runner.run_many(specs)
             return time.perf_counter() - start, runner.last_trace_stats
 
-        # Best of ``repeats``, each sweep on fresh result and trace
-        # directories (warm attempt i seeds from cold attempt i's traces).
+        # Best of ``repeats``, each sweep on a fresh result directory; the
+        # warm sweep of attempt i keeps the memo its cold sweep filled.
         cold_walls, warm_walls = [], []
         for attempt in range(repeats):
+            tracecache.process_cache().clear_memo()
             wall, _ = run_sweep(f"cold{attempt}")
             cold_walls.append(wall)
-            wall, warm_stats = run_sweep(
-                f"warm{attempt}",
-                seed_traces=(tmp / f"e2e-cold{attempt}" / "traces"),
-            )
+            wall, warm_stats = run_sweep(f"warm{attempt}")
             warm_walls.append(wall)
         e2e_cold, e2e_warm = min(cold_walls), min(warm_walls)
-        memo_traces, memo_bytes = memo_footprint(
-            tmp / "e2e-warm0" / "traces", frontends
-        )
+        memo_traces, memo_bytes = memo_footprint(frontends)
         memo_runs = sum(trace.object_cost - trace.num_tiles for trace in memo_traces)
-        encode_bytes = encode_peak(memo_traces)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -310,11 +274,7 @@ def measure_sweep(repeats: int) -> dict:
         "frontend": {
             "no_cache_seconds": round(frontend_no_cache, 6),
             "cold_seconds": round(frontend_cold, 6),
-            "warm_disk_seconds": round(frontend_warm_disk, 6),
             "warm_memo_seconds": round(frontend_warm_memo, 6),
-            "speedup_warm_disk_vs_no_cache": round(
-                frontend_no_cache / frontend_warm_disk, 3
-            ),
             "speedup_warm_memo_vs_no_cache": round(
                 frontend_no_cache / frontend_warm_memo, 3
             ),
@@ -326,7 +286,6 @@ def measure_sweep(repeats: int) -> dict:
         "trace_cache_stats": warm_stats.summary(),
         "memo_runs": memo_runs,
         "memo_bytes_per_run": round(memo_bytes / memo_runs, 2),
-        "encode_peak_bytes_per_run": round(encode_bytes / memo_runs, 2),
     }
 
 
@@ -383,12 +342,11 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"sweep ({sweep['specs']} specs, {sweep['distinct_frontends']} frontends): "
         f"frontend {frontend['no_cache_seconds']:.3f}s live -> "
-        f"{frontend['warm_disk_seconds']:.3f}s warm-disk "
-        f"({frontend['speedup_warm_disk_vs_no_cache']}x); "
+        f"{frontend['warm_memo_seconds']:.3f}s warm-memo "
+        f"({frontend['speedup_warm_memo_vs_no_cache']}x); "
         f"end-to-end {end_to_end['cold_seconds']:.2f}s cold -> "
         f"{end_to_end['warm_seconds']:.2f}s warm; "
-        f"memo {sweep['memo_runs']} runs at {sweep['memo_bytes_per_run']} B/run, "
-        f"encode peak {sweep['encode_peak_bytes_per_run']} B/run"
+        f"memo {sweep['memo_runs']} runs at {sweep['memo_bytes_per_run']} B/run"
     )
     print(f"wrote {args.out}")
     return 0

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
-"""CI determinism check: the golden corpus twice — cold, then warm.
+"""CI determinism check: the golden corpus twice — compiled, then live.
 
-Pass A simulates every golden-corpus spec through the experiment runner
-with completely fresh caches and records a manifest of result-shard
-sha256 digests.  Pass B re-runs the same corpus with a fresh *result*
-cache but the trace cache pass A compiled (copied over, memo cleared, so
-it exercises the warm-disk path).  The two manifests must be identical:
-a compiled trace that replayed differently from live generation — or any
-other nondeterminism between runs — shows up as a digest diff here.
+Pass A (``compiled``) simulates every golden-corpus spec through the
+experiment runner with completely fresh caches, replaying compiled
+traces, and records a manifest of result-shard sha256 digests.  Pass B
+(``live``) re-runs the same corpus on a fresh result cache with the
+trace memo's budget at zero, so every core streams a live
+``RequestGenerator`` (the oversize fallback, and the golden suite's
+reference).  The two manifests must be identical: a compiled trace that
+replayed differently from live generation — or any other
+nondeterminism between runs — shows up as a digest diff here.
 
 Both passes also run a slice of the corpus with observability armed and
 export the Perfetto trace plus counter snapshot; those artifacts must be
@@ -47,12 +49,16 @@ from tests.test_golden_equivalence import CORPUS, MAX_TICKS  # noqa: E402
 OBSERVED = ("solo-ncf-2ch", "mix-ncf-dlrm-DWT", "mix-gpt2-prefill-decode-DWT")
 
 
-def run_pass(label: str, out: Path, corpus, observed, trace_seed: Path | None = None):
-    """One corpus pass over ``corpus``; returns (manifest, cache_dir)."""
+def run_pass(label: str, out: Path, corpus, observed, *, live: bool = False):
+    """One corpus pass over ``corpus``; returns its manifest.
+
+    ``live`` sets the trace memo's budget to zero, so every frontend is
+    oversize and streams from a live ``RequestGenerator``.
+    """
     cache_dir = out / f"cache-{label}"
-    if trace_seed is not None and trace_seed.is_dir():
-        shutil.copytree(trace_seed, cache_dir / "traces")
-        tracecache.process_cache().clear_memo()  # force the warm-disk path
+    trace_cache = tracecache.process_cache()
+    trace_cache.clear_memo()
+    trace_cache.max_memo_objects = 0 if live else tracecache.MEMO_MAX_OBJECTS
     manifest: dict[str, dict[str, str]] = {}
     for name, spec in corpus:
         runner = ExperimentRunner(cache_dir=cache_dir)
@@ -79,7 +85,7 @@ def run_pass(label: str, out: Path, corpus, observed, trace_seed: Path | None = 
         (out / f"counters-{label}-{name}.json").write_text(
             json.dumps(result.counters, indent=2, sort_keys=True) + "\n"
         )
-    return manifest, cache_dir
+    return manifest
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,21 +112,21 @@ def main(argv: list[str] | None = None) -> int:
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
 
-    cold, cold_dir = run_pass("cold", out, corpus, observed)
-    warm, _ = run_pass("warm", out, corpus, observed, trace_seed=cold_dir / "traces")
+    compiled = run_pass("compiled", out, corpus, observed)
+    live = run_pass("live", out, corpus, observed, live=True)
 
     failures: list[str] = []
     for name in dict(corpus):
-        if cold[name] != warm[name]:
+        if compiled[name] != live[name]:
             failures.append(
                 f"result shard for {name!r} differs: "
-                f"cold {cold[name]['shard_sha256'][:16]} vs "
-                f"warm {warm[name]['shard_sha256'][:16]}"
+                f"compiled {compiled[name]['shard_sha256'][:16]} vs "
+                f"live {live[name]['shard_sha256'][:16]}"
             )
     for name in observed:
         for kind in ("trace", "counters"):
-            a = (out / f"{kind}-cold-{name}.json").read_bytes()
-            b = (out / f"{kind}-warm-{name}.json").read_bytes()
+            a = (out / f"{kind}-compiled-{name}.json").read_bytes()
+            b = (out / f"{kind}-live-{name}.json").read_bytes()
             if a != b:
                 failures.append(f"{kind} export for {name!r} differs between passes")
 
@@ -131,8 +137,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  artifacts in {out}/", file=sys.stderr)
         return 1
     print(
-        f"\ndeterminism check passed: {len(cold)} specs byte-identical "
-        f"cold vs warm; {len(observed)} observability exports stable"
+        f"\ndeterminism check passed: {len(compiled)} specs byte-identical "
+        f"compiled vs live; {len(observed)} observability exports stable"
     )
     return 0
 

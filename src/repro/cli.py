@@ -253,31 +253,26 @@ def _print_cache_summary(runner, quiet: bool) -> None:
     """Structured one-line cache-hit summary after a figure/sweep batch."""
     if quiet or runner.last_outcome is None:
         return
+    from repro.obs.profiling import human_bytes
+
     outcome = runner.last_outcome
     trace = runner.last_trace_stats
     if trace.requests:
         traces = (
-            f"traces {trace.requests} distinct: {trace.hits} hit "
-            f"(memo {trace.memo_hits}, disk {trace.disk_hits}), "
+            f"traces {trace.requests} distinct: {trace.memo_hits} memo hit, "
             f"{trace.compiles} compiled, hit-rate {trace.hit_rate:.2f}"
         )
     else:
         # Every result came from the cache, so no frontend was resolved;
         # a 0.00 hit rate would read as a total miss.
         traces = "traces none needed (every result cached)"
+    usage = runner.cache_usage()
     print(
         f"cache: results {outcome.cache_hits}/{outcome.total} cached, "
-        f"{_disk_usage(runner.cache_usage())}; "
-        f"{traces}, {_disk_usage(runner.trace_usage())}",
+        f"{usage['shards']} shard(s) {human_bytes(usage['bytes'])} on disk; "
+        f"{traces}",
         file=sys.stderr,
     )
-
-
-def _disk_usage(usage: dict[str, int]) -> str:
-    """``N shard(s) X on disk`` for one shard store."""
-    from repro.obs.profiling import human_bytes
-
-    return f"{usage['shards']} shard(s) {human_bytes(usage['bytes'])} on disk"
 
 
 def _report_failures(runner) -> int:
@@ -576,64 +571,33 @@ def _serving_networks(names, scale, *, params, default_phase):
         raise SystemExit(str(error)) from error
 
 
-def _trace_shards_by_dataflow(store) -> dict[str, int]:
-    """Trace-shard counts grouped by dataflow tag, registry order first.
-
-    Trace shards are named after their frontend fingerprint, which leads
-    with the compiling engine's name (``os-<digest>.json``), so the tag
-    is recoverable from the filename alone.  Shards written before
-    fingerprints carried the tag have no ``-`` and group as "untagged".
-    """
-    counts: dict[str, int] = {}
-    for name in store.shard_names():
-        stem = name.rsplit(".", 1)[0]
-        tag = stem.split("-", 1)[0] if "-" in stem else "untagged"
-        counts[tag] = counts.get(tag, 0) + 1
-    known = [df for df in registered_dataflows() if df in counts]
-    other = sorted(tag for tag in counts if tag not in known)
-    return {tag: counts[tag] for tag in (*known, *other)}
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or clear the on-disk result and trace shard stores."""
+    """Inspect or clear the on-disk result shard store."""
     from repro.obs.profiling import human_bytes
     from repro.storage import ShardStore
 
-    cache_dir = (
+    store = ShardStore(
         Path(args.cache_dir) if args.cache_dir else Path.cwd() / ".repro_cache"
     )
-    stores = {
-        "results": ShardStore(cache_dir),
-        "traces": ShardStore(cache_dir / "traces"),
-    }
-    kinds = [args.only] if args.only else list(stores)
     if args.action == "stats":
-        for kind in kinds:
-            store = stores[kind]
-            usage = store.usage()
-            quarantine = f"{usage['quarantined']} quarantined"
-            if usage["quarantined"]:
-                quarantine += f" ({human_bytes(usage['quarantine_bytes'])})"
-            print(
-                f"{kind:8s} {usage['shards']:5d} shard(s), "
-                f"{human_bytes(usage['bytes']):>10s}, "
-                f"{quarantine}  ({store.directory})"
-            )
-            if kind == "traces":
-                for tag, count in _trace_shards_by_dataflow(store).items():
-                    print(f"{'':8s} {count:5d} shard(s) tagged {tag}")
-        return 0
-    for kind in kinds:
-        store = stores[kind]
-        if getattr(args, "quarantine", False):
-            removed = store.clear_quarantine()
-            print(
-                f"cleared {removed} quarantined {kind} shard(s) "
-                f"from {store.quarantine_dir}"
-            )
-        else:
-            removed = store.clear()
-            print(f"cleared {removed} {kind} shard(s) from {store.directory}")
+        usage = store.usage()
+        quarantine = f"{usage['quarantined']} quarantined"
+        if usage["quarantined"]:
+            quarantine += f" ({human_bytes(usage['quarantine_bytes'])})"
+        print(
+            f"results  {usage['shards']:5d} shard(s), "
+            f"{human_bytes(usage['bytes']):>10s}, "
+            f"{quarantine}  ({store.directory})"
+        )
+    elif args.quarantine:
+        removed = store.clear_quarantine()
+        print(
+            f"cleared {removed} quarantined results shard(s) "
+            f"from {store.quarantine_dir}"
+        )
+    else:
+        removed = store.clear()
+        print(f"cleared {removed} results shard(s) from {store.directory}")
     return 0
 
 
@@ -889,15 +853,11 @@ def main(argv: list[str] | None = None) -> int:
     profile_sweep.set_defaults(func=_cmd_profile_sweep)
 
     cache = sub.add_parser(
-        "cache", help="inspect or clear the on-disk result/trace caches"
+        "cache", help="inspect or clear the on-disk result cache"
     )
     cache.add_argument("action", choices=("stats", "clear"))
     cache.add_argument("--cache-dir", default=None,
                        help="cache root (default: ./.repro_cache)")
-    cache.add_argument(
-        "--only", choices=("results", "traces"), default=None,
-        help="restrict the action to one shard store",
-    )
     cache.add_argument(
         "--quarantine", action="store_true",
         help="clear only the quarantined (corrupt) shards, keeping the "

@@ -20,8 +20,7 @@ is compiled.  Naming, validating and planning a dataflow loads neither.
 mixes ``(name, version)`` into the trace-cache key, so refining one
 engine's timing or tiling model invalidates exactly that engine's cached
 traces — bump the engine's ``version`` whenever its emitted tiles,
-runs or cycle counts change for any input.  The shared
-``TRACE_VERSION`` stays reserved for changes to the shard *format*.
+runs or cycle counts change for any input.
 """
 
 from __future__ import annotations

@@ -133,17 +133,13 @@ _POLL_INTERVAL_SECONDS = 0.25
 #: File name of the sweep journal inside the cache directory.
 JOURNAL_NAME = "journal.jsonl"
 
-#: Subdirectory of the result cache holding compiled-trace shards.
-TRACE_DIR_NAME = "traces"
-
 #: Sentinel distinguishing "argument omitted" from an explicit ``None``
 #: for per-call overrides of runner-level defaults (``run_timeout``).
 _UNSET: Any = object()
 
 
-def _init_worker(directory: str, ignore_sigterm: bool) -> None:
-    """Pool initializer: the worker's SIGTERM action, and the shared
-    trace store.
+def _init_worker(ignore_sigterm: bool) -> None:
+    """Pool initializer: the worker's SIGTERM action.
 
     A forked worker would inherit the parent's SIGTERM handler, and the
     CLI's SIGTERM-to-KeyboardInterrupt mapping would make an idle worker
@@ -155,15 +151,13 @@ def _init_worker(directory: str, ignore_sigterm: bool) -> None:
     owner stops it, by :meth:`ExperimentRunner.close` or by
     :func:`_terminate_pool`, which kills with SIGKILL.
 
-    Under the default ``fork`` start method workers additionally inherit
-    the parent's warmed in-process memo, so they rarely touch the disk
-    level at all; under ``spawn``/``forkserver`` they load the shards the
-    parent published during planning instead of recompiling.
+    Under the default ``fork`` start method workers also inherit the
+    parent's warm trace memo; a frontend the parent first compiles after
+    the fork (a kept pool's later batches) is compiled once per worker.
     """
     signal.signal(
         signal.SIGTERM, signal.SIG_IGN if ignore_sigterm else signal.SIG_DFL
     )
-    tracecache.configure(directory=Path(directory))
 
 
 def _result_dict(result: WorkloadResult) -> dict[str, Any]:
@@ -438,11 +432,6 @@ class ExperimentRunner:
         self._result_store = ShardStore(
             self.cache_dir, on_quarantine=self._on_result_quarantine
         )
-        self.trace_dir = self.cache_dir / TRACE_DIR_NAME
-        # The compile phase resolves through the process-level cache; the
-        # runner points its disk level under its own cache directory so
-        # result shards and trace shards travel together.
-        tracecache.configure(directory=self.trace_dir)
         self.journal: SweepJournal | None = (
             SweepJournal(self.cache_dir / JOURNAL_NAME) if journal else None
         )
@@ -531,7 +520,7 @@ class ExperimentRunner:
         pool = ProcessPoolExecutor(
             max_workers=self.jobs if self.keep_pool else workers,
             initializer=_init_worker,
-            initargs=(str(self.trace_dir), self.keep_pool),
+            initargs=(self.keep_pool,),
         )
         if self.keep_pool:
             self._pool = pool
@@ -614,10 +603,6 @@ class ExperimentRunner:
         """Disk usage of the result store: shards / bytes / quarantined."""
         return self._result_store.usage()
 
-    def trace_usage(self) -> dict[str, int]:
-        """Disk usage of the trace store under :attr:`trace_dir`."""
-        return ShardStore(self.trace_dir).usage()
-
     def cached_payload(self, spec: RunSpec) -> bytes | None:
         """The validated result-shard bytes for ``spec``, or ``None``.
 
@@ -654,27 +639,15 @@ class ExperimentRunner:
     # Trace precompilation (the sweep's compile phase)
     # ------------------------------------------------------------------ #
 
-    def _claim_trace_cache(self) -> None:
-        """Point the process-level trace cache at *this* runner's store.
-
-        The cache is process-global (so forked workers inherit a warm
-        memo), but several runners can coexist in one process; whichever
-        is executing owns the disk level for the duration, so its trace
-        shards land next to its result shards.  The memo is content-
-        addressed and survives re-pointing.
-        """
-        tracecache.configure(directory=self.trace_dir)
-
     def _precompile_frontends(self, cold: Sequence[RunSpec]) -> None:
         """Compile each distinct frontend of a batch exactly once, here.
 
         A sweep of S specs over C cores would otherwise regenerate
         S x C frontends inside the workers; the distinct ``(workload,
         arch)`` pairs — usually a handful, since characterization sweeps
-        vary memory-side config only — are compiled (or loaded from the
-        trace store) once in the parent instead.  Workers then inherit
-        the warmed memo (``fork``) or load the just-published shards.
-        The pass's counter deltas land in :attr:`last_trace_stats`.
+        vary memory-side config only — are compiled once in the parent
+        instead, and forked workers inherit the warmed memo.  The pass's
+        counter deltas land in :attr:`last_trace_stats`.
         """
         cache = tracecache.process_cache()
         before = cache.stats.snapshot()
@@ -769,7 +742,6 @@ class ExperimentRunner:
         """
         if run_timeout is _UNSET:
             run_timeout = self.run_timeout
-        self._claim_trace_cache()
         ordered = list(dict.fromkeys(spec.resolve() for spec in specs))
         started = time.monotonic()
         results: dict[RunSpec, list[dict[str, Any]]] = {}
@@ -899,6 +871,8 @@ class ExperimentRunner:
           pool is drained first), so a spec that *reliably* kills its
           worker crashes alone and is attributed correctly, while specs
           that were innocent bystanders complete on their isolated run.
+          A breakage with several specs in flight charges none of them:
+          only a crash of a spec running alone costs an attempt.
         * When ``run_timeout`` is set, the parent polls for workers that
           overshot the budget plus :data:`TIMEOUT_GRACE_SECONDS` (their
           in-worker SIGALRM evidently never fired) and hard-kills the
@@ -983,6 +957,8 @@ class ExperimentRunner:
         def handle_breakage(timed_out: set[RunSpec] | None = None) -> None:
             nonlocal pool
             # Pool death took every in-flight run with it; settle each one.
+            # Beside other specs the culprit is unknown, so no one is
+            # charged; only a spec that crashes alone pays an attempt.
             timed_out = timed_out or set()
             solo = len(inflight) == 1
             pause = 0.0
@@ -994,17 +970,28 @@ class ExperimentRunner:
                         f"(worker killed): {spec.label}"
                     )
                     give_up(spec, "timeout", attempt, error)
-                    continue
-                backoff = retry(
-                    spec,
-                    attempt,
-                    TransientWorkerError("worker process died (BrokenProcessPool)"),
-                    "requeue",
-                    isolated=solo,
-                )
-                if backoff is not None:
-                    suspects.append((spec, attempt + 1))
-                    pause = max(pause, backoff)
+                elif not solo:
+                    self._journal(
+                        "requeue",
+                        key=spec.cache_key(),
+                        label=spec.label,
+                        attempt=attempt,
+                        isolated=False,
+                    )
+                    suspects.append((spec, attempt))
+                else:
+                    backoff = retry(
+                        spec,
+                        attempt,
+                        TransientWorkerError(
+                            "worker process died (BrokenProcessPool)"
+                        ),
+                        "requeue",
+                        isolated=True,
+                    )
+                    if backoff is not None:
+                        suspects.append((spec, attempt + 1))
+                        pause = backoff
             inflight.clear()
             if pause:
                 self._sleep(pause)

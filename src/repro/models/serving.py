@@ -22,9 +22,9 @@ replay, sharing experiments — works unchanged:
 * phases are named workloads: ``"gpt2:prefill"`` / ``"gpt2:decode"``
   (see :func:`split_name`), resolvable next to plain zoo names;
 * serving networks carry a ``srv-`` name prefix that the trace cache
-  surfaces in its shard keys (see
+  surfaces in its keys (see
   :func:`repro.compute.tracecache.frontend_fingerprint`), so serving
-  traces are identifiable on disk.
+  traces are identifiable by key.
 
 Shape conventions (one GEMM is ``M x K x N``, ``A[M,K] @ B[K,N]``; the
 A operand streams weights, the B operand streams activations):

@@ -1,8 +1,7 @@
 """Crash-safe content shards: atomic writes, checksums, quarantine.
 
-Both on-disk caches — the experiment runner's result shards in
-``.repro_cache/`` and the compile frontend's trace shards in
-``.repro_cache/traces/`` — need the same durability contract:
+The on-disk result store — the experiment runner's result shards in
+``.repro_cache/`` — keeps this durability contract:
 
 * **Atomic publication.**  A shard is written to a unique temp file and
   published with ``os.replace``, so readers only ever observe an absent
@@ -18,9 +17,9 @@ Both on-disk caches — the experiment runner's result shards in
   ``quarantine/`` subdirectory with a logged warning, and the caller
   simply regenerates it.  Corruption costs one re-run, not a sweep.
 
-:class:`ShardStore` packages that contract once;
-:class:`~repro.experiments.runner.ExperimentRunner` and
-:class:`~repro.compute.tracecache.TraceCache` both build on it.
+:class:`ShardStore` packages that contract;
+:class:`~repro.experiments.runner.ExperimentRunner` and the ``mnpusim
+cache`` command build on it.
 """
 
 from __future__ import annotations

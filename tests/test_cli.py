@@ -1,6 +1,7 @@
 """Tests for the mnpusim-style command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -137,6 +138,7 @@ class TestMixCommand:
         ["figure", "fig15", "--replay-mode", "event"],
         ["sweep", "fig15", "--replay-mode", "batched"],
         ["run", "a", "n", "d", "m", "out", "misc", "--replay-mode", "event"],
+        ["cache", "stats", "--only", "results"],
         *(
             pytest.param([*command, "--no-trace-cache"], id=f"{name} --no-trace-cache")
             for name, command in (
@@ -199,27 +201,6 @@ class TestDataflowOptions:
         assert base != overridden
 
 
-class TestCacheStatsByDataflow:
-    def test_trace_shards_grouped_by_engine_tag(self, tmp_path, capsys):
-        traces = tmp_path / "traces"
-        traces.mkdir(parents=True)
-        (traces / ("os-" + "0" * 32 + ".json")).write_text("{}")
-        (traces / ("os-" + "1" * 32 + ".json")).write_text("{}")
-        (traces / ("ws-" + "2" * 32 + ".json")).write_text("{}")
-        # A shard from before fingerprints carried the engine tag.
-        (traces / ("a" * 32 + ".json")).write_text("{}")
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "2 shard(s) tagged os" in out
-        assert "1 shard(s) tagged ws" in out
-        assert "1 shard(s) tagged untagged" in out
-
-    def test_stats_quiet_when_no_trace_shards(self, tmp_path, capsys):
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "tagged" not in out
-
-
 class TestCacheCommandHardening:
     """``mnpusim cache`` must degrade gracefully on every store state a
     user can plausibly be in: never-created, freshly-emptied, or a
@@ -230,49 +211,67 @@ class TestCacheCommandHardening:
         target = tmp_path / "never" / "created"
         assert main(["cache", "stats", "--cache-dir", str(target)]) == 0
         out = capsys.readouterr().out
-        assert "results" in out and "traces" in out
-        assert "    0 shard(s)" in out
+        assert out.startswith("results      0 shard(s)")
         assert not target.exists(), "stats must not create the directory"
 
     def test_stats_on_empty_traces_dir(self, tmp_path, capsys):
+        # An empty ``traces/`` left by an older version is not a store.
         (tmp_path / "traces").mkdir(parents=True)
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "tagged" not in out  # no shards -> no per-tag lines
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("results      0 shard(s)")
 
     def test_stats_on_partial_traces_dir(self, tmp_path, capsys):
-        """Only ``*.json`` files count; subdirectories (including the
-        quarantine dir), sidecars and temp files are ignored."""
+        """Only ``*.json`` files in the cache root count; subdirectories
+        (including the quarantine dir and a ``traces/`` dir left by an
+        older version), sidecars and temp files are ignored."""
+        (tmp_path / ("0" * 64 + ".json")).write_text("{}")
+        (tmp_path / ("0" * 64 + ".json.sum")).write_text("feed")
+        (tmp_path / ("1" * 64 + ".json.tmp")).write_text("{")
+        (tmp_path / "quarantine").mkdir()
+        (tmp_path / "quarantine" / ("2" * 64 + ".json")).write_text("{}")
+        (tmp_path / "notes.txt").write_text("hello")
         traces = tmp_path / "traces"
-        traces.mkdir(parents=True)
+        (traces / "quarantine").mkdir(parents=True)
         (traces / ("os-" + "0" * 32 + ".json")).write_text("{}")
-        (traces / ("os-" + "0" * 32 + ".json.sha256")).write_text("feed")
-        (traces / ("os-" + "1" * 32 + ".json.tmp")).write_text("{")
-        (traces / "quarantine").mkdir()
         (traces / "quarantine" / ("ws-" + "2" * 32 + ".json")).write_text("{}")
-        (traces / "notes.txt").write_text("hello")
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "1 shard(s) tagged os" in out
-        assert "ws" not in out  # quarantined shards are not live shards
-        assert "1 quarantined" in out
-
-    def test_stats_only_results_skips_trace_grouping(self, tmp_path, capsys):
-        traces = tmp_path / "traces"
-        traces.mkdir(parents=True)
-        (traces / ("os-" + "0" * 32 + ".json")).write_text("{}")
-        assert main(
-            ["cache", "stats", "--only", "results", "--cache-dir", str(tmp_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "results" in out
-        assert "tagged" not in out
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("results      1 shard(s)")
+        assert "1 quarantined" in line
 
     def test_clear_on_missing_and_empty_stores(self, tmp_path, capsys):
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "cleared 0 results shard(s)" in out
-        assert "cleared 0 traces shard(s)" in out
+        assert out == f"cleared 0 results shard(s) from {tmp_path}\n"
+
+    def test_leftover_trace_directory_is_ignored(self, tmp_path, capsys):
+        """Older versions kept compiled traces in ``<cache>/traces/``; a
+        cache directory that still holds one works exactly like one
+        without it."""
+        traces = tmp_path / "old" / "traces"
+        (traces / "quarantine").mkdir(parents=True)
+        shard = traces / ("os-" + "0" * 32 + ".json")
+        shard.write_text('{"version":1}')
+        (traces / (shard.name + ".sum")).write_text("feed")
+        (traces / (shard.name + ".123.tmp")).write_text("{")
+        (traces / "quarantine" / ("ws-" + "1" * 32 + ".json")).write_text("{}")
+        old = str(tmp_path / "old")
+
+        assert main(["cache", "stats", "--cache-dir", old]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("results      0 shard(s)")
+        assert "0 quarantined" in line
+        for action in (["clear"], ["clear", "--quarantine"]):
+            assert main(["cache", *action, "--cache-dir", old]) == 0
+        capsys.readouterr()
+
+        figure = ["figure", "fig4", "--mixes", "1", "--quiet", "--cache-dir"]
+        assert main([*figure, old]) == 0
+        with_leftovers = capsys.readouterr().out
+        assert main([*figure, str(tmp_path / "new")]) == 0
+        assert capsys.readouterr().out == with_leftovers
+        assert not (tmp_path / "new" / "traces").exists()
 
 
 class TestModelsCommand:
@@ -316,7 +315,8 @@ class TestSweepCommand:
 
 class TestCacheSummary:
     def test_results_and_traces_reported_separately(self, tmp_path, capsys):
-        """The post-batch line gives each store its own disk usage."""
+        """The post-batch line gives the result store's disk usage, then
+        the trace memo's counts."""
         from repro.obs.profiling import human_bytes
 
         args = ["figure", "fig16", "--mixes", "1", "--cache-dir", str(tmp_path)]
@@ -334,8 +334,11 @@ class TestCacheSummary:
 
         results, traces = line.split("; ")
         assert results == f"cache: results 0/27 cached, {disk(tmp_path)}"
-        assert traces.startswith("traces 8 distinct: ")
-        assert traces.endswith(f", {disk(tmp_path / 'traces')}")
+        assert re.fullmatch(
+            r"traces 8 distinct: \d+ memo hit, \d+ compiled, hit-rate [0-9.]+",
+            traces,
+        )
+        assert not (tmp_path / "traces").exists()
 
     def test_fully_cached_sweep_reports_no_trace_hit_rate(self, tmp_path, capsys):
         """A warm rerun resolves no frontend: no misleading 0.00 hit rate."""
@@ -352,8 +355,7 @@ class TestCacheSummary:
         results, traces = line.split("; ")
         cached, total = results.split()[2].split("/")
         assert cached == total != "0"
-        assert traces.startswith("traces none needed (every result cached), ")
-        assert traces.endswith(" on disk")
+        assert traces == "traces none needed (every result cached)"
 
 
 def _count_result_reads(monkeypatch, cache):

@@ -49,9 +49,6 @@ class TestQuarantineMaintenance:
         quarantine.mkdir(parents=True)
         (quarantine / "deadbeef.json").write_text("{torn")
         (tmp_path / ("a" * 24 + ".json")).write_text("{}")
-        traces = tmp_path / "traces"
-        (traces / "quarantine").mkdir(parents=True)
-        (traces / "quarantine" / "os-feed.json").write_text("{also torn")
 
     def test_stats_reports_quarantine_count_and_bytes(self, tmp_path, capsys):
         self._seed_stores(tmp_path)
@@ -71,8 +68,7 @@ class TestQuarantineMaintenance:
         assert code == 0
         out = capsys.readouterr().out
         assert "cleared 1 quarantined results shard(s)" in out
-        assert "cleared 1 quarantined traces shard(s)" in out
-        # Healthy shards survive; the quarantine dirs are now empty.
+        # Healthy shards survive; the quarantine dir is now empty.
         assert (tmp_path / ("a" * 24 + ".json")).exists()
         assert not list((tmp_path / "quarantine").iterdir())
 

@@ -9,6 +9,7 @@ and the shard corruptor, never by luck or timing races.
 
 import logging
 import multiprocessing
+import time
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,51 @@ class TestInjectedFailures:
         assert failure.kind == "crash"
         assert failure.attempts == 2
         assert runner.last_outcome.succeeded == 2
+
+    def test_crash_beside_a_bystander_charges_only_the_crasher(
+        self, tmp_path, monkeypatch
+    ):
+        # Every simulation first sleeps, so the bystander is still running
+        # when the crasher's worker dies at the top of its attempt, and the
+        # breakage catches both in flight.  Neither is charged for it; each
+        # re-runs alone.  Alone, the crasher is charged: its first backoff
+        # (10 s) busts the 5 s budget.  The bystander completes.
+        from repro.core.simulator import MultiCoreNPUSim
+
+        run = MultiCoreNPUSim.run
+
+        def slow_run(sim, *args, **kwargs):
+            time.sleep(2.0)
+            return run(sim, *args, **kwargs)
+
+        # Installed before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(MultiCoreNPUSim, "run", slow_run)
+        runner = _make_runner(
+            tmp_path / "cache",
+            jobs=2,
+            max_attempts=10,
+            retry_backoff=10.0,
+            retry_jitter=0.0,
+            retry_budget=5.0,
+        )
+        crasher, bystander = _specs(["a", "b"])
+        runner.fault_plan = faults.FaultPlan.for_specs(
+            {crasher: faults.Fault("crash")}
+        )
+        results = runner.run_many([crasher, bystander])
+
+        assert set(results) == {bystander}
+        assert set(runner.failures) == {crasher}
+        failure = runner.failures[crasher]
+        assert (failure.kind, failure.attempts) == ("crash", 1)
+        requeues = [
+            (record["label"], record["attempt"], record["isolated"])
+            for record in runner.journal.read()
+            if record["event"] == "requeue"
+        ]
+        assert sorted(requeues) == sorted(
+            (spec.label, 1, False) for spec in (crasher, bystander)
+        )
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

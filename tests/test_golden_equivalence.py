@@ -237,7 +237,7 @@ def test_corpus_covers_required_axes():
 @pytest.mark.parametrize("name", ["solo-ncf-2ch", "mix-ncf-dlrm-DWT"])
 def test_trace_cache_modes_are_byte_equivalent(name, snapshots, tmp_path):
     """Replay must be invisible: the live generator (the oversize
-    fallback), cold and warm trace caches all produce the exact pinned
+    fallback), a cold and a warm trace memo all produce the exact pinned
     metrics AND byte-identical result shards.
 
     This is the correctness pin of the compile/replay split — a compiled
@@ -248,7 +248,7 @@ def test_trace_cache_modes_are_byte_equivalent(name, snapshots, tmp_path):
 
     spec = dict(CORPUS)[name]
     cache = tracecache.process_cache()
-    saved_store, saved_max = cache.store, cache.max_memo_objects
+    saved_max = cache.max_memo_objects
     want = {
         key: value
         for key, value in snapshots[name].items()
@@ -265,29 +265,22 @@ def test_trace_cache_modes_are_byte_equivalent(name, snapshots, tmp_path):
         # A zero memo budget makes every frontend oversize, so each core
         # replays a live RequestGenerator, as a trace over budget does.
         cache.max_memo_objects = 0
-        tracecache.configure(directory=None)
         cache.clear_memo()
         oversize = cache.stats.oversize
         assert metrics(simulate(spec)) == want, "oversize live generator"
         digests = {shard_digest("oversize")}
         assert cache.stats.oversize > oversize
-        assert not list((tmp_path / "oversize" / "traces").glob("*.json"))
 
         cache.max_memo_objects = saved_max
-        tracecache.configure(directory=tmp_path / "traces")
         cache.clear_memo()
         assert metrics(simulate(spec)) == want, "cold trace cache"
         digests.add(shard_digest("cold"))
 
-        cache.clear_memo()  # shards on disk now: the warm cross-process path
-        tracecache.configure(directory=tmp_path / "traces")
-        assert metrics(simulate(spec)) == want, "warm disk trace cache"
         assert metrics(simulate(spec)) == want, "warm memo trace cache"
         digests.add(shard_digest("warm"))
 
         assert digests == {snapshots[name]["shard_sha256"]}
     finally:
-        cache.store = saved_store
         cache.max_memo_objects = saved_max
         cache.clear_memo()  # forget the frontends flagged oversize above
 

@@ -1,42 +1,32 @@
-"""The compile/replay split: fingerprints, the two-level trace cache,
-corruption handling, the stream-and-discard fallback, and the sweep
-planner's precompile step."""
+"""The compile/replay split: fingerprints, the trace memo, the
+stream-and-discard fallback, and the sweep planner's precompile step."""
 
 from __future__ import annotations
 
 import dataclasses
 import gc
 import hashlib
-import json
 import os
 import tracemalloc
 import subprocess
 import sys
-from array import array
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.compute import tracecache
-from repro.compute.dataflow import registered_dataflows
-from repro.compute.requestgen import RequestGenerator, TileTraffic
-from repro.compute.systolic import ComputeEstimate
-from repro.compute.tiling import Tile
+from repro.compute.requestgen import RequestGenerator
 from repro.compute.tracecache import (
     CompiledTrace,
     TraceCache,
     compile_trace,
-    decode_trace,
-    encode_trace,
     frontend_fingerprint,
     trace_source,
 )
 from repro.config import presets
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.spec import RunSpec
-from repro.models import serving, zoo
+from repro.models import zoo
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -53,12 +43,8 @@ def network():
 
 @pytest.fixture
 def process_cache_state():
-    """Snapshot + restore the process-level cache around a test."""
-    cache = tracecache.process_cache()
-    store = cache.store
-    cache.clear_memo()  # deterministic stats: no entries from earlier tests
-    yield
-    cache.store = store
+    """Start a test on an empty process-level memo."""
+    tracecache.process_cache().clear_memo()  # no entries from earlier tests
 
 
 # ---------------------------------------------------------------------- #
@@ -116,8 +102,7 @@ class TestFingerprint:
         )
 
     def test_fingerprint_is_tagged_with_the_engine_name(self, network, arch):
-        """Shard filenames lead with the compiling engine, so the cache
-        CLI can group trace shards by dataflow without opening them."""
+        """Fingerprints lead with the compiling engine's name."""
         from repro.compute.dataflow import registered_dataflows
 
         tags = set()
@@ -154,7 +139,7 @@ class TestFingerprint:
 
 
 # ---------------------------------------------------------------------- #
-# Compile + serialization round trip
+# Compile
 # ---------------------------------------------------------------------- #
 
 
@@ -167,90 +152,29 @@ class TestCompiledTrace:
         assert trace.memory_footprint_bytes == generator.memory_footprint_bytes
         assert trace.num_layers == generator.num_layers
 
-    def test_disk_round_trip_is_exact(self, network, arch):
-        trace = compile_trace(network, arch)
-        decoded, reason = decode_trace(encode_trace(trace), trace.fingerprint)
-        assert reason is None
-        assert decoded.layers == trace.layers
-        assert decoded.summary() == trace.summary()  # floats included, exactly
-        assert decoded.memory_footprint_bytes == trace.memory_footprint_bytes
-        assert decoded.object_cost == trace.object_cost
-
-    @pytest.mark.parametrize(
-        "raw, reason",
-        [
-            (b"{truncated", "unparseable JSON (truncated write?)"),
-            (b"[1, 2]", "malformed shard structure"),
-            (b'{"version": 999}', "trace-version mismatch"),
-        ],
-    )
-    def test_decode_rejects_unsound_payloads(self, raw, reason):
-        decoded, got = decode_trace(raw, "abc")
-        assert decoded is None
-        assert got.startswith(reason)
-
-    def test_decode_rejects_foreign_fingerprint(self, network, arch):
-        trace = compile_trace(network, arch)
-        decoded, reason = decode_trace(encode_trace(trace), "not-the-fingerprint")
-        assert decoded is None
-        assert reason == "fingerprint does not match request"
-
     def test_oversized_compile_bails_out(self, network, arch):
         assert compile_trace(network, arch, max_objects=10) is None
 
 
 # ---------------------------------------------------------------------- #
-# The two-level cache
+# The memo
 # ---------------------------------------------------------------------- #
 
 
 class TestTraceCache:
-    def test_memo_then_disk_then_compile(self, tmp_path, network, arch):
-        cache = TraceCache(tmp_path)
+    def test_memo_hit_after_one_compile(self, network, arch):
+        cache = TraceCache()
         first = cache.get(network, arch)
         assert cache.get(network, arch) is first
         assert cache.stats.compiles == 1 and cache.stats.memo_hits == 1
+        assert cache.stats.hit_rate == 0.5
 
-        fresh = TraceCache(tmp_path)  # cold memo, warm disk
-        loaded = fresh.get(network, arch)
-        assert fresh.stats.disk_hits == 1 and fresh.stats.compiles == 0
-        assert list(loaded.all_tiles()) == list(first.all_tiles())
-        assert loaded.summary() == first.summary()
-
-    @pytest.mark.parametrize("mode", ["truncate", "garbage", "flip"])
-    def test_corrupt_shard_quarantined_and_recompiled(
-        self, tmp_path, network, arch, mode
-    ):
-        cache = TraceCache(tmp_path)
-        original = cache.get(network, arch)
-        shard = cache.store.path(cache.shard_name(original.fingerprint))
-        raw = shard.read_bytes()
-        if mode == "truncate":
-            shard.write_bytes(raw[: len(raw) // 2])
-        elif mode == "garbage":
-            shard.write_bytes(b"not json at all")
-        else:  # valid JSON, wrong bytes -> checksum sidecar catches it
-            shard.write_bytes(raw.replace(b'"version"', b'"version" ', 1))
-
-        fresh = TraceCache(tmp_path)
-        recompiled = fresh.get(network, arch)
-        assert recompiled is not None
-        assert list(recompiled.all_tiles()) == list(original.all_tiles())
-        assert fresh.stats.quarantined == 1
-        assert fresh.stats.compiles == 1 and fresh.stats.disk_hits == 0
-        assert list(fresh.store.quarantine_dir.iterdir())
-        # The recompile republished a sound shard.
-        again = TraceCache(tmp_path)
-        assert again.get(network, arch) is not None
-        assert again.stats.disk_hits == 1
-
-    def test_oversize_falls_back_without_recompiling(self, tmp_path, network, arch):
-        cache = TraceCache(tmp_path, max_memo_objects=10)
+    def test_oversize_falls_back_without_recompiling(self, network, arch):
+        cache = TraceCache(max_memo_objects=10)
         assert cache.get(network, arch) is None
         assert cache.get(network, arch) is None
         assert cache.stats.compiles == 1  # the bail-out is remembered
         assert cache.stats.oversize == 2
-        assert cache.store.shard_names() == []  # nothing materialized on disk
 
     def test_memo_eviction_respects_budget(self, network, arch):
         small = compile_trace(network, arch)
@@ -259,7 +183,7 @@ class TestTraceCache:
         other = dataclasses.replace(arch, spm_bytes=arch.spm_bytes // 2)
         cache.get(network, other)  # different fingerprint -> eviction
         # Only the newest trace fits the budget: it is a memo hit, while
-        # the evicted one compiles again (this cache has no disk level).
+        # the evicted one compiles again.
         cache.get(network, other)
         assert cache.stats.memo_hits == 1
         cache.get(network, arch)
@@ -267,7 +191,6 @@ class TestTraceCache:
 
     def test_trace_source_fallback_paths(self, network, arch, process_cache_state):
         cache = tracecache.process_cache()
-        tracecache.configure(directory=None)
         assert isinstance(trace_source(network, arch), CompiledTrace)
         saved_max, oversize = cache.max_memo_objects, cache.stats.oversize
         cache.clear_memo()
@@ -281,16 +204,47 @@ class TestTraceCache:
 
 
 # ---------------------------------------------------------------------- #
-# Shard format and trace memory
+# Trace content and trace memory
 # ---------------------------------------------------------------------- #
 
-#: The eight Table 1 workloads, in the order their shards are hashed.
-SHARD_MODELS = ("res", "yt", "alex", "sfrnn", "ds2", "dlrm", "ncf", "gpt2")
+#: The eight Table 1 workloads, in the order their traces are hashed.
+TRACE_MODELS = ("res", "yt", "alex", "sfrnn", "ds2", "dlrm", "ncf", "gpt2")
 
-#: sha256 over the encoded mini solo frontends of SHARD_MODELS, in order.
-#: A change here means existing ``traces/`` shards no longer match what
-#: a fresh compile writes: bump TRACE_VERSION instead of re-pinning.
-SHARD_SHA256 = "d1bbc63cd383602d8c516916cdcc51f81478b82b2e5d2d917a918c1e360b83cf"
+#: sha256 (see :func:`trace_sha256`) over the compiled mini solo
+#: frontends of TRACE_MODELS, in order.  It was taken at the last commit
+#: that still wrote on-disk trace shards, where the shard pin over the
+#: same eight traces (sha256 d1bbc63c...360b83cf) held, so it pins the
+#: same content.  A change here changes the requests every run replays.
+TRACE_SHA256 = "3f5d9bc3e78cafc161e7190acadc17e94fca0d69764595f6a1b85ca2022370a5"
+
+
+def trace_sha256(traces: list[CompiledTrace]) -> str:
+    """sha256 over each trace's footprint, summary and tiles.
+
+    Each tile contributes its layer index, its shape, its read and write
+    run arrays as ints and its compute triple.
+    """
+    digest = hashlib.sha256()
+    for trace in traces:
+        digest.update(
+            repr(
+                (trace.memory_footprint_bytes, sorted(trace.stats.items()))
+            ).encode()
+        )
+        for tile in trace.all_tiles():
+            t, c = tile.tile, tile.compute
+            digest.update(
+                repr(
+                    (
+                        tile.layer_index,
+                        (t.m0, t.n0, t.k0, t.tm, t.tn, t.tk, t.first_k, t.last_k),
+                        list(tile.reads),
+                        list(tile.writes),
+                        (c.cycles, c.macs, c.pe_utilization),
+                    )
+                ).encode()
+            )
+    return digest.hexdigest()
 
 
 def _solo_frontend(model: str):
@@ -302,167 +256,20 @@ def _solo_frontend(model: str):
 
 @pytest.fixture(scope="module")
 def solo_traces():
-    return [compile_trace(*_solo_frontend(model)) for model in SHARD_MODELS]
+    return [compile_trace(*_solo_frontend(model)) for model in TRACE_MODELS]
 
 
-class TestShardFormat:
-    def test_encoded_shards_match_pinned_digest(self, solo_traces):
-        digest = hashlib.sha256()
-        for trace in solo_traces:
-            digest.update(encode_trace(trace))
-        assert digest.hexdigest() == SHARD_SHA256
-
-    def test_decode_encode_round_trips_bytes(self, solo_traces):
-        for trace in solo_traces:
-            raw = encode_trace(trace)
-            decoded, reason = decode_trace(raw, trace.fingerprint)
-            assert reason is None
-            assert encode_trace(decoded) == raw
+class TestTraceContent:
+    def test_compiled_traces_match_pinned_digest(self, solo_traces):
+        assert trace_sha256(solo_traces) == TRACE_SHA256
 
     def test_object_cost_is_tiles_plus_runs(self, solo_traces):
         for trace in solo_traces:
-            shard = json.loads(encode_trace(trace))
-            tiles = [tile for layer in shard["layers"] for tile in layer]
-            runs = sum(len(reads) + len(writes) for _, reads, writes, _ in tiles)
+            tiles = list(trace.all_tiles())
+            # Each run is one (addr, count) pair: two array slots.
+            runs = sum((len(t.reads) + len(t.writes)) // 2 for t in tiles)
+            assert trace.num_tiles == len(tiles)
             assert trace.object_cost == len(tiles) + runs
-            decoded, _ = decode_trace(encode_trace(trace), trace.fingerprint)
-            assert decoded.object_cost == trace.object_cost
-
-    def test_decode_rejects_non_integer_runs(self, network, arch):
-        trace = compile_trace(network, arch)
-        shard = json.loads(encode_trace(trace))
-        shard["layers"][0][0][1][0][0] = 0.5
-        decoded, reason = decode_trace(json.dumps(shard).encode(), trace.fingerprint)
-        assert decoded is None
-        assert reason == "malformed trace payload"
-
-
-def reference_encode(trace: CompiledTrace) -> bytes:
-    """The shard bytes as ``json.dumps`` writes them over nested lists.
-
-    This is how ``encode_trace`` built shards before it learned to
-    format them straight from the flat run arrays; the encoder must
-    stay byte-identical to it.
-    """
-
-    def pairs(runs):
-        return list(zip(runs[0::2], runs[1::2]))
-
-    def tile_lists(tile):
-        t, c = tile.tile, tile.compute
-        return [
-            [t.m0, t.n0, t.k0, t.tm, t.tn, t.tk, int(t.first_k), int(t.last_k)],
-            pairs(tile.reads),
-            pairs(tile.writes),
-            [c.cycles, c.macs, c.pe_utilization],
-        ]
-
-    layers = [[tile_lists(tile) for tile in layer] for layer in trace.layers]
-    payload = {
-        "version": tracecache.TRACE_VERSION,
-        "fingerprint": trace.fingerprint,
-        "network": trace.network_name,
-        "footprint": trace.memory_footprint_bytes,
-        "summary": trace.stats,
-        "layers": layers,
-    }
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
-
-
-def assert_encodes_like_reference(trace: CompiledTrace) -> None:
-    raw = encode_trace(trace)
-    assert raw == reference_encode(trace)
-    decoded, reason = decode_trace(raw, trace.fingerprint)
-    assert reason is None
-    assert decoded.layers == trace.layers
-    assert decoded.summary() == trace.summary()
-    assert encode_trace(decoded) == raw
-
-
-#: Floats whose shortest JSON rendering is easy to get wrong by hand.
-TRICKY_FLOATS = (5e-324, 0.1, 1 / 3, 1.0)
-
-ints = st.integers(min_value=0, max_value=2**62)
-floats = st.sampled_from(TRICKY_FLOATS) | st.floats(
-    allow_nan=False, allow_infinity=False
-)
-run_arrays = st.lists(st.tuples(ints, ints), max_size=6).map(
-    lambda pairs: array("q", [value for pair in pairs for value in pair])
-)
-
-
-@st.composite
-def tile_traffic(draw, layer_index: int):
-    return TileTraffic(
-        layer_index=layer_index,
-        tile=Tile(
-            *draw(st.tuples(*[ints] * 6)),
-            first_k=draw(st.booleans()),
-            last_k=draw(st.booleans()),
-        ),
-        reads=draw(run_arrays),
-        writes=draw(run_arrays),
-        compute=ComputeEstimate(
-            cycles=draw(ints), macs=draw(ints), pe_utilization=draw(floats)
-        ),
-    )
-
-
-@st.composite
-def compiled_traces(draw):
-    layer_count = draw(st.integers(min_value=0, max_value=3))
-    layers = tuple(
-        tuple(draw(st.lists(tile_traffic(index), max_size=3)))
-        for index in range(layer_count)
-    )
-    return CompiledTrace(
-        fingerprint=draw(st.text(max_size=12)),
-        network_name=draw(st.text(max_size=12)),
-        memory_footprint_bytes=draw(ints),
-        layers=layers,
-        stats=draw(st.dictionaries(st.text(max_size=8), floats, max_size=4)),
-    )
-
-
-class TestEncoderMatchesReference:
-    """``encode_trace`` writes exactly the bytes ``json.dumps`` would."""
-
-    @given(compiled_traces())
-    @settings(max_examples=200, deadline=None)
-    def test_generated_traces(self, trace):
-        assert_encodes_like_reference(trace)
-
-    @pytest.mark.parametrize("value", TRICKY_FLOATS)
-    def test_tricky_floats_in_compute_and_summary(self, value):
-        tile = TileTraffic(
-            layer_index=0,
-            tile=Tile(0, 0, 0, 1, 1, 1, True, False),
-            reads=array("q", [2**62, 1]),
-            writes=array("q"),
-            compute=ComputeEstimate(cycles=1, macs=1, pe_utilization=value),
-        )
-        trace = CompiledTrace(
-            fingerprint="os-x",
-            network_name="n",
-            memory_footprint_bytes=0,
-            layers=((tile,), ()),
-            stats={"pe_utilization": value},
-        )
-        assert_encodes_like_reference(trace)
-
-    @pytest.mark.parametrize("dataflow", registered_dataflows())
-    def test_real_frontends_of_every_dataflow(self, dataflow):
-        for model in SHARD_MODELS:
-            network, arch = _solo_frontend(model)
-            arch = dataclasses.replace(arch, dataflow=dataflow)
-            assert_encodes_like_reference(compile_trace(network, arch))
-
-    @pytest.mark.parametrize("phase", serving.PHASES)
-    def test_gpt2_serving_phases(self, phase):
-        network = serving.resolve(f"gpt2:{phase}")
-        assert_encodes_like_reference(
-            compile_trace(network, presets.cloud_arch("mini"))
-        )
 
 
 class TestTraceMemory:
@@ -480,26 +287,6 @@ class TestTraceMemory:
         runs = trace.object_cost - trace.num_tiles
         assert runs == 29_046
         assert held / runs <= 32, f"{held / runs:.1f} B per run"
-
-    def test_encode_peak_at_most_64_bytes_per_run(self):
-        """Shards are written from the flat arrays: no per-run objects.
-
-        The JSON itself is about 12.5 B per run; building it through
-        nested ``[addr, count]`` lists peaked near 192 B per run.
-        """
-        trace = compile_trace(*_solo_frontend("sfrnn"))
-        runs = trace.object_cost - trace.num_tiles
-        gc.collect()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            raw = encode_trace(trace)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert len(raw) > 0
-        assert peak / runs <= 64, f"{peak / runs:.1f} B per run"
 
 
 # ---------------------------------------------------------------------- #
@@ -522,19 +309,10 @@ class TestRunnerIntegration:
         stats = runner.last_trace_stats
         assert stats is not None
         # Three specs, one distinct (workload, arch) frontend.
-        assert stats.compiles + stats.memo_hits + stats.disk_hits == 1
-        assert (tmp_path / "traces").is_dir()
+        assert stats.compiles + stats.memo_hits == 1
+        assert not (tmp_path / "traces").exists()
         events = [r["event"] for r in runner.journal.read()]
         assert "trace_cache" in events
-
-    def test_warm_runner_loads_from_disk(self, tmp_path, process_cache_state):
-        first = ExperimentRunner(cache_dir=tmp_path)
-        first.run_many([self.SPECS[0]])
-        tracecache.process_cache().clear_memo()  # simulate a new process
-        second = ExperimentRunner(cache_dir=tmp_path)
-        second.run_many([self.SPECS[1]])  # cold result, same frontend
-        assert second.last_trace_stats.disk_hits == 1
-        assert second.last_trace_stats.compiles == 0
 
     def test_parallel_and_serial_results_identical(
         self, tmp_path, process_cache_state
@@ -552,65 +330,3 @@ class TestRunnerIntegration:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
             ).read_bytes()
-
-
-# ---------------------------------------------------------------------- #
-# Legacy shards
-# ---------------------------------------------------------------------- #
-
-
-class TestLegacyShards:
-    """Shards written before fingerprints carried the dataflow tag (a
-    bare digest stem, no ``-``) — and current OS-tagged shards — must
-    keep loading through the exact validated-read path the cache uses."""
-
-    def _store(self, tmp_path):
-        from repro.storage import ShardStore
-
-        quarantined = []
-        return (
-            ShardStore(
-                tmp_path, on_quarantine=lambda n, r: quarantined.append((n, r))
-            ),
-            quarantined,
-        )
-
-    @pytest.mark.parametrize(
-        "legacy_fingerprint",
-        [
-            "0123456789abcdef0123456789abcdef",  # pre-tag: bare digest
-            "os-0123456789abcdef0123456789abcdef",  # current: engine tag
-        ],
-        ids=["untagged", "os-tagged"],
-    )
-    def test_shard_round_trips(self, tmp_path, network, arch, legacy_fingerprint):
-        store, quarantined = self._store(tmp_path)
-        trace = compile_trace(network, arch)
-        relabeled = dataclasses.replace(trace, fingerprint=legacy_fingerprint)
-        store.write(
-            TraceCache.shard_name(legacy_fingerprint), encode_trace(relabeled)
-        )
-        loaded = store.read_validated(
-            TraceCache.shard_name(legacy_fingerprint),
-            lambda raw: decode_trace(raw, legacy_fingerprint),
-        )
-        assert loaded is not None
-        assert loaded.fingerprint == legacy_fingerprint
-        assert list(loaded.all_tiles()) == list(trace.all_tiles())
-        assert not quarantined
-
-    def test_cache_stats_groups_untagged_shards(self, tmp_path, network, arch):
-        """``mnpusim cache stats`` must group pre-tag shards as
-        "untagged" rather than crash or misattribute them."""
-        from repro.cli import _trace_shards_by_dataflow
-
-        store, _ = self._store(tmp_path)
-        trace = compile_trace(network, arch)
-        store.write(TraceCache.shard_name(trace.fingerprint), encode_trace(trace))
-        legacy = "0123456789abcdef0123456789abcdef"
-        store.write(
-            TraceCache.shard_name(legacy),
-            encode_trace(dataclasses.replace(trace, fingerprint=legacy)),
-        )
-        counts = _trace_shards_by_dataflow(store)
-        assert counts == {"os": 1, "untagged": 1}
