@@ -82,9 +82,7 @@ SCENARIOS: dict[str, tuple[str, RunSpec]] = {
 
 def _networks(spec: RunSpec) -> list:
     """Serving-aware workload resolution (zoo names fall through)."""
-    return serving.networks_for(
-        spec.workloads, spec.scale, params=spec.serving, default_phase=spec.phase
-    )
+    return serving.networks_for(spec.workloads, spec.scale, params=spec.serving)
 
 
 def measure(spec: RunSpec, repeats: int) -> dict:
@@ -161,8 +159,8 @@ def memo_footprint(frontends: list) -> tuple[list, int]:
         before = tracemalloc.get_traced_memory()[0]
         cache = tracecache.TraceCache()
         traces = {
-            trace.fingerprint: trace
-            for trace in (cache.get(network, arch) for network, arch in frontends)
+            tracecache.frontend_key(network, arch): cache.get(network, arch)
+            for network, arch in frontends
         }
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
@@ -204,7 +202,7 @@ def measure_sweep(repeats: int) -> dict:
         (networks[name], arch) for spec in specs for name, arch in spec.frontends()
     ]
     distinct = {
-        tracecache.frontend_fingerprint(network, arch) for network, arch in frontends
+        tracecache.frontend_key(network, arch) for network, arch in frontends
     }
 
     def acquire_live() -> None:
@@ -246,21 +244,23 @@ def measure_sweep(repeats: int) -> dict:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    # One fixed frontend re-keyed under every registered dataflow engine:
-    # the keys must all differ, or engines would silently share compiled
-    # traces (CI asserts this distinctness in the bench-smoke job).
+    # One fixed frontend compiled under every registered dataflow engine
+    # into a fresh memo: each must compile and the keys (their traffic
+    # arch fields) must all differ, or engines would silently share
+    # compiled traces (CI asserts both in the bench-smoke job).
     from repro.compute.dataflow import registered_dataflows
 
     probe_network = networks[SWEEP_WORKLOADS[0]]
     probe_arch = next(
         arch for spec in specs for _, arch in spec.frontends()
     )
-    dataflow_trace_keys = {
-        dataflow: tracecache.frontend_fingerprint(
-            probe_network, dataclasses.replace(probe_arch, dataflow=dataflow)
-        )
-        for dataflow in registered_dataflows()
-    }
+    probe_cache = tracecache.TraceCache()
+    dataflow_trace_keys = {}
+    for dataflow in registered_dataflows():
+        arch = dataclasses.replace(probe_arch, dataflow=dataflow)
+        probe_cache.get(probe_network, arch)
+        arch_fields, _ = tracecache.frontend_key(probe_network, arch)
+        dataflow_trace_keys[dataflow] = list(arch_fields)
 
     return {
         "description": (
@@ -271,6 +271,7 @@ def measure_sweep(repeats: int) -> dict:
         "frontend_acquisitions": len(frontends),
         "distinct_frontends": len(distinct),
         "dataflow_trace_keys": dataflow_trace_keys,
+        "dataflow_compiles": probe_cache.stats.compiles,
         "frontend": {
             "no_cache_seconds": round(frontend_no_cache, 6),
             "cold_seconds": round(frontend_cold, 6),

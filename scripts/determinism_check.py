@@ -75,8 +75,7 @@ def run_pass(label: str, out: Path, corpus, observed, *, live: bool = False):
     for name in observed:
         spec = dict(corpus)[name]
         networks = serving.networks_for(
-            spec.workloads, spec.scale,
-            params=spec.serving, default_phase=spec.phase,
+            spec.workloads, spec.scale, params=spec.serving
         )
         sim = MultiCoreNPUSim(spec.system(), networks, observe=True)
         result = sim.run(max_ticks=MAX_TICKS)

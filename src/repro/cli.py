@@ -138,8 +138,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         share_tlb=not args.static_tlb,
     )
     networks = _serving_networks(
-        network_names, args.scale,
-        params=_serving_params(args), default_phase=args.phase,
+        serving_names.qualify(network_names, args.phase), args.scale,
+        params=_serving_params(args),
     )
     freeze_heap()
     sim = MultiCoreNPUSim(
@@ -193,21 +193,26 @@ def _run_mix(
         if args.sharing
         else SharingLevel.DWT
     )
+    workloads = serving_names.qualify(args.workloads, args.phase)
+    if args.phase is not None and workloads == tuple(args.workloads):
+        # --phase qualified nothing: no workload is a bare serving base.
+        raise SystemExit(
+            "phase only applies to bare serving-base workloads "
+            f"(e.g. 'gpt2'); none in {workloads!r} — either "
+            "drop 'phase' or phase-qualify the names directly"
+        )
     try:
         spec = RunSpec.mix(
-            args.workloads,
+            workloads,
             sharing,
             scale=args.scale,
             page_bytes=args.page_bytes,
             dataflow=dataflow,
-            phase=args.phase,
             serving=_serving_params(args),
         )
     except ValueError as error:
         raise SystemExit(str(error)) from error
-    networks = _serving_networks(
-        args.workloads, args.scale, params=spec.serving, default_phase=spec.phase
-    )
+    networks = _serving_networks(workloads, args.scale, params=spec.serving)
     freeze_heap()
     sim = MultiCoreNPUSim(
         spec.system(),
@@ -496,11 +501,12 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
         "LLM serving",
         "shape gpt2:prefill / gpt2:decode workloads (see repro.models.serving); "
-        "--phase applies to bare 'gpt2' workload names",
+        "--phase qualifies bare 'gpt2' workload names",
     )
     group.add_argument(
         "--phase", default=None, choices=serving_names.PHASES,
-        help="serving phase bare serving-base workloads resolve to",
+        help="qualify bare serving-base workloads with this phase "
+        "('gpt2' runs as 'gpt2:PHASE')",
     )
     group.add_argument(
         "--serving-batch", type=int, default=None, metavar="N",
@@ -561,12 +567,12 @@ def _serving_params(args: argparse.Namespace) -> ServingParams | None:
         raise SystemExit(str(error)) from error
 
 
-def _serving_networks(names, scale, *, params, default_phase):
+def _serving_networks(names, scale, *, params):
     """Resolve workload names serving-aware; exit cleanly on bad names."""
     from repro.models.serving import networks_for
 
     try:
-        return networks_for(names, scale, params=params, default_phase=default_phase)
+        return networks_for(names, scale, params=params)
     except (KeyError, ValueError) as error:
         raise SystemExit(str(error)) from error
 

@@ -13,8 +13,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "repro.compute.requestgen": ("RequestGenerator", "TileTraffic"),
     "repro.compute.tracecache": (
-        "CompiledTrace", "TraceCache", "compile_trace", "frontend_fingerprint",
-        "trace_source",
+        "CompiledTrace", "TraceCache", "compile_trace", "trace_source",
     ),
 })
 
@@ -35,6 +34,5 @@ __all__ = [
     "CompiledTrace",
     "TraceCache",
     "compile_trace",
-    "frontend_fingerprint",
     "trace_source",
 ]

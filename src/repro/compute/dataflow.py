@@ -15,12 +15,10 @@ name only (:data:`STOCK_DATAFLOWS`); :func:`get_engine` loads them, and
 with them the tiling policy and the cycle model, the first time a trace
 is compiled.  Naming, validating and planning a dataflow loads neither.
 
-**Fingerprint versioning rule**: each engine carries an integer
-``version``.  :func:`~repro.compute.tracecache.frontend_fingerprint`
-mixes ``(name, version)`` into the trace-cache key, so refining one
-engine's timing or tiling model invalidates exactly that engine's cached
-traces — bump the engine's ``version`` whenever its emitted tiles,
-runs or cycle counts change for any input.
+An engine's name is its identity in the trace memo: the memo key holds
+``ArchConfig.dataflow`` (see :func:`~repro.compute.tracecache.frontend_key`),
+and the memo lives only as long as the process, so no trace can outlive
+the model that compiled it.
 """
 
 from __future__ import annotations
@@ -43,9 +41,9 @@ def register(engine: DataflowEngine) -> DataflowEngine:
 
     Registration order is preserved — it is the order ``ArchConfig``
     error messages, CLI choices and ``dataflow_compare`` enumerate.
-    Duplicate names raise: an engine's identity (name, version) is what
-    content-addresses its traces, so silently replacing one would alias
-    two different models under one cache key.
+    Duplicate names raise: an engine's name is what keys its traces in
+    the memo, so silently replacing one would alias two different models
+    under one key.
     """
     if engine.name in _REGISTRY:
         raise ValueError(f"dataflow engine {engine.name!r} is already registered")

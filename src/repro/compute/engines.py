@@ -87,15 +87,13 @@ class DataflowEngine:
     """One dataflow: a tiling policy and a compute-cycle model.
 
     Subclasses set ``name`` (the ``ArchConfig.dataflow`` string) and
-    ``version`` (the fingerprint tag — bump on any output-changing
-    model refinement), and implement :meth:`estimate`.  The tiling
+    implement :meth:`estimate`.  The tiling
     hooks default to the shared slab policy of
     :mod:`repro.compute.tiling`; override them when the dataflow wants
     a different decomposition.
     """
 
     name: ClassVar[str]
-    version: ClassVar[int]
 
     def tile_shape(self, gemm: GemmOp, arch: ArchConfig) -> TileShape:
         """The tile shape this engine compiles ``gemm`` with."""
@@ -114,7 +112,6 @@ class OutputStationary(DataflowEngine):
     """The paper's dataflow: outputs accumulate in place."""
 
     name = "os"
-    version = 1
 
     def estimate(self, arch: ArchConfig, m: int, k: int, n: int) -> ComputeEstimate:
         _check_dims(m, k, n)
@@ -127,7 +124,6 @@ class WeightStationary(DataflowEngine):
     """Weights resident, activations stream (SCALE-Sim WS timing)."""
 
     name = "ws"
-    version = 1
 
     def tile_shape(self, gemm: GemmOp, arch: ArchConfig) -> TileShape:
         # Under WS, m maps to array columns: grow the slab's Tm in
@@ -145,7 +141,6 @@ class InputStationary(DataflowEngine):
     """Inputs resident, weights stream — the mirror of WS."""
 
     name = "is"
-    version = 1
 
     def tile_shape(self, gemm: GemmOp, arch: ArchConfig) -> TileShape:
         # The resident input block spans Tk reduction rows; align Tk

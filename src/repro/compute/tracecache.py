@@ -21,11 +21,11 @@ reproduction:
   by the golden-equivalence suite), so caching is purely a wall-time
   optimization.
 
-The cache is an in-process LRU memo, content-addressed by
-:func:`frontend_fingerprint`, a stable hash over the network topology
-and the *traffic-affecting* arch fields only — memory-side sweeps
-(bandwidth partitions, page sizes, TLB/PTW splits, DRAM timing) share
-one compiled frontend across every configuration they try.  The memo is
+The cache is an in-process LRU memo keyed by value
+(:func:`frontend_key`): the network's layers plus the
+*traffic-affecting* arch fields only — memory-side sweeps (bandwidth
+partitions, page sizes, TLB/PTW splits, DRAM timing) share one compiled
+frontend across every configuration they try.  The memo is
 bounded by total object count, tiles plus runs
 (:data:`MEMO_MAX_OBJECTS`, the budget that used to live inside
 ``RequestGenerator``).  Nothing is persisted: compiling a frontend costs
@@ -45,13 +45,9 @@ resolves through the process-level cache (:func:`process_cache`,
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Protocol, Union
-
-from repro.compute.dataflow import get_engine
-from repro.digest import blake2b
+from typing import TYPE_CHECKING, Any, Iterator, Protocol, Union
 
 if TYPE_CHECKING:
     # The frontend (request generation, tiling, the cycle model) loads
@@ -59,7 +55,7 @@ if TYPE_CHECKING:
     # every result is cached never loads it.
     from repro.compute.requestgen import RequestGenerator, TileTraffic
     from repro.config.arch import ArchConfig
-    from repro.models.layers import Network
+    from repro.models.layers import Layer, Network
 
 #: Total objects (tiles + runs) the in-process memo may hold across all
 #: compiled traces.  Traces that alone exceed this are never
@@ -81,6 +77,10 @@ _TRAFFIC_ARCH_FIELDS = (
     "dram_transaction_bytes",
 )
 
+#: What the memo keys a frontend by: the traffic arch field values, in
+#: :data:`_TRAFFIC_ARCH_FIELDS` order, and the network's layers.
+FrontendKey = tuple[tuple[Any, ...], tuple["Layer", ...]]
+
 
 class TraceSource(Protocol):
     """What the replay side needs from a frontend (compiled or live)."""
@@ -96,46 +96,19 @@ class TraceSource(Protocol):
     def summary(self) -> dict[str, float]: ...
 
 
-def frontend_fingerprint(network: Network, arch: ArchConfig) -> str:
-    """Stable content hash of one frontend: topology + traffic arch fields.
+def frontend_key(network: Network, arch: ArchConfig) -> FrontendKey:
+    """The memo key of one frontend: traffic arch fields + layers.
 
-    The fingerprint is computed from a canonical JSON rendering, so it is
-    identical across processes, machines and Python hash seeds; any
-    change to a layer definition or to a traffic-affecting arch field
-    yields a new fingerprint (and therefore a recompile), while replay-
-    side knobs (frequency, DMA width, the whole memory system) share the
-    compiled trace.
-
-    The dataflow engine that compiles the trace contributes its
-    ``(name, version)`` pair to the hashed payload — bumping an engine's
-    ``version`` after a model refinement invalidates exactly that
-    engine's cached traces — and the engine name also prefixes the
-    returned fingerprint (``os-<digest>``), so a trace is attributable to
-    its dataflow by its key alone.
-
-    Serving frontends (networks named with the
-    :data:`repro.models.serving.NAME_PREFIX` ``srv-`` marker) carry that
-    marker between the engine tag and the digest (``os-srv-<digest>``),
-    so schedule-unrolled serving traces are identifiable by key too.
-    The network *name* is deliberately not part of the hashed payload —
-    identical layer lists share a trace regardless of naming — so the
-    tag rides outside the digest.
+    Layers are frozen dataclasses, so the key hashes and compares by
+    value: a changed layer or traffic-affecting arch field (the dataflow
+    among them) misses, while replay-side knobs (frequency, DMA width,
+    the whole memory system) and the network's name share the compiled
+    trace.
     """
-    engine = get_engine(arch.dataflow)
-    layers = [
-        [type(layer).__name__, dataclasses.asdict(layer)]
-        for layer in network.layers
-    ]
-    payload = {
-        "engine": [engine.name, engine.version],
-        "arch": {name: getattr(arch, name) for name in _TRAFFIC_ARCH_FIELDS},
-        "layers": layers,
-    }
-    digest = blake2b(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return (
+        tuple(getattr(arch, name) for name in _TRAFFIC_ARCH_FIELDS),
+        network.layers,
     )
-    tag = "srv-" if network.name.startswith("srv-") else ""
-    return f"{engine.name}-{tag}{digest.hexdigest()[:32]}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +122,6 @@ class CompiledTrace:
     them.
     """
 
-    fingerprint: str
     memory_footprint_bytes: int
     layers: tuple[tuple[TileTraffic, ...], ...]
     stats: dict[str, float] = field(repr=False)
@@ -164,10 +136,6 @@ class CompiledTrace:
     def num_tiles(self) -> int:
         """Total tiles across all layers."""
         return sum(len(layer) for layer in self.layers)
-
-    def layer_tiles(self, layer_index: int) -> Iterator[TileTraffic]:
-        """Replay the tile traffic of one layer, in execution order."""
-        return iter(self.layers[layer_index])
 
     def all_tiles(self) -> Iterator[TileTraffic]:
         """Replay every tile of every layer, in execution order."""
@@ -196,7 +164,6 @@ def compile_trace(
     arch: ArchConfig,
     *,
     max_objects: int | None = None,
-    fingerprint: str | None = None,
 ) -> CompiledTrace | None:
     """Lower one frontend into a :class:`CompiledTrace`.
 
@@ -219,9 +186,6 @@ def compile_trace(
             return None
         layers.append(tiles)
     return CompiledTrace(
-        fingerprint=fingerprint
-        if fingerprint is not None
-        else frontend_fingerprint(network, arch),
         memory_footprint_bytes=generator.memory_footprint_bytes,
         layers=tuple(layers),
         stats=_summarize(layers, arch),
@@ -303,17 +267,17 @@ class TraceCacheStats:
 class TraceCache:
     """In-process LRU memo of :class:`CompiledTrace` artifacts.
 
-    Content-addressed by :func:`frontend_fingerprint`, so entries can
-    never go stale — a changed topology or arch simply misses.  The memo
-    is LRU-bounded by total object count.
+    Keyed by value (:func:`frontend_key`), so entries can never go
+    stale — a changed topology or arch simply misses.  The memo is
+    LRU-bounded by total object count.
     """
 
     def __init__(self, *, max_memo_objects: int = MEMO_MAX_OBJECTS) -> None:
         self.max_memo_objects = max_memo_objects
         self.stats = TraceCacheStats()
-        self._memo: OrderedDict[str, CompiledTrace] = OrderedDict()
+        self._memo: OrderedDict[FrontendKey, CompiledTrace] = OrderedDict()
         self._memo_cost = 0
-        self._oversize: set[str] = set()
+        self._oversize: set[FrontendKey] = set()
 
     def clear_memo(self) -> None:
         """Forget every compiled trace and every oversize verdict."""
@@ -327,32 +291,27 @@ class TraceCache:
         Resolution order: memo → compile (remembering the trace, or the
         oversize verdict).
         """
-        fingerprint = frontend_fingerprint(network, arch)
-        trace = self._memo.get(fingerprint)
+        key = frontend_key(network, arch)
+        trace = self._memo.get(key)
         if trace is not None:
-            self._memo.move_to_end(fingerprint)
+            self._memo.move_to_end(key)
             self.stats.memo_hits += 1
             return trace
-        if fingerprint in self._oversize:
+        if key in self._oversize:
             self.stats.oversize += 1
             return None
-        trace = compile_trace(
-            network,
-            arch,
-            max_objects=self.max_memo_objects,
-            fingerprint=fingerprint,
-        )
+        trace = compile_trace(network, arch, max_objects=self.max_memo_objects)
         self.stats.compiles += 1
         if trace is None:
-            self._oversize.add(fingerprint)
+            self._oversize.add(key)
             self.stats.oversize += 1
             return None
-        self._remember(trace)
+        self._remember(key, trace)
         return trace
 
-    def _remember(self, trace: CompiledTrace) -> None:
+    def _remember(self, key: FrontendKey, trace: CompiledTrace) -> None:
         """Memoize a fresh compile, evicting least-recently-used traces."""
-        self._memo[trace.fingerprint] = trace
+        self._memo[key] = trace
         self._memo_cost += trace.object_cost
         while self._memo_cost > self.max_memo_objects and len(self._memo) > 1:
             _, evicted = self._memo.popitem(last=False)

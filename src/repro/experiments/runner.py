@@ -468,20 +468,16 @@ class ExperimentRunner:
 
         Registered networks shadow everything; seed-named random nets
         (``rand2023``) rebuild from their seed; serving names
-        (``gpt2:prefill``, or a bare base under ``spec.phase``) build
-        their schedule-unrolled networks from the spec's serving
-        parameters; everything else falls back to the zoo at the spec's
-        scale.
+        (``gpt2:prefill``) build their schedule-unrolled networks from
+        the spec's serving parameters; everything else falls back to the
+        zoo at the spec's scale.
         """
         from repro.models import random_net, serving
 
         if name in self._networks:
             return self._networks[name]
         network = random_net.by_name(name) or serving.resolve(
-            name,
-            spec.scale,
-            params=spec.serving,
-            default_phase=spec.phase,
+            name, spec.scale, params=spec.serving
         )
         if network is not None:
             return network
@@ -651,14 +647,14 @@ class ExperimentRunner:
         """
         cache = tracecache.process_cache()
         before = cache.stats.snapshot()
-        seen: set[str] = set()
+        seen: set[tracecache.FrontendKey] = set()
         for spec in cold:
             for name, arch in spec.frontends():
                 network = self._network_for(spec, name)
-                fingerprint = tracecache.frontend_fingerprint(network, arch)
-                if fingerprint in seen:
+                key = tracecache.frontend_key(network, arch)
+                if key in seen:
                     continue
-                seen.add(fingerprint)
+                seen.add(key)
                 cache.get(network, arch)
         delta = cache.stats.since(before)
         self.last_trace_stats = delta

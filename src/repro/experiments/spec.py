@@ -82,7 +82,6 @@ class RunSpec:
     num_ptw_per_core: int | None = None
     tlb_entries_per_core: int | None = None
     dataflow: str = DEFAULT_DATAFLOW
-    phase: str | None = None
     serving: ServingParams | None = None
     version: int = RESULTS_VERSION
 
@@ -103,8 +102,7 @@ class RunSpec:
 
             if self.serving == ServingParams():
                 object.__setattr__(self, "serving", None)
-        bare_bases = 0
-        serving_targets = 0
+        serving_workload = False
         for name in self.workloads:
             base, wl_phase = serving_names.split_name(name)
             if wl_phase is not None:
@@ -119,27 +117,11 @@ class RunSpec:
                         f"workload {name!r}: unknown phase {wl_phase!r}; "
                         "choose from " + ", ".join(serving_names.PHASES)
                     )
-                serving_targets += 1
-            elif base in serving_names.SERVING_BASES:
-                bare_bases += 1
-        if self.phase is not None:
-            if self.phase not in serving_names.PHASES:
-                raise ValueError(
-                    f"unknown phase {self.phase!r}; choose from "
-                    + ", ".join(serving_names.PHASES)
-                )
-            if not bare_bases:
-                raise ValueError(
-                    "phase only applies to bare serving-base workloads "
-                    f"(e.g. 'gpt2'); none in {self.workloads!r} — either "
-                    "drop 'phase' or phase-qualify the names directly"
-                )
-            serving_targets += bare_bases
-        if self.serving is not None and not serving_targets:
+                serving_workload = True
+        if self.serving is not None and not serving_workload:
             raise ValueError(
                 "serving parameters need a serving workload (a "
-                "phase-qualified name like 'gpt2:prefill', or a bare "
-                f"serving base plus 'phase'); got {self.workloads!r}"
+                f"phase-qualified name like 'gpt2:prefill'); got {self.workloads!r}"
             )
         if self.kind not in ("solo", "mix"):
             raise ValueError(f"kind must be 'solo' or 'mix', got {self.kind!r}")
@@ -189,7 +171,6 @@ class RunSpec:
         page_bytes: int = 4096,
         translation: bool = True,
         dataflow: str = DEFAULT_DATAFLOW,
-        phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> "RunSpec":
         """One workload alone on a resource slice (defaults: one per-core
@@ -204,7 +185,6 @@ class RunSpec:
             page_bytes=page_bytes,
             translation=translation,
             dataflow=dataflow,
-            phase=phase,
             serving=serving,
         ).resolve()
 
@@ -218,7 +198,6 @@ class RunSpec:
         page_bytes: int = 4096,
         translation: bool = True,
         dataflow: str = DEFAULT_DATAFLOW,
-        phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> "RunSpec":
         """The Ideal baseline: alone with the whole N-core resource pool."""
@@ -232,7 +211,6 @@ class RunSpec:
             page_bytes=page_bytes,
             translation=translation,
             dataflow=dataflow,
-            phase=phase,
             serving=serving,
         )
 
@@ -249,7 +227,6 @@ class RunSpec:
         num_ptw_per_core: int | None = None,
         tlb_entries_per_core: int | None = None,
         dataflow: str = DEFAULT_DATAFLOW,
-        phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> "RunSpec":
         """A co-simulation of ``workloads`` under a dynamic sharing level."""
@@ -266,7 +243,6 @@ class RunSpec:
             num_ptw_per_core=num_ptw_per_core,
             tlb_entries_per_core=tlb_entries_per_core,
             dataflow=dataflow,
-            phase=phase,
             serving=serving,
         )
 
@@ -298,8 +274,6 @@ class RunSpec:
             label = f"mix {names} {self.sharing_level.label}"
         if self.dataflow != DEFAULT_DATAFLOW:
             label += f" df={self.dataflow}"
-        if self.phase is not None:
-            label += f" ph={self.phase}"
         if self.serving is not None:
             label += f" srv[{self.serving.tag()}]"
         return label
@@ -355,14 +329,12 @@ class RunSpec:
             # shard) written before the dataflow axis existed stays
             # byte-identical — the golden shard hashes pin this.
             descriptor["dataflow"] = self.dataflow
-        if self.phase is not None:
-            # Serving axes follow the same omission rule: every
+        if self.serving is not None:
+            # Serving parameters follow the same omission rule: every
             # descriptor written before the serving frontend existed —
             # and every non-serving descriptor written after — stays
             # byte-identical, so the pre-existing golden cache keys pin
             # this exactly.
-            descriptor["phase"] = self.phase
-        if self.serving is not None:
             descriptor["serving"] = self.serving.descriptor()
         return descriptor
 
@@ -433,7 +405,11 @@ class PlanContext:
     build one context; figure planners and the mapping study call
     :meth:`solo`, :meth:`ideal` and :meth:`mix` on it, passing only the
     fields their figure varies.  Explicit fields win over the
-    context's defaults.  Planning needs no runner and touches no cache.
+    context's defaults.  ``phase`` qualifies bare serving bases
+    (``gpt2`` -> ``gpt2:decode``, see
+    :func:`~repro.models.serving_names.qualify`), so a spec planned
+    under it is the very spec planned with the qualified name.
+    Planning needs no runner and touches no cache.
     """
 
     scale: str = "mini"
@@ -448,10 +424,12 @@ class PlanContext:
 
     def solo(self, workload: str, **fields: Any) -> RunSpec:
         """:meth:`RunSpec.solo` under this context's defaults."""
+        (workload,) = serving_names.qualify((workload,), self.phase)
         return RunSpec.solo(workload, **self._fields((workload,), fields))
 
     def ideal(self, workload: str, num_cores: int, **fields: Any) -> RunSpec:
         """:meth:`RunSpec.ideal` under this context's defaults."""
+        (workload,) = serving_names.qualify((workload,), self.phase)
         return RunSpec.ideal(
             workload, num_cores, **self._fields((workload,), fields)
         )
@@ -463,37 +441,27 @@ class PlanContext:
         **fields: Any,
     ) -> RunSpec:
         """:meth:`RunSpec.mix` under this context's defaults."""
+        workloads = serving_names.qualify(workloads, self.phase)
         return RunSpec.mix(workloads, sharing, **self._fields(workloads, fields))
 
     def _fields(
         self, workloads: Sequence[str], fields: dict[str, Any]
     ) -> dict[str, Any]:
-        """``fields`` over the defaults; serving axes only where they bind.
+        """``fields`` over the defaults; serving parameters only where they bind.
 
-        Most specs in a sweep run plain zoo workloads; pushing ``phase``
-        or serving parameters onto those would be rejected by
-        :class:`RunSpec` validation (a phase with no serving workload is
-        a silent no-op and therefore an error).  So the serving defaults
-        bind exactly when the workload list can use them.
+        Most specs in a sweep run plain zoo workloads; pushing serving
+        parameters onto those would be rejected by :class:`RunSpec`
+        validation.  So they bind exactly when a workload is
+        phase-qualified.
         """
-        fields = {
-            "scale": self.scale,
-            "dataflow": self.dataflow,
-            **fields,
-        }
-        bare_base = any(
-            name in serving_names.SERVING_BASES for name in workloads
-        )
-        qualified = any(
-            serving_names.split_name(name)[1] is not None
-            for name in workloads
-        )
-        if fields.get("phase") is None and self.phase is not None and bare_base:
-            fields["phase"] = self.phase
+        fields = {"scale": self.scale, "dataflow": self.dataflow, **fields}
         if (
             fields.get("serving") is None
             and self.serving is not None
-            and (qualified or (fields.get("phase") is not None and bare_base))
+            and any(
+                serving_names.split_name(name)[1] is not None
+                for name in workloads
+            )
         ):
             fields["serving"] = self.serving
         return fields

@@ -11,20 +11,22 @@ of both, Mixture-of-Experts layers route tokens to experts, and the
 
 This module turns those serving dynamics into ordinary
 :class:`~repro.models.layers.Network` objects, so the whole existing
-pipeline — frontend compilation, the content-addressed trace cache,
+pipeline — frontend compilation, the trace memo,
 replay, sharing experiments — works unchanged:
 
 * every stochastic choice (request arrival, per-request decode budget,
   token-to-expert routing) draws from ``random.Random`` seeded with a
   string derived from :class:`ServingParams`, so the same parameters
-  produce the same layer list in every process — traces stay
-  content-addressable and cache keys stay stable;
+  produce the same layer list in every process, so a sweep worker
+  builds the very network its parent planned;
 * phases are named workloads: ``"gpt2:prefill"`` / ``"gpt2:decode"``
-  (see :func:`split_name`), resolvable next to plain zoo names;
-* serving networks carry a ``srv-`` name prefix that the trace cache
-  surfaces in its keys (see
-  :func:`repro.compute.tracecache.frontend_fingerprint`), so serving
-  traces are identifiable by key.
+  (see :func:`split_name`), resolvable next to plain zoo names.  That
+  qualified name is a serving workload's only name: ``--phase`` rewrites
+  bare ``gpt2`` to it where names enter the program;
+* serving networks carry a ``srv-`` name prefix, so results and
+  reports name them apart from the zoo's ``gpt2``.  The trace memo keys
+  a frontend by its layers, not its name (see
+  :func:`repro.compute.tracecache.frontend_key`).
 
 Shape conventions (one GEMM is ``M x K x N``, ``A[M,K] @ B[K,N]``; the
 A operand streams weights, the B operand streams activations):
@@ -223,8 +225,8 @@ class StepLoad:
 
 def _rng(params: ServingParams, stream: str) -> random.Random:
     # String seeds hash through SHA-512 in CPython's seeding, so the
-    # stream is process-independent — the cross-process determinism the
-    # content-addressed caches rely on.
+    # stream is process-independent — the cross-process determinism
+    # sweep workers rely on.
     return random.Random(f"serving:{params.seed}:{stream}")
 
 
@@ -396,31 +398,27 @@ def resolve(
     scale: str = "mini",
     *,
     params: ServingParams | None = None,
-    default_phase: str | None = None,
 ) -> Network | None:
     """The serving network for ``name``, or ``None`` when it isn't one.
 
-    ``"gpt2:prefill"`` / ``"gpt2:decode"`` resolve directly; a bare
-    serving base (``"gpt2"``) resolves only when ``default_phase`` is
-    set (the :class:`RunSpec` ``phase`` field), otherwise it falls back
-    to the plain zoo topology by returning ``None``.
+    ``"gpt2:prefill"`` / ``"gpt2:decode"`` resolve; every other name,
+    the bare serving base ``"gpt2"`` included, falls back to its zoo
+    topology by returning ``None``.  ``--phase`` qualifies bare bases
+    before names get here (:func:`~repro.models.serving_names.qualify`).
     """
     base, phase = split_name(name)
-    if phase is not None:
-        if base not in SERVING_BASES:
-            raise ValueError(
-                f"{name!r}: {base!r} has no serving frontend; "
-                f"serving bases: {sorted(SERVING_BASES)}"
-            )
-        if phase not in PHASES:
-            raise ValueError(
-                f"{name!r}: unknown phase {phase!r}; choose from "
-                + ", ".join(PHASES)
-            )
-    elif base in SERVING_BASES and default_phase is not None:
-        phase = default_phase
     if phase is None:
         return None
+    if base not in SERVING_BASES:
+        raise ValueError(
+            f"{name!r}: {base!r} has no serving frontend; "
+            f"serving bases: {sorted(SERVING_BASES)}"
+        )
+    if phase not in PHASES:
+        raise ValueError(
+            f"{name!r}: unknown phase {phase!r}; choose from "
+            + ", ".join(PHASES)
+        )
     params = params if params is not None else ServingParams()
     builder = prefill_network if phase == "prefill" else decode_network
     return builder(params, scale)
@@ -431,13 +429,10 @@ def networks_for(
     scale: str = "mini",
     *,
     params: ServingParams | None = None,
-    default_phase: str | None = None,
 ) -> list[Network]:
     """Resolve a workload list: serving names here, everything else zoo."""
     networks = []
     for name in workloads:
-        network = resolve(
-            name, scale, params=params, default_phase=default_phase
-        )
+        network = resolve(name, scale, params=params)
         networks.append(network if network is not None else zoo.get(name, scale))
     return networks

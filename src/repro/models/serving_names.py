@@ -8,6 +8,8 @@ builds the networks, so only what builds a network loads it.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 #: The two serving phases, in pipeline order.
 PHASES: tuple[str, ...] = ("prefill", "decode")
 
@@ -30,3 +32,17 @@ def split_name(name: str) -> tuple[str, str | None]:
     """``"gpt2:prefill"`` -> ``("gpt2", "prefill")``; plain names get ``None``."""
     base, sep, phase = name.partition(":")
     return (base, phase) if sep else (name, None)
+
+
+def qualify(names: Sequence[str], phase: str | None) -> tuple[str, ...]:
+    """Bare serving bases under ``phase``: ``gpt2`` -> ``gpt2:decode``.
+
+    Every other name, phase-qualified ones included, passes through, as
+    do all names when ``phase`` is ``None``.  This is how ``--phase``
+    enters the program, so a serving workload has one name.
+    """
+    if phase is None:
+        return tuple(names)
+    return tuple(
+        f"{name}:{phase}" if name in SERVING_BASES else name for name in names
+    )

@@ -173,7 +173,7 @@ class ShardStore:
     # Maintenance (the ``mnpusim cache`` subcommand)
     # ------------------------------------------------------------------ #
 
-    def shard_names(self, suffix: str = ".json") -> list[str]:
+    def shard_names(self) -> list[str]:
         """Names of the shards currently in the store (sidecars excluded).
 
         An absent or unreadable directory is an empty store, never an
@@ -183,12 +183,12 @@ class ShardStore:
             return sorted(
                 entry.name
                 for entry in self.directory.iterdir()
-                if entry.is_file() and entry.name.endswith(suffix)
+                if entry.is_file() and entry.name.endswith(".json")
             )
         except OSError:
             return []
 
-    def usage(self, suffix: str = ".json") -> dict[str, int]:
+    def usage(self) -> dict[str, int]:
         """Disk usage: ``shards``/``bytes`` plus quarantine count/bytes.
 
         The quarantine numbers make the store's *hidden* disk footprint
@@ -196,7 +196,7 @@ class ShardStore:
         ``clear_quarantine`` reclaims, so a long-running daemon's
         operator needs to see them growing.
         """
-        shards = self.shard_names(suffix)
+        shards = self.shard_names()
         total = 0
         for name in shards:
             try:
@@ -223,10 +223,10 @@ class ShardStore:
             "quarantine_bytes": quarantine_bytes,
         }
 
-    def clear(self, suffix: str = ".json") -> int:
+    def clear(self) -> int:
         """Delete every shard (+sidecar) in the store; returns the count."""
         removed = 0
-        for name in self.shard_names(suffix):
+        for name in self.shard_names():
             path = self.path(name)
             path.unlink(missing_ok=True)
             checksum_path(path).unlink(missing_ok=True)

@@ -109,6 +109,19 @@ class TestMixCommand:
         results = runner.run(RunSpec.mix(("ncf", "ncf"), SharingLevel.DW))
         assert cli_cycles == [result["cycles"] for result in results]
 
+    def test_phase_qualifies_bare_serving_bases(self, capsys):
+        # ``gpt2`` under --phase decode is the workload ``gpt2:decode``
+        # names: the same system, networks and output.
+        assert main(["mix", "gpt2", "gpt2", "--phase", "decode"]) == 0
+        phased = capsys.readouterr().out
+        assert main(["mix", "gpt2:decode", "gpt2:decode"]) == 0
+        assert capsys.readouterr().out == phased
+        assert phased.count("srv-gpt2-decode") == 2
+
+    def test_phase_without_a_bare_serving_base_rejected(self):
+        with pytest.raises(SystemExit, match="bare serving-base"):
+            main(["mix", "ncf", "gpt2:prefill", "--phase", "decode"])
+
     def test_uncontended_sharing_rejected(self):
         with pytest.raises(SystemExit, match="no dynamic contention"):
             main(["mix", "ncf", "ncf", "--sharing", "Static"])

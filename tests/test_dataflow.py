@@ -50,18 +50,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register(OutputStationary())
 
-    def test_engines_carry_a_version_tag(self):
-        for name in registered_dataflows():
-            engine = get_engine(name)
-            assert isinstance(engine.version, int)
-            assert engine.version >= 1
-
     def test_custom_engine_registration_end_to_end(self):
         """A third-party engine is usable everywhere a stock one is."""
 
         class RowStationary(DataflowEngine):
             name = "rs-test"
-            version = 1
 
             def estimate(self, arch, m, k, n):
                 return OutputStationary().estimate(arch, m, k, n)

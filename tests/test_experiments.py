@@ -124,7 +124,7 @@ class TestRunnerCaching:
         assert ideal["cycles"] > 0 and static["cycles"] > 0
 
     def test_zoo_workloads_resolve_at_the_spec_scale(self, runner):
-        # A runner simulates (and fingerprints) the network its spec names,
+        # A runner simulates (and memo-keys) the network its spec names,
         # so a full-scale spec must never run the mini topology under the
         # full-scale cache key.
         (network,) = runner._networks_for(RunSpec.solo("ncf", scale="full"))

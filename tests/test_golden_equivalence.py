@@ -95,7 +95,7 @@ MAX_TICKS = 50_000_000_000
 def simulate(spec: RunSpec):
     """One direct :class:`MultiCoreNPUSim` run of ``spec``."""
     networks = serving.networks_for(
-        spec.workloads, spec.scale, params=spec.serving, default_phase=spec.phase
+        spec.workloads, spec.scale, params=spec.serving
     )
     sim = MultiCoreNPUSim(spec.system(), networks)
     return sim.run(max_ticks=MAX_TICKS)
@@ -297,7 +297,7 @@ def test_observability_is_byte_invisible(name, snapshots):
     """
     spec = dict(CORPUS)[name]
     networks = serving.networks_for(
-        spec.workloads, spec.scale, params=spec.serving, default_phase=spec.phase
+        spec.workloads, spec.scale, params=spec.serving
     )
     sim = MultiCoreNPUSim(spec.system(), networks, observe=True)
     mix = sim.run(max_ticks=MAX_TICKS)

@@ -5,7 +5,7 @@ arrival, decode budgets, token-to-expert routing) is a pure function of
 :class:`ServingParams` — same params, same network, in any process.
 The hypothesis suites pin the MoE conservation law (capacity overflow
 reassigns tokens, never drops them) and the cross-process tests pin the
-trace fingerprints and cache keys CI's serving lane depends on.
+networks and cache keys CI's serving lane depends on.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compute.tracecache import frontend_fingerprint
+from repro.compute.tracecache import frontend_key
 from repro.config import presets
 from repro.core.sharing import SharingLevel
 from repro.experiments.spec import RunSpec
@@ -181,10 +181,7 @@ class TestNetworks:
         assert serving.resolve("gpt2:prefill").name == "srv-gpt2-prefill"
         assert serving.resolve("gpt2:decode").name == "srv-gpt2-decode"
         assert serving.resolve("ncf") is None
-        assert serving.resolve("gpt2") is None  # bare name, no default phase
-        assert serving.resolve("gpt2", default_phase="decode").name == (
-            "srv-gpt2-decode"
-        )
+        assert serving.resolve("gpt2") is None  # bare name: the zoo's gpt2
 
     @pytest.mark.parametrize("name", ["ncf:prefill", "gpt2:flarp", "gpt2:"])
     def test_resolve_rejects_bad_qualified_names(self, name):
@@ -214,14 +211,13 @@ class TestNetworks:
 
 
 # --------------------------------------------------------------------- #
-# Trace-cache tagging and cross-process determinism
+# Cross-process determinism
 # --------------------------------------------------------------------- #
 
 
-def _fingerprint_in_worker(phase: str) -> str:
+def _network_in_worker(phase: str):
     """Module-level so ProcessPoolExecutor can pickle it by reference."""
-    network = serving.resolve(f"gpt2:{phase}")
-    return frontend_fingerprint(network, presets.cloud_arch("mini"))
+    return serving.resolve(f"gpt2:{phase}")
 
 
 def _serving_spec() -> RunSpec:
@@ -237,26 +233,14 @@ def _cache_key_in_worker() -> str:
 
 
 class TestDeterminism:
-    def test_fingerprint_carries_the_srv_tag(self):
-        arch = presets.cloud_arch("mini")
-        fingerprint = frontend_fingerprint(
-            serving.resolve("gpt2:prefill"), arch
-        )
-        engine, tag, digest = fingerprint.split("-", 2)
-        assert engine == arch.dataflow
-        assert tag == "srv"
-        assert len(digest) == 32
-        plain = frontend_fingerprint(zoo.get("gpt2", "mini"), arch)
-        assert "-srv-" not in plain
-
     def test_fingerprints_match_across_processes(self):
         """Arrival/routing traces must not depend on process state: a
-        sweep worker compiling a serving trace has to land on the very
-        shard the parent planned for."""
+        sweep worker building a serving network has to build the very
+        network the parent planned and compiled."""
         with ProcessPoolExecutor(max_workers=1) as pool:
             for phase in serving.PHASES:
-                theirs = pool.submit(_fingerprint_in_worker, phase).result()
-                assert theirs == _fingerprint_in_worker(phase)
+                theirs = pool.submit(_network_in_worker, phase).result()
+                assert theirs == _network_in_worker(phase)
 
     def test_cache_key_matches_across_processes(self):
         with ProcessPoolExecutor(max_workers=1) as pool:
@@ -264,9 +248,12 @@ class TestDeterminism:
         assert theirs == _serving_spec().cache_key()
 
     def test_phase_fingerprints_are_distinct(self):
+        # The phases key the trace memo apart from each other and from
+        # the zoo's single-pass gpt2.
         arch = presets.cloud_arch("mini")
-        fingerprints = {
-            frontend_fingerprint(serving.resolve(name), arch)
+        keys = {
+            frontend_key(serving.resolve(name), arch)
             for name in serving.SERVING_NAMES
         }
-        assert len(fingerprints) == len(serving.SERVING_NAMES)
+        keys.add(frontend_key(zoo.get("gpt2", "mini"), arch))
+        assert len(keys) == len(serving.SERVING_NAMES) + 1

@@ -9,7 +9,10 @@ import pytest
 
 from repro.core.sharing import SharingLevel
 from repro.experiments.runner import JOURNAL_NAME, ExperimentRunner
+from repro.experiments import figures
+from repro.experiments.mixes import all_mixes
 from repro.experiments.spec import RESULTS_VERSION, PlanContext, RunSpec
+from repro.models import serving_names, zoo
 from repro.models.layers import DenseLayer, Network
 from repro.models.serving import ServingParams
 
@@ -46,11 +49,10 @@ class TestCacheKey:
             RunSpec.mix(("ncf", "gpt2"), SharingLevel.D, ptw_split=(1, 3)),
             RunSpec.mix(("ncf", "gpt2"), SharingLevel.DWT, dataflow="ws"),
             RunSpec.mix(("ncf", "gpt2"), SharingLevel.DWT, dataflow="is"),
-            RunSpec.mix(("ncf", "gpt2"), SharingLevel.DWT, phase="decode"),
+            RunSpec.mix(("ncf", "gpt2:decode"), SharingLevel.DWT),
             RunSpec.mix(
-                ("ncf", "gpt2"),
+                ("ncf", "gpt2:decode"),
                 SharingLevel.DWT,
-                phase="decode",
                 serving=ServingParams(experts=8),
             ),
             dataclasses.replace(base, version=RESULTS_VERSION + 1),
@@ -212,17 +214,24 @@ class TestServingSpec:
         assert "srv[moe_skew=zipf]" in spec.label
 
     def test_phase_lands_in_descriptor_and_label(self):
-        spec = RunSpec.solo("gpt2", phase="prefill")
-        assert spec.descriptor()["phase"] == "prefill"
-        assert " ph=prefill" in spec.label
+        # A context's phase lands in the workload name, the one place a
+        # serving workload's phase lives.
+        spec = PlanContext(phase="prefill").solo("gpt2")
+        assert spec.descriptor()["workload"] == "gpt2:prefill"
+        assert "phase" not in spec.descriptor()
+        assert spec.label.startswith("solo gpt2:prefill ")
         assert spec.cache_key() != RunSpec.solo("gpt2").cache_key()
 
     def test_phase_needs_a_bare_serving_base(self):
-        with pytest.raises(ValueError, match="bare serving-base"):
-            RunSpec.solo("ncf", phase="prefill")
-        with pytest.raises(ValueError, match="bare serving-base"):
-            # already qualified: nothing left for the default to bind to
-            RunSpec.solo("gpt2:prefill", phase="decode")
+        # Only bare serving bases take the phase: zoo names and names
+        # that are already qualified pass through unchanged.
+        ctx = PlanContext(phase="decode")
+        assert ctx.solo("ncf") == RunSpec.solo("ncf")
+        assert ctx.solo("gpt2:prefill") == RunSpec.solo("gpt2:prefill")
+        assert serving_names.qualify(("gpt2", "ncf", "gpt2:prefill"), "decode") == (
+            "gpt2:decode", "ncf", "gpt2:prefill"
+        )
+        assert serving_names.qualify(("gpt2",), None) == ("gpt2",)
 
     def test_serving_params_need_a_serving_workload(self):
         with pytest.raises(ValueError, match="serving workload"):
@@ -238,22 +247,43 @@ class TestServingSpec:
         with pytest.raises(ValueError, match="unknown phase"):
             RunSpec.solo("gpt2:flarp")
         with pytest.raises(ValueError, match="unknown phase"):
-            RunSpec.solo("gpt2", phase="warmup")
+            PlanContext(phase="warmup").solo("gpt2")
 
     def test_runner_defaults_bind_only_to_serving_workloads(self):
         ctx = PlanContext(phase="decode", serving=ServingParams(moe_skew="zipf"))
         bound = ctx.solo("gpt2")
-        assert bound.phase == "decode"
+        assert bound.workloads == ("gpt2:decode",)
         assert bound.serving == ServingParams(moe_skew="zipf")
         # Non-serving workloads planned through the same context must not
         # inherit the defaults (they would fail RunSpec validation).
         plain = ctx.solo("ncf")
-        assert plain.phase is None and plain.serving is None
+        assert plain.workloads == ("ncf",) and plain.serving is None
         qualified = ctx.mix(
             ("gpt2:prefill", "gpt2:decode"), SharingLevel.DWT
         )
-        assert qualified.phase is None
+        assert qualified.workloads == ("gpt2:prefill", "gpt2:decode")
         assert qualified.serving == ServingParams(moe_skew="zipf")
+
+    def test_a_context_phase_plans_the_qualified_spec(self):
+        # One name per serving workload: ``gpt2`` under phase "decode"
+        # is the very spec ``gpt2:decode`` names, cache key included.
+        bound = PlanContext(phase="decode").ideal("gpt2", 2)
+        named = RunSpec.ideal("gpt2:decode", 2)
+        assert bound == named
+        assert bound.cache_key() == named.cache_key()
+
+    def test_phase_sweep_plans_each_simulation_once(self):
+        # Figs 4-7's dual sweep plus the serving figure under a decode
+        # context: the decode Ideal and the (decode, decode) +DW/+DWT
+        # mixes are planned by both, and must dedupe to one spec each.
+        ctx = PlanContext(phase="decode")
+        specs = [
+            *figures.sharing_sweep_specs(ctx, all_mixes(2, zoo.NAMES)).values(),
+            *figures.serving_colocation_specs(ctx).values(),
+        ]
+        assert len(specs) == 140
+        assert len(set(specs)) == 137
+        assert len({spec.cache_key() for spec in specs}) == 137
 
 
 def _sweep_specs(runner, dims=(16, 32, 16)):

@@ -22,8 +22,8 @@ is loaded only by the mapping study's predictor
 (``repro.mapping.predictor``), which only the Figure 17/18 reducers
 import, and the process-pool machinery only when a pool is actually made
 (``--jobs N`` with N > 1, and always under ``mnpusim serve``).  OpenSSL
-is never needed: ``repro.digest`` takes sha256 and blake2b from
-CPython's builtin hash modules, so no simulating process loads
+is never needed: ``repro.digest`` takes sha256 from CPython's
+builtin hash module, so no simulating process loads
 ``_hashlib`` or ``_ssl`` (and with them ``libcrypto``, about 3.6 MB
 resident).  The serve daemon speaks HTTP through ``socketserver``, so it
 loads neither ``http.client`` nor OpenSSL, and a client that builds
